@@ -13,8 +13,10 @@ Framing: spectral feature frame k covers samples [k*hop, k*hop + fft_size)
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
+import os
 import struct
 from dataclasses import asdict, dataclass
 from pathlib import Path
@@ -99,10 +101,6 @@ class FeatureConfig:
     def hop_length(self) -> int:
         return self.sample_rate // self.motion_fps
 
-    @property
-    def per_ear_width(self) -> int:
-        return PER_EAR_WIDTH
-
     def content_key(self) -> str:
         return json.dumps(asdict(self), sort_keys=True)
 
@@ -183,17 +181,23 @@ def _mel_to_hz(m):
 
 
 def mel_filterbank(config: FeatureConfig) -> np.ndarray:
-    """Triangular filters (mel_bands, fft/2+1) spanning 0 .. sample_rate/2."""
-    n_bins = config.fft_size // 2 + 1
-    freqs = fft_bin_frequencies(config)
-    edges = _mel_to_hz(np.linspace(_hz_to_mel(0.0), _hz_to_mel(config.sample_rate / 2),
-                                   config.mel_bands + 2))
-    bank = np.zeros((config.mel_bands, n_bins))
-    for m in range(config.mel_bands):
+    """Triangular filters (mel_bands, fft/2+1) spanning 0 .. sample_rate/2;
+    built once per (sample_rate, fft_size, mel_bands) and shared read-only."""
+    return _mel_filterbank(config.sample_rate, config.fft_size, config.mel_bands)
+
+
+@functools.lru_cache(maxsize=8)
+def _mel_filterbank(sample_rate: int, fft_size: int, mel_bands: int) -> np.ndarray:
+    freqs = np.arange(fft_size // 2 + 1) * sample_rate / fft_size
+    edges = _mel_to_hz(np.linspace(_hz_to_mel(0.0), _hz_to_mel(sample_rate / 2),
+                                   mel_bands + 2))
+    bank = np.zeros((mel_bands, freqs.size))
+    for m in range(mel_bands):
         lo, mid, hi = edges[m], edges[m + 1], edges[m + 2]
         rise = (freqs - lo) / max(mid - lo, 1e-12)
         fall = (hi - freqs) / max(hi - mid, 1e-12)
         bank[m] = np.clip(np.minimum(rise, fall), 0.0, None)
+    bank.flags.writeable = False
     return bank
 
 
@@ -308,14 +312,6 @@ def cq_chroma(spec: np.ndarray, config: FeatureConfig) -> np.ndarray:
 # rhythm
 
 
-def chromagrams(x: np.ndarray, config: FeatureConfig) -> np.ndarray:
-    """(T, 24) combined chroma for one channel, laid out as the feature
-    matrix stores them: constant-Q variant first, then the STFT variant."""
-    spec = stft(x, config)
-    return np.concatenate([cq_chroma(spec, config), stft_chroma(spec, config)],
-                          axis=1)
-
-
 def onset_strength(spec: np.ndarray, config: FeatureConfig) -> np.ndarray:
     """Half-wave-rectified mel spectral flux, one value per frame."""
     logmel = log_mel_spectrogram(spec, config)
@@ -382,9 +378,8 @@ def beat_track(onset: np.ndarray, config: FeatureConfig) -> np.ndarray:
     return beats
 
 
-def rhythm_features(x: np.ndarray, config: FeatureConfig) -> np.ndarray:
-    """(T, 1070): onset strength | tempogram lags | one-hot beats."""
-    spec = stft(x, config)
+def rhythm_features(spec: np.ndarray, config: FeatureConfig) -> np.ndarray:
+    """(T, 1070) from an STFT: onset strength | tempogram lags | one-hot beats."""
     onset = onset_strength(spec, config)
     tg = tempogram(onset, config)
     beats = beat_track(onset, config)
@@ -413,13 +408,13 @@ def energy_features(x: np.ndarray, config: FeatureConfig) -> np.ndarray:
 
 
 def extract_ear(x: np.ndarray, config: FeatureConfig) -> np.ndarray:
-    """(T, 1136) feature block for one channel."""
+    """(T, 1136) feature block for one channel, all from one STFT."""
     spec = stft(x, config)
     parts = [
         mfcc_with_delta(spec, config),
         cq_chroma(spec, config),
         stft_chroma(spec, config),
-        rhythm_features(x, config),
+        rhythm_features(spec, config),
         energy_features(x, config),
     ]
     out = np.concatenate(parts, axis=1)
@@ -474,10 +469,6 @@ class NormalizationStats:
         self.std = np.asarray(self.std, dtype=np.float64).reshape(-1)
         if self.mean.shape != (FEATURE_WIDTH,) or self.std.shape != (FEATURE_WIDTH,):
             raise ShapeError("normalization stats must have width 2272")
-
-    @classmethod
-    def identity(cls) -> "NormalizationStats":
-        return cls(np.zeros(FEATURE_WIDTH), np.ones(FEATURE_WIDTH))
 
     @classmethod
     def fit(cls, feature_matrices) -> "NormalizationStats":
@@ -550,35 +541,41 @@ def feature_cache_key(audio_bytes: bytes, config: FeatureConfig) -> str:
     return h.hexdigest()[:32]
 
 
-def save_feature_cache(path, feats: AudioFeatureMatrix,
-                       stats: NormalizationStats | None = None) -> None:
-    """Binary cache: magic, version, T, width, float32 rows, then the
-    normalization mean/std vectors current at write time."""
-    stats = stats or NormalizationStats.identity()
+def save_feature_cache(path, feats: AudioFeatureMatrix) -> None:
+    """Binary cache: magic, version, T, width, float32 rows, then an identity
+    mean/std tail that the format keeps but nothing reads. The file appears
+    whole or not at all: it is written beside its final name and renamed."""
     values = np.asarray(feats.values, dtype="<f4")
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "wb") as f:
-        f.write(CACHE_MAGIC)
-        f.write(struct.pack("<III", 1, values.shape[0], values.shape[1]))
-        f.write(values.tobytes())
-        f.write(stats.mean.astype("<f4").tobytes())
-        f.write(stats.std.astype("<f4").tobytes())
+    tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "wb") as f:
+            f.write(CACHE_MAGIC)
+            f.write(struct.pack("<III", 1, values.shape[0], values.shape[1]))
+            f.write(values.tobytes())
+            f.write(np.zeros(FEATURE_WIDTH, dtype="<f4").tobytes())   # mean
+            f.write(np.ones(FEATURE_WIDTH, dtype="<f4").tobytes())    # std
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
 
 
-def load_feature_cache(path) -> tuple[AudioFeatureMatrix, NormalizationStats]:
-    blob = Path(path).read_bytes()
-    if blob[:8] != CACHE_MAGIC:
+def load_feature_cache(path) -> AudioFeatureMatrix:
+    """The (T, 2272) rows of a cache file; a damaged file raises DataError."""
+    try:
+        blob = Path(path).read_bytes()
+    except OSError as e:
+        raise DataError(f"cannot read feature cache {path}: {e}") from e
+    if len(blob) < 20 or blob[:8] != CACHE_MAGIC:
         raise DataError(f"{path} is not a feature cache file")
     version, t, width = struct.unpack_from("<III", blob, 8)
     if version != 1 or width != FEATURE_WIDTH:
-        raise DataError(f"{path}: unsupported cache (version {version}, width {width})")
-    offset = 20
-    n = t * width
-    values = np.frombuffer(blob, dtype="<f4", count=n, offset=offset)
-    offset += 4 * n
-    mean = np.frombuffer(blob, dtype="<f4", count=width, offset=offset)
-    offset += 4 * width
-    std = np.frombuffer(blob, dtype="<f4", count=width, offset=offset)
-    return (AudioFeatureMatrix(values.reshape(t, width).astype(np.float64)),
-            NormalizationStats(mean.astype(np.float64), std.astype(np.float64)))
+        raise DataError(f"feature cache {path}: unsupported version {version} "
+                        f"or width {width}")
+    expected = 20 + 4 * t * width + 8 * width
+    if len(blob) != expected:
+        raise DataError(f"feature cache {path} is damaged ({len(blob)} bytes, "
+                        f"{expected} expected); delete it to rebuild")
+    values = np.frombuffer(blob, dtype="<f4", count=t * width, offset=20)
+    return AudioFeatureMatrix(values.reshape(t, width))

@@ -12,18 +12,18 @@ import argparse
 import configparser
 import json
 import os
+import re
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, fields
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
 
-from .audio import (FeatureConfig, NormalizationStats, extract_binaural,
-                    feature_cache_key, read_wav, save_feature_cache)
+from .audio import FeatureConfig, NormalizationStats, extract_binaural, read_wav
 from .checkpoint import load_checkpoint
 from .dataset import (DatasetManifest, fit_feature_stats, generate_dataset,
-                      load_split)
+                      load_split, raw_features)
 from .denoiser import DenoiserConfig, MotionDenoiser, TrainConfig, train_denoiser
 from .diffusion import cosine_schedule, stride_subset
 from .errors import (ConfigError, ContractError, DataError, NumericError,
@@ -194,7 +194,7 @@ def _parse_ssl(raw: str, frames: int) -> np.ndarray:
 
 
 def cmd_synth_data(args, cfg: RunConfig) -> int:
-    manifest = generate_dataset(args.out, count=args.count, seed=args.seed,
+    manifest = generate_dataset(args.out, count=args.count, seed=cfg.seed,
                                 duration=args.duration, fps=cfg.motion_fps,
                                 sample_rate=cfg.sample_rate)
     counts: dict[str, int] = {}
@@ -211,18 +211,9 @@ def cmd_synth_data(args, cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def _featurize_one(job) -> str:
-    root, audio_rel, cache_dir, cfg_kwargs, frames = job
-    feat_cfg = FeatureConfig(**cfg_kwargs)
-    audio_path = Path(root) / audio_rel
-    blob = audio_path.read_bytes()
-    key = feature_cache_key(blob, feat_cfg)
-    out = Path(cache_dir) / f"{key}.feat"
-    if not out.exists():
-        clip = read_wav(audio_path)
-        feats = extract_binaural(clip, feat_cfg, frames)
-        save_feature_cache(out, feats)
-    return str(out)
+def _featurize(job) -> None:
+    audio_path, motion_path, feat_cfg, cache_dir = job
+    raw_features(audio_path, load_motion(motion_path)[0], feat_cfg, cache_dir)
 
 
 def cmd_features(args, cfg: RunConfig) -> int:
@@ -230,39 +221,34 @@ def cmd_features(args, cfg: RunConfig) -> int:
     feat_cfg = cfg.feature_config()
     cache_dir = Path(args.cache or cfg.cache_dir)
     cache_dir.mkdir(parents=True, exist_ok=True)
-    jobs = []
-    for e in manifest.entries:
-        motion_path = Path(manifest.root) / e.motion
-        motion, _, _, _ = load_motion(motion_path)
-        frames = motion.frames if abs(motion.fps - cfg.motion_fps) < 1e-9 else \
-            int(np.floor((motion.frames - 1) * cfg.motion_fps / motion.fps)) + 1
-        jobs.append((manifest.root, e.audio, str(cache_dir), asdict(feat_cfg),
-                     frames))
+    jobs = [(*manifest.resolve(e), feat_cfg, cache_dir) for e in manifest.entries]
     if args.workers > 1:
         with ProcessPoolExecutor(max_workers=args.workers) as pool:
-            paths = list(pool.map(_featurize_one, jobs))
+            list(pool.map(_featurize, jobs))
     else:
-        paths = [_featurize_one(j) for j in jobs]
-    stats = fit_feature_stats(manifest, feat_cfg)
+        list(map(_featurize, jobs))
+    stats = fit_feature_stats(manifest, feat_cfg, cache_dir)
     stats.save(cache_dir / "norm_stats.npz")
-    print(f"cached {len(paths)} feature files in {cache_dir}")
+    print(f"cached {len(jobs)} feature files in {cache_dir}")
     print(f"normalization statistics: {cache_dir / 'norm_stats.npz'}")
     return EXIT_OK
 
 
+def _norm_stats(cfg: RunConfig) -> NormalizationStats | None:
+    path = Path(cfg.cache_dir) / "norm_stats.npz"
+    return NormalizationStats.load(path) if path.exists() else None
+
+
 def _load_training_split(cfg: RunConfig, manifest_path, split="train"):
-    manifest = DatasetManifest.load(manifest_path)
-    feat_cfg = cfg.feature_config()
     cache_dir = Path(cfg.cache_dir)
-    stats_path = cache_dir / "norm_stats.npz"
-    stats = NormalizationStats.load(stats_path) if stats_path.exists() else None
-    cache = cache_dir if cache_dir.exists() else None
-    return manifest, load_split(manifest, split, feat_cfg, cache_dir=cache,
-                                stats=stats), stats
+    return load_split(DatasetManifest.load(manifest_path), split,
+                      cfg.feature_config(),
+                      cache_dir=cache_dir if cache_dir.exists() else None,
+                      stats=_norm_stats(cfg))
 
 
 def cmd_train(args, cfg: RunConfig) -> int:
-    manifest, samples, _ = _load_training_split(cfg, args.manifest)
+    samples = _load_training_split(cfg, args.manifest)
     if not samples:
         raise DataError("training split is empty")
     frames = samples[0][0].shape[0]
@@ -303,10 +289,7 @@ def cmd_sample(args, cfg: RunConfig) -> int:
     clip = read_wav(args.audio)
     frames = args.frames or min(cfg.max_frames,
                                 int(clip.duration * cfg.motion_fps))
-    cache_dir = Path(cfg.cache_dir)
-    stats_path = cache_dir / "norm_stats.npz"
-    stats = NormalizationStats.load(stats_path) if stats_path.exists() else None
-    feats = extract_binaural(clip, feat_cfg, frames, stats=stats)
+    feats = extract_binaural(clip, feat_cfg, frames, stats=_norm_stats(cfg))
     ssl = _parse_ssl(args.ssl, frames)
     genre = Genre.parse(args.genre)
     schedule = cosine_schedule(cfg.diffusion_steps)
@@ -315,21 +298,21 @@ def cmd_sample(args, cfg: RunConfig) -> int:
         subset = stride_subset(cfg.diffusion_steps, args.steps)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    rng = np.random.default_rng(args.seed)
+    rng = np.random.default_rng(cfg.seed)
     for i in range(args.count):
         motion = sample_motion(model, schedule, feats.values, ssl, int(genre),
                                rng, step_subset=subset, fps=cfg.motion_fps)
         path = out_dir / f"generated_{i:03d}.json"
         save_motion(path, motion, SslTrack(ssl, frame="local"), genre,
                     extras={"steps": args.steps or cfg.diffusion_steps,
-                            "seed": args.seed})
+                            "seed": cfg.seed})
         print(f"wrote {path}")
     return EXIT_OK
 
 
 def cmd_eval(args, cfg: RunConfig) -> int:
-    manifest, train_samples, _ = _load_training_split(cfg, args.manifest)
-    _, test_samples, _ = _load_training_split(cfg, args.manifest, split="test")
+    train_samples = _load_training_split(cfg, args.manifest)
+    test_samples = _load_training_split(cfg, args.manifest, split="test")
     if len(test_samples) < 2:
         raise DataError("test split too small for evaluation")
     ext_cfg = cfg.extractor_config()
@@ -374,7 +357,7 @@ def cmd_eval(args, cfg: RunConfig) -> int:
 
 
 def cmd_gradcheck(args, cfg: RunConfig) -> int:
-    rows = run_primitive_suite(seed=args.seed)
+    rows = run_primitive_suite(seed=cfg.seed)
     print(format_rows(rows))
     if all(r.passed for r in rows):
         return EXIT_OK
@@ -391,11 +374,14 @@ def build_parser() -> argparse.ArgumentParser:
         description="Spatial-audio-driven motion generation toolkit")
     p.add_argument("--config", help="INI config file")
     p.add_argument("--seed", type=int, help="override [training] seed")
+    # a subcommand's own --seed must not reset the global one when absent
+    seed_opts = {"type": int, "default": argparse.SUPPRESS,
+                 "help": "default: the global --seed, else [training] seed"}
     sub = p.add_subparsers(dest="command", required=True)
 
     sp = sub.add_parser("synth-data", help="generate a synthetic dataset")
     sp.add_argument("--count", type=int, default=16)
-    sp.add_argument("--seed", type=int, default=0)
+    sp.add_argument("--seed", **seed_opts)
     sp.add_argument("--duration", type=float, default=10.0)
     sp.add_argument("--out", required=True)
 
@@ -418,7 +404,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--steps", type=int)
     sp.add_argument("--frames", type=int)
     sp.add_argument("--count", type=int, default=1)
-    sp.add_argument("--seed", type=int, default=0)
+    sp.add_argument("--seed", **seed_opts)
     sp.add_argument("--out", required=True)
 
     sp = sub.add_parser("eval", help="train extractors and compute metrics")
@@ -427,7 +413,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--out", required=True)
 
     sp = sub.add_parser("gradcheck", help="finite-difference check every op")
-    sp.add_argument("--seed", type=int, default=0)
+    sp.add_argument("--seed", **seed_opts)
     return p
 
 
@@ -441,9 +427,21 @@ COMMANDS = {
 }
 
 
+def _attach_ssl_value(argv: list[str]) -> list[str]:
+    """Rewrite ``--ssl -0.5,2,1.2`` as ``--ssl=-0.5,2,1.2``: argparse reads a
+    separate token that starts with '-' as an option, not as a value."""
+    out: list[str] = []
+    for tok in argv:
+        if out and out[-1] == "--ssl" and re.match(r"-[\d.]", tok):
+            out[-1] = f"--ssl={tok}"
+        else:
+            out.append(tok)
+    return out
+
+
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_attach_ssl_value(sys.argv[1:] if argv is None else argv))
     try:
         cfg = RunConfig.load(args.config)
         if args.seed is not None:

@@ -1,4 +1,4 @@
-"""Dataset manifest/IO, 30 FPS normalization, and the synthetic scene oracle.
+"""Dataset manifest/IO, sample loading and the synthetic scene oracle.
 
 The generator stands in for recorded capture data at desk scale: each scene
 places a sound source around a character, renders what the character's two
@@ -18,9 +18,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .audio import (AudioClip, FeatureConfig, NormalizationStats,
-                    extract_binaural, feature_cache_key, load_feature_cache,
-                    read_wav, save_feature_cache, write_wav)
+from .audio import (AudioClip, AudioFeatureMatrix, FeatureConfig,
+                    NormalizationStats, extract_binaural, feature_cache_key,
+                    load_feature_cache, read_wav, save_feature_cache, write_wav)
 from .errors import (AlignmentError, ContractError, DataError,
                      DurationError)
 from .skeleton import (Genre, MotionSequence, SkeletonSpec, SslTrack,
@@ -466,6 +466,13 @@ def synthesize_pair(spec: SyntheticSceneSpec,
 # resampling
 
 
+def _resampled_frames(frames: int, fps_in: float, fps_out: float) -> int:
+    """Frames of the grid k/fps_out inside a span of ``frames`` at fps_in."""
+    if abs(fps_in - fps_out) < 1e-9:
+        return frames
+    return int(np.floor((frames - 1) * fps_out / fps_in)) + 1
+
+
 def resample_motion(m: MotionSequence, target_fps: float,
                     ssl: np.ndarray | None = None):
     """Resample to target_fps: linear p/v, geodesic rotations.
@@ -477,7 +484,7 @@ def resample_motion(m: MotionSequence, target_fps: float,
     if abs(m.fps - target_fps) < 1e-9:
         return (m, ssl) if ssl is not None else m
     t_src = m.frames
-    n_out = int(np.floor((t_src - 1) * target_fps / m.fps)) + 1
+    n_out = _resampled_frames(t_src, m.fps, target_fps)
     if n_out < 2:
         raise ContractError("resampled sequence would be shorter than 2 frames")
     src_idx = np.arange(n_out) * m.fps / target_fps
@@ -673,12 +680,45 @@ def generate_dataset(out_dir, count: int, seed: int, duration: float = 10.0,
 # loading
 
 
+def raw_features(audio_path, motion: MotionSequence, feat_config: FeatureConfig,
+                 cache_dir=None) -> AudioFeatureMatrix:
+    """Raw (T, 2272) features of a motion's paired audio file, T = the
+    motion's frame count at ``feat_config.motion_fps``.
+
+    With ``cache_dir`` the features come from ``<feature_cache_key>.feat``
+    there, which a miss extracts and writes first; the values returned are
+    the cached float32 rows either way.
+    """
+    frames = _resampled_frames(motion.frames, motion.fps, feat_config.motion_fps)
+    try:
+        audio_bytes = Path(audio_path).read_bytes()
+    except OSError as e:
+        raise DataError(f"missing audio {audio_path}") from e
+    cache_path = None
+    if cache_dir is not None:
+        key = feature_cache_key(audio_bytes, feat_config)
+        cache_path = Path(cache_dir) / f"{key}.feat"
+        if cache_path.exists():
+            feats = load_feature_cache(cache_path)
+            if feats.frames < frames:
+                raise AlignmentError(f"{cache_path}: cached audio covers "
+                                     f"{feats.frames} frames, motion has {frames}")
+            return AudioFeatureMatrix(feats.values[:frames])
+    try:
+        feats = extract_binaural(read_wav(audio_path), feat_config, frames)
+    except DurationError as e:
+        raise AlignmentError(f"{audio_path}: {e}") from e
+    if cache_path is not None:
+        save_feature_cache(cache_path, feats)
+        feats = AudioFeatureMatrix(feats.values.astype(np.float32))
+    return feats
+
+
 def load_sample(manifest: DatasetManifest, entry: ManifestEntry,
-                feat_config: FeatureConfig, skel: SkeletonSpec | None = None,
-                cache_dir=None, stats: NormalizationStats | None = None,
-                target_fps: float = 30.0):
-    """(x0 (T,300), audio (T,2272), ssl_local (T,3), genre int) for one entry."""
-    skel = skel or SkeletonSpec.default()
+                feat_config: FeatureConfig, cache_dir=None,
+                stats: NormalizationStats | None = None):
+    """(x0 (T,300), audio (T,2272), ssl_local (T,3), genre int) for one entry,
+    on the ``feat_config.motion_fps`` frame grid."""
     audio_path, motion_path = manifest.resolve(entry)
     motion, ssl, genre, _ = load_motion(motion_path)
     if ssl is None:
@@ -688,65 +728,27 @@ def load_sample(manifest: DatasetManifest, entry: ManifestEntry,
     if len(ssl) != motion.frames:
         raise AlignmentError(
             f"{entry.sample_id}: SSL length {len(ssl)} != frames {motion.frames}")
-    if abs(motion.fps - target_fps) > 1e-9:
-        motion, ssl_pos = resample_motion(motion, target_fps, ssl.positions)
-    else:
-        ssl_pos = ssl.positions
+    motion, ssl_pos = resample_motion(motion, feat_config.motion_fps, ssl.positions)
     normalized, ssl_local = normalize_sequence(motion, ssl_pos)
     x0 = assemble_vector(normalized)
-
-    try:
-        audio_bytes = Path(audio_path).read_bytes()
-    except OSError as e:
-        raise DataError(f"{entry.sample_id}: missing audio {audio_path}") from e
-    feats = None
-    cache_path = None
-    if cache_dir is not None:
-        key = feature_cache_key(audio_bytes, feat_config)
-        cache_path = Path(cache_dir) / f"{key}.feat"
-        if cache_path.exists():
-            feats, _ = load_feature_cache(cache_path)
-    if feats is None:
-        clip = read_wav(audio_path)
-        try:
-            feats = extract_binaural(clip, feat_config, normalized.frames)
-        except DurationError as e:
-            raise AlignmentError(f"{entry.sample_id}: {e}") from e
-        if cache_path is not None:
-            save_feature_cache(cache_path, feats,
-                               stats or NormalizationStats.identity())
-    if feats.frames != normalized.frames:
-        feats_values = feats.values[:normalized.frames]
-        if feats_values.shape[0] < normalized.frames:
-            raise AlignmentError(
-                f"{entry.sample_id}: audio covers {feats.frames} frames, motion "
-                f"has {normalized.frames}")
-        feats = type(feats)(feats_values)
-    values = feats.values
+    values = raw_features(audio_path, normalized, feat_config, cache_dir).values
     if stats is not None and feat_config.normalize:
         values = stats.apply(values)
-    g = Genre.parse(entry.genre)
-    return x0, values, ssl_local.positions, int(g)
+    return x0, values, ssl_local.positions, int(Genre.parse(entry.genre))
 
 
 def load_split(manifest: DatasetManifest, split: str, feat_config: FeatureConfig,
-               skel: SkeletonSpec | None = None, cache_dir=None,
-               stats: NormalizationStats | None = None) -> list[tuple]:
-    return [load_sample(manifest, e, feat_config, skel, cache_dir, stats)
+               cache_dir=None, stats: NormalizationStats | None = None) -> list[tuple]:
+    return [load_sample(manifest, e, feat_config, cache_dir, stats)
             for e in manifest.split_entries(split)]
 
 
 def fit_feature_stats(manifest: DatasetManifest, feat_config: FeatureConfig,
                       cache_dir=None) -> NormalizationStats:
-    """Per-column mean/std over the training split's raw features."""
-    mats = []
-    for e in manifest.split_entries("train"):
-        audio_path, motion_path = manifest.resolve(e)
-        motion, _, _, _ = load_motion(motion_path)
-        clip = read_wav(audio_path)
-        n_frames = int(round(motion.frames * 30.0 / motion.fps)) \
-            if abs(motion.fps - 30.0) > 1e-9 else motion.frames
-        mats.append(extract_binaural(clip, feat_config, n_frames))
+    """Per-column mean/std over the training split's raw features: with
+    ``cache_dir``, exactly the rows that ``load_split`` reads from it."""
+    mats = [raw_features(audio, load_motion(motion)[0], feat_config, cache_dir)
+            for audio, motion in map(manifest.resolve, manifest.split_entries("train"))]
     if not mats:
         raise DataError("training split is empty; cannot fit feature statistics")
     return NormalizationStats.fit(mats)

@@ -1,5 +1,8 @@
 """DSP front-end against naive direct-DFT references and closed forms."""
 
+import hashlib
+import os
+
 import numpy as np
 import pytest
 
@@ -98,6 +101,12 @@ class TestMfcc:
         coverage = bank.sum(axis=0)
         assert (coverage[1:-1] > 0).all()
 
+    def test_mel_filterbank_built_once_per_shape(self):
+        bank = au.mel_filterbank(CFG)
+        assert au.mel_filterbank(au.FeatureConfig()) is bank
+        assert not bank.flags.writeable
+        assert au.mel_filterbank(au.FeatureConfig(mel_bands=64)).shape[0] == 64
+
 
 class TestChroma:
     @pytest.mark.parametrize("variant", [au.stft_chroma, au.cq_chroma])
@@ -123,13 +132,14 @@ class TestChroma:
         norms = np.linalg.norm(ch, axis=1)
         np.testing.assert_allclose(norms[norms > 0], 1.0, atol=1e-9)
 
-    def test_combined_chromagrams_width(self):
+    def test_extract_ear_chroma_blocks(self):
         x = sine(440.0)
-        out = au.chromagrams(x, CFG)
-        assert out.shape == (30, 24)
+        out = au.extract_ear(x, CFG)
         spec = au.stft(x, CFG)
-        np.testing.assert_array_equal(out[:, :12], au.cq_chroma(spec, CFG))
-        np.testing.assert_array_equal(out[:, 12:], au.stft_chroma(spec, CFG))
+        cq, st = au.block_slice("cq_chroma"), au.block_slice("stft_chroma")
+        assert out[:, cq].shape == out[:, st].shape == (30, 12)
+        np.testing.assert_array_equal(out[:, cq], au.cq_chroma(spec, CFG))
+        np.testing.assert_array_equal(out[:, st], au.stft_chroma(spec, CFG))
 
 
 def click_train(n_clicks, rate_hz=2.0, duration=10.0, sr=SR):
@@ -146,13 +156,13 @@ def click_train(n_clicks, rate_hz=2.0, duration=10.0, sr=SR):
 
 class TestRhythm:
     def test_silence_all_zero(self):
-        out = au.rhythm_features(np.zeros(SR), CFG)
+        out = au.rhythm_features(au.stft(np.zeros(SR), CFG), CFG)
         assert out.shape == (30, 1070)
         assert not out.any()
 
     def test_click_train_tempogram_lag(self):
         x = click_train(20, rate_hz=2.0)
-        out = au.rhythm_features(x, CFG)
+        out = au.rhythm_features(au.stft(x, CFG), CFG)
         tg = out[:, 1:1 + CFG.tempogram_bins]
         mid = tg[len(tg) // 2]
         lag = 1 + np.argmax(mid[1:])
@@ -160,13 +170,13 @@ class TestRhythm:
 
     def test_beat_count_ten_clicks(self):
         x = click_train(10, rate_hz=2.0, duration=10.0)
-        out = au.rhythm_features(x, CFG)
+        out = au.rhythm_features(au.stft(x, CFG), CFG)
         beats = out[:, -1]
         assert abs(beats.sum() - 10) <= 1
 
     def test_onset_nonnegative(self):
         rng = np.random.default_rng(2)
-        out = au.rhythm_features(rng.uniform(-0.5, 0.5, SR), CFG)
+        out = au.rhythm_features(au.stft(rng.uniform(-0.5, 0.5, SR), CFG), CFG)
         assert (out[:, 0] >= 0).all()
 
 
@@ -229,6 +239,14 @@ class TestExtraction:
         clip = au.AudioClip(SR, x, -x)
         feats = au.extract_binaural(clip, CFG, 30)
         assert np.isfinite(feats.values).all()
+
+    def test_one_stft_per_ear(self, monkeypatch):
+        calls = []
+        stft = au.stft
+        monkeypatch.setattr(au, "stft", lambda x, cfg: calls.append(1) or stft(x, cfg))
+        x = sine(440.0, 1.2)
+        au.extract_binaural(au.AudioClip(SR, x, x), CFG, 30)
+        assert len(calls) == 2
 
     def test_short_clip_duration_error(self):
         clip = au.AudioClip(SR, sine(440, 0.2), sine(440, 0.2))
@@ -312,14 +330,38 @@ class TestFeatureCache:
     def test_roundtrip(self, tmp_path):
         rng = np.random.default_rng(7)
         feats = au.AudioFeatureMatrix(rng.standard_normal((12, 2272)))
-        stats = au.NormalizationStats(rng.standard_normal(2272),
-                                      np.abs(rng.standard_normal(2272)) + 0.5)
         path = tmp_path / "f.feat"
-        au.save_feature_cache(path, feats, stats)
-        loaded, lstats = au.load_feature_cache(path)
-        np.testing.assert_allclose(loaded.values, feats.values, atol=1e-6)
-        np.testing.assert_allclose(lstats.mean, stats.mean, atol=1e-6)
-        np.testing.assert_allclose(lstats.std, stats.std, atol=1e-6)
+        au.save_feature_cache(path, feats)
+        loaded = au.load_feature_cache(path)
+        np.testing.assert_array_equal(loaded.values,
+                                      feats.values.astype(np.float32))
+        assert [p.name for p in tmp_path.iterdir()] == ["f.feat"]
+        tail = path.read_bytes()[-8 * 2272:]
+        assert tail == (np.zeros(2272, "<f4").tobytes()
+                        + np.ones(2272, "<f4").tobytes())
+
+    def test_truncated_or_padded_file_is_data_error(self, tmp_path):
+        path = tmp_path / "f.feat"
+        au.save_feature_cache(path, au.AudioFeatureMatrix(np.ones((1, 2272))))
+        full = path.stat().st_size
+        with open(path, "ab") as f:
+            f.write(b"\0")
+        for n in [full + 1, *range(full - 1, -1, -1)]:
+            os.truncate(path, n)
+            with pytest.raises(DataError):
+                au.load_feature_cache(path)
+
+    def test_bytes_fixed_for_fixed_wav_and_config(self, tmp_path):
+        from scipy.io import wavfile
+        rng = np.random.default_rng(11)
+        wav = tmp_path / "noise.wav"
+        wavfile.write(wav, SR, rng.integers(-8000, 8000, (36000, 2),
+                                            dtype=np.int16))
+        path = tmp_path / "noise.feat"
+        au.save_feature_cache(path, au.extract_binaural(au.read_wav(wav), CFG, 45))
+        digest = hashlib.sha256(path.read_bytes()).hexdigest()
+        assert digest == ("399a5d3c4959ccce0f7bcb2b19f6baf1"
+                          "9504cbc01d793c4388deb2dbd3953883")
 
     def test_cache_key_sensitive_to_audio_and_config(self):
         k1 = au.feature_cache_key(b"abc", CFG)

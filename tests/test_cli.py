@@ -1,10 +1,12 @@
 """End-to-end CLI: every subcommand through main() with a desk-scale config."""
 
 import json
+import os
 
 import numpy as np
 import pytest
 
+from sonomotion import cli
 from sonomotion.cli import EXIT_DATA, EXIT_OK, EXIT_USAGE, RunConfig, main
 from sonomotion.errors import ConfigError
 from sonomotion.skeleton import load_motion
@@ -147,6 +149,34 @@ class TestFeaturesTrainSample:
         assert np.isfinite(motion.p).all()
         assert extras["steps"] == steps
 
+    def _sample(self, workspace, out, *flags, global_flags=()):
+        ws, cfg_path, data_dir = workspace
+        audio = next((data_dir / "audio").glob("*.wav"))
+        rc = main(["--config", str(cfg_path), *global_flags, "sample",
+                   "--checkpoint", str(ws / "ckpt" / "checkpoint_final.snm"),
+                   "--audio", str(audio), "--steps", "2", "--frames", "30",
+                   "--out", str(out), *flags])
+        assert rc == EXIT_OK
+        return (out / "generated_000.json").read_bytes()
+
+    def test_sample_negative_ssl_coordinate(self, workspace, tmp_path):
+        # a source on the character's right has a negative first coordinate
+        spaced = self._sample(workspace, tmp_path / "a", "--ssl", "-0.5,2,1.2")
+        joined = self._sample(workspace, tmp_path / "b", "--ssl=-0.5,2,1.2")
+        assert spaced == joined
+        _, ssl, _, _ = load_motion(tmp_path / "a" / "generated_000.json")
+        np.testing.assert_array_equal(ssl.positions[0], [-0.5, 2.0, 1.2])
+
+    def test_sample_global_seed(self, workspace, tmp_path):
+        ssl = ("--ssl", "0.5,2,1.2")
+        by_global = self._sample(workspace, tmp_path / "g", *ssl,
+                                 global_flags=("--seed", "5"))
+        by_own = self._sample(workspace, tmp_path / "o", *ssl, "--seed", "5")
+        own_wins = self._sample(workspace, tmp_path / "w", *ssl, "--seed", "5",
+                                global_flags=("--seed", "9"))
+        assert by_global == by_own == own_wins
+        assert load_motion(tmp_path / "g" / "generated_000.json")[3]["seed"] == 5
+
     def test_sample_with_ssl_track_file(self, workspace, tmp_path):
         ws, cfg_path, data_dir = workspace
         ckpt = ws / "ckpt" / "checkpoint_final.snm"
@@ -209,8 +239,42 @@ class TestGradcheckCommand:
         out = capsys.readouterr().out
         assert "pass" in out and "FAIL" not in out
 
+    def test_global_seed(self, monkeypatch):
+        seeds = []
+        monkeypatch.setattr(cli, "run_primitive_suite",
+                            lambda seed: seeds.append(seed) or [])
+        assert main(["--seed", "5", "gradcheck"]) == EXIT_OK
+        assert main(["--seed", "5", "gradcheck", "--seed", "7"]) == EXIT_OK
+        assert main(["gradcheck"]) == EXIT_OK
+        assert seeds == [5, 7, 0]
+
+
+class TestSynthDataSeed:
+    def test_global_seed(self, tmp_path):
+        for argv, want in ((["--seed", "5", "synth-data"], 5),
+                           (["--seed", "5", "synth-data", "--seed", "7"], 7)):
+            out = tmp_path / str(want)
+            assert main(argv + ["--count", "10", "--duration", "2.0",
+                                "--out", str(out)]) == EXIT_OK
+            assert json.loads((out / "manifest.json").read_text())["seed"] == want
+
 
 class TestExitCodes:
+    def test_truncated_feature_cache_is_data_error(self, workspace, tmp_path,
+                                                   monkeypatch, capsys):
+        ws, cfg_path, data_dir = workspace
+        manifest = str(data_dir / "manifest.json")
+        cache = tmp_path / "cache"
+        assert main(["features", "--manifest", manifest,
+                     "--cache", str(cache)]) == EXIT_OK
+        for path in cache.glob("*.feat"):
+            os.truncate(path, path.stat().st_size // 2)
+        monkeypatch.setenv("SONOMOTION_PATHS_CACHE_DIR", str(cache))
+        rc = main(["--config", str(cfg_path), "train", "--manifest", manifest,
+                   "--out", str(tmp_path / "ckpt")])
+        assert rc == EXIT_DATA
+        assert "feature cache" in capsys.readouterr().err
+
     def test_missing_manifest_is_data_error(self, tmp_path):
         rc = main(["train", "--manifest", str(tmp_path / "none.json")])
         assert rc == EXIT_DATA

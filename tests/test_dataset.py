@@ -1,10 +1,13 @@
 """Synthetic scene oracle, manifest/splits, resampling, and sample loading."""
 
+import shutil
+
 import numpy as np
 import pytest
 
 from sonomotion import dataset as ds
-from sonomotion.audio import FeatureConfig, NormalizationStats
+from sonomotion.audio import FeatureConfig, NormalizationStats, load_feature_cache
+from sonomotion.cli import EXIT_OK, main
 from sonomotion.errors import AlignmentError, ContractError
 from sonomotion.skeleton import (SkeletonSpec, compute_velocities,
                                  detect_foot_contacts, forward_kinematics,
@@ -271,7 +274,7 @@ class TestLoadSample:
                                cache_dir=tmp_path)
         second = ds.load_sample(manifest, e, FeatureConfig(),
                                 cache_dir=tmp_path)
-        np.testing.assert_allclose(first[1], second[1], atol=2e-5)
+        np.testing.assert_array_equal(first[1], second[1])
 
     def test_stats_applied(self, small_dataset):
         _, manifest = small_dataset
@@ -330,3 +333,67 @@ class TestLoadSample:
         x0, a, s, g = ds.load_sample(alt_manifest, e, FeatureConfig())
         assert x0.shape[1] == 300
         assert a.shape[0] == x0.shape[0]
+
+
+@pytest.fixture(scope="module")
+def dataset_25fps(small_dataset, tmp_path_factory):
+    """small_dataset with every motion file stored at 25 FPS."""
+    root, _ = small_dataset
+    alt = tmp_path_factory.mktemp("fps25") / "data"
+    shutil.copytree(root, alt)
+    manifest = ds.DatasetManifest.load(alt / "manifest.json")
+    for e in manifest.entries:
+        path = manifest.resolve(e)[1]
+        m, ssl, genre, extras = ds.load_motion(path)
+        m25, ssl25 = ds.resample_motion(m, 25.0, ssl.positions)
+        save_motion(path, m25, ds.SslTrack(ssl25, frame="world"), genre,
+                    extras=extras)
+    return alt, manifest
+
+
+class TestFeaturePipeline:
+    def test_one_frame_count_for_25_fps_motion(self, dataset_25fps, tmp_path,
+                                               monkeypatch):
+        root, manifest = dataset_25fps
+        # 60 frames at 30 FPS resample to 50 at 25 FPS; those span 49/25 s,
+        # which holds 59 frames at the 30 FPS feature rate
+        assert ds.load_motion(manifest.resolve(manifest.entries[0])[1])[0].frames == 50
+        want = 59
+        asked = []
+        extract = ds.extract_binaural
+        monkeypatch.setattr(ds, "extract_binaural", lambda clip, cfg, t:
+                            asked.append(t) or extract(clip, cfg, t))
+        cache = tmp_path / "cache"
+        assert main(["features", "--manifest", str(root / "manifest.json"),
+                     "--cache", str(cache)]) == EXIT_OK
+        assert {load_feature_cache(p).frames for p in cache.glob("*.feat")} == {want}
+        x0, a, _, _ = ds.load_sample(manifest, manifest.entries[0], FeatureConfig())
+        assert x0.shape[0] == a.shape[0] == want
+        ds.fit_feature_stats(manifest, FeatureConfig())
+        assert set(asked) == {want}
+        assert len(asked) == len(manifest.entries) + 1 \
+            + len(manifest.split_entries("train"))
+
+    def test_warm_cache_extracts_nothing(self, small_dataset, tmp_path,
+                                         monkeypatch):
+        root, manifest = small_dataset
+        argv = ["features", "--manifest", str(root / "manifest.json"),
+                "--cache", str(tmp_path)]
+        assert main(argv) == EXIT_OK
+
+        def fail(*args):
+            raise AssertionError("extract_binaural called on a warm cache")
+
+        monkeypatch.setattr(ds, "extract_binaural", fail)
+        stats = ds.fit_feature_stats(manifest, FeatureConfig(), tmp_path)
+        assert main(argv) == EXIT_OK
+        # the statistics are the exact moments of the rows train loads
+        rows = np.concatenate([
+            ds.load_sample(manifest, e, FeatureConfig(), cache_dir=tmp_path)[1]
+            for e in manifest.split_entries("train")])
+        std = rows.std(axis=0)
+        np.testing.assert_array_equal(stats.mean, rows.mean(axis=0))
+        np.testing.assert_array_equal(stats.std, np.where(std < 1e-8, 1.0, std))
+        saved = NormalizationStats.load(tmp_path / "norm_stats.npz")
+        np.testing.assert_array_equal(saved.mean, stats.mean)
+        np.testing.assert_array_equal(saved.std, stats.std)
