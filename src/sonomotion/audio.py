@@ -16,8 +16,8 @@ from __future__ import annotations
 import functools
 import hashlib
 import json
-import os
 import struct
+import zipfile
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -26,6 +26,7 @@ from scipy.fft import dct
 from scipy.io import wavfile
 from scipy.signal import resample_poly
 
+from .checkpoint import write_atomically
 from .errors import ConfigError, ContractError, DataError, DurationError, ShapeError
 
 MFCC_COUNT = 20
@@ -221,9 +222,12 @@ def _delta(coeffs: np.ndarray, half_window: int = 4) -> np.ndarray:
     return out / denom
 
 
-def mfcc_with_delta(spec: np.ndarray, config: FeatureConfig) -> np.ndarray:
-    """(T, 40): 20 cepstral coefficients and their 9-point regression deltas."""
-    logmel = log_mel_spectrogram(spec, config)
+def mfcc_with_delta(spec: np.ndarray, config: FeatureConfig,
+                    logmel: np.ndarray | None = None) -> np.ndarray:
+    """(T, 40): 20 cepstral coefficients and their 9-point regression deltas.
+    ``logmel`` is the log-mel spectrogram of ``spec`` if the caller has it."""
+    if logmel is None:
+        logmel = log_mel_spectrogram(spec, config)
     cep = dct(logmel, type=2, norm="ortho", axis=1)[:, :config.mfcc_count]
     return np.concatenate([cep, _delta(cep)], axis=1)
 
@@ -312,9 +316,8 @@ def cq_chroma(spec: np.ndarray, config: FeatureConfig) -> np.ndarray:
 # rhythm
 
 
-def onset_strength(spec: np.ndarray, config: FeatureConfig) -> np.ndarray:
+def onset_strength(logmel: np.ndarray) -> np.ndarray:
     """Half-wave-rectified mel spectral flux, one value per frame."""
-    logmel = log_mel_spectrogram(spec, config)
     flux = np.zeros(logmel.shape[0])
     if logmel.shape[0] > 1:
         d = logmel[1:] - logmel[:-1]
@@ -378,9 +381,13 @@ def beat_track(onset: np.ndarray, config: FeatureConfig) -> np.ndarray:
     return beats
 
 
-def rhythm_features(spec: np.ndarray, config: FeatureConfig) -> np.ndarray:
-    """(T, 1070) from an STFT: onset strength | tempogram lags | one-hot beats."""
-    onset = onset_strength(spec, config)
+def rhythm_features(spec: np.ndarray, config: FeatureConfig,
+                    logmel: np.ndarray | None = None) -> np.ndarray:
+    """(T, 1070) from an STFT: onset strength | tempogram lags | one-hot beats.
+    ``logmel`` is the log-mel spectrogram of ``spec`` if the caller has it."""
+    if logmel is None:
+        logmel = log_mel_spectrogram(spec, config)
+    onset = onset_strength(logmel)
     tg = tempogram(onset, config)
     beats = beat_track(onset, config)
     return np.concatenate([onset[:, None], tg, beats[:, None]], axis=1)
@@ -408,13 +415,15 @@ def energy_features(x: np.ndarray, config: FeatureConfig) -> np.ndarray:
 
 
 def extract_ear(x: np.ndarray, config: FeatureConfig) -> np.ndarray:
-    """(T, 1136) feature block for one channel, all from one STFT."""
+    """(T, 1136) feature block for one channel, all from one STFT and one
+    log-mel spectrogram."""
     spec = stft(x, config)
+    logmel = log_mel_spectrogram(spec, config)
     parts = [
-        mfcc_with_delta(spec, config),
+        mfcc_with_delta(spec, config, logmel),
         cq_chroma(spec, config),
         stft_chroma(spec, config),
-        rhythm_features(spec, config),
+        rhythm_features(spec, config, logmel),
         energy_features(x, config),
     ]
     out = np.concatenate(parts, axis=1)
@@ -483,12 +492,17 @@ class NormalizationStats:
         return (feats - self.mean) / self.std
 
     def save(self, path) -> None:
-        np.savez(path, mean=self.mean, std=self.std)
+        write_atomically(path, lambda f: np.savez(f, mean=self.mean, std=self.std))
 
     @classmethod
     def load(cls, path) -> "NormalizationStats":
-        with np.load(path) as z:
-            return cls(z["mean"], z["std"])
+        """A damaged file, a missing key or a wrong width raises DataError."""
+        try:
+            with np.load(path) as z:
+                return cls(z["mean"], z["std"])
+        except (OSError, EOFError, ValueError, KeyError, zipfile.BadZipFile,
+                ShapeError) as e:
+            raise DataError(f"normalization stats {path} are unreadable: {e}") from e
 
 
 # ---------------------------------------------------------------------------
@@ -546,19 +560,15 @@ def save_feature_cache(path, feats: AudioFeatureMatrix) -> None:
     mean/std tail that the format keeps but nothing reads. The file appears
     whole or not at all: it is written beside its final name and renamed."""
     values = np.asarray(feats.values, dtype="<f4")
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
-    try:
-        with open(tmp, "wb") as f:
-            f.write(CACHE_MAGIC)
-            f.write(struct.pack("<III", 1, values.shape[0], values.shape[1]))
-            f.write(values.tobytes())
-            f.write(np.zeros(FEATURE_WIDTH, dtype="<f4").tobytes())   # mean
-            f.write(np.ones(FEATURE_WIDTH, dtype="<f4").tobytes())    # std
-        os.replace(tmp, path)
-    finally:
-        tmp.unlink(missing_ok=True)
+
+    def write(f):
+        f.write(CACHE_MAGIC)
+        f.write(struct.pack("<III", 1, values.shape[0], values.shape[1]))
+        f.write(values.tobytes())
+        f.write(np.zeros(FEATURE_WIDTH, dtype="<f4").tobytes())   # mean
+        f.write(np.ones(FEATURE_WIDTH, dtype="<f4").tobytes())    # std
+
+    write_atomically(path, write)
 
 
 def load_feature_cache(path) -> AudioFeatureMatrix:

@@ -5,6 +5,11 @@ desk-scale and the tight finite-difference tolerances in the test suite rely
 on double precision. Operations record themselves on the innermost active
 :class:`Tape`; replaying the tape backward visits each recorded node exactly
 once in reverse execution (= reverse topological) order.
+
+The fused :func:`linear`, :func:`attention` and :func:`fk` are one node each
+with a hand-written backward; a backward returns ``None`` for an input that
+needs no gradient. Only ``div``, ``sqrt`` and ``mse`` check their outputs;
+callers check whole blocks with :func:`check_finite` (raises NumericError).
 """
 
 from __future__ import annotations
@@ -46,9 +51,6 @@ class Tensor:
     def item(self) -> float:
         return float(self.data)
 
-    def zero_grad(self) -> None:
-        self.grad = np.zeros_like(self.data)
-
     def __repr__(self) -> str:
         flag = ", requires_grad=True" if self.requires_grad else ""
         return f"Tensor(shape={self.data.shape}{flag})"
@@ -89,9 +91,9 @@ def _as_tensor(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
 
 
-def _check_finite(arr: np.ndarray, op: str) -> None:
+def check_finite(arr: np.ndarray, where: str) -> None:
     if not np.all(np.isfinite(arr)):
-        raise NumericError(f"non-finite values produced by '{op}'")
+        raise NumericError(f"non-finite values produced by {where}")
 
 
 class Tape:
@@ -162,11 +164,6 @@ class Tape:
             t.grad = g if g is not None else np.zeros_like(t.data)
 
 
-def backward(tape: Tape, loss: Tensor) -> None:
-    """Functional alias for :meth:`Tape.backward`."""
-    tape.backward(loss)
-
-
 def _record(out: Tensor, inputs: tuple[Tensor, ...], backward_fn) -> Tensor:
     tape = Tape.current()
     if tape is not None and any(t.requires_grad for t in inputs):
@@ -195,10 +192,10 @@ def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 def add(a, b) -> Tensor:
     a, b = _as_tensor(a), _as_tensor(b)
     out = Tensor(a.data + b.data)
-    _check_finite(out.data, "add")
 
     def bwd(g):
-        return _unbroadcast(g, a.shape), _unbroadcast(g, b.shape)
+        return (_unbroadcast(g, a.shape) if a.requires_grad else None,
+                _unbroadcast(g, b.shape) if b.requires_grad else None)
 
     return _record(out, (a, b), bwd)
 
@@ -206,10 +203,10 @@ def add(a, b) -> Tensor:
 def sub(a, b) -> Tensor:
     a, b = _as_tensor(a), _as_tensor(b)
     out = Tensor(a.data - b.data)
-    _check_finite(out.data, "sub")
 
     def bwd(g):
-        return _unbroadcast(g, a.shape), _unbroadcast(-g, b.shape)
+        return (_unbroadcast(g, a.shape) if a.requires_grad else None,
+                _unbroadcast(-g, b.shape) if b.requires_grad else None)
 
     return _record(out, (a, b), bwd)
 
@@ -227,10 +224,10 @@ def neg(a) -> Tensor:
 def mul(a, b) -> Tensor:
     a, b = _as_tensor(a), _as_tensor(b)
     out = Tensor(a.data * b.data)
-    _check_finite(out.data, "mul")
 
     def bwd(g):
-        return _unbroadcast(g * b.data, a.shape), _unbroadcast(g * a.data, b.shape)
+        return (_unbroadcast(g * b.data, a.shape) if a.requires_grad else None,
+                _unbroadcast(g * a.data, b.shape) if b.requires_grad else None)
 
     return _record(out, (a, b), bwd)
 
@@ -239,11 +236,12 @@ def div(a, b) -> Tensor:
     a, b = _as_tensor(a), _as_tensor(b)
     with np.errstate(divide="ignore", invalid="ignore"):
         out = Tensor(a.data / b.data)
-    _check_finite(out.data, "div")
+    check_finite(out.data, "'div'")
 
     def bwd(g):
-        ga = _unbroadcast(g / b.data, a.shape)
-        gb = _unbroadcast(-g * a.data / (b.data * b.data), b.shape)
+        ga = _unbroadcast(g / b.data, a.shape) if a.requires_grad else None
+        gb = (_unbroadcast(-g * a.data / (b.data * b.data), b.shape)
+              if b.requires_grad else None)
         return ga, gb
 
     return _record(out, (a, b), bwd)
@@ -260,14 +258,34 @@ def matmul(a, b) -> Tensor:
     if a.shape[-1] != b.shape[-2]:
         raise ShapeError(f"matmul inner dims differ: {a.shape} @ {b.shape}")
     out = Tensor(a.data @ b.data)
-    _check_finite(out.data, "matmul")
 
     def bwd(g):
-        ga = _unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.shape)
-        gb = _unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.shape)
+        ga = (_unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.shape)
+              if a.requires_grad else None)
+        gb = (_unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.shape)
+              if b.requires_grad else None)
         return ga, gb
 
     return _record(out, (a, b), bwd)
+
+
+def linear(x, w, b) -> Tensor:
+    """x @ W + b over the flattened leading axes of x (..., in); one node."""
+    x, w, b = _as_tensor(x), _as_tensor(w), _as_tensor(b)
+    if w.ndim != 2 or b.shape != w.shape[1:] or x.shape[-1:] != w.shape[:1]:
+        raise ShapeError(f"linear shapes {x.shape} @ {w.shape} + {b.shape} do not fit")
+    x2 = x.data.reshape(-1, w.shape[0])
+    y = x2 @ w.data
+    y += b.data
+    out = Tensor(y.reshape(x.shape[:-1] + w.shape[1:]))
+
+    def bwd(g):
+        g2 = g.reshape(-1, w.shape[1])
+        gx = (g2 @ w.data.T).reshape(x.shape) if x.requires_grad else None
+        gw = x2.T @ g2 if w.requires_grad else None
+        return gx, gw, (g2.sum(axis=0) if b.requires_grad else None)
+
+    return _record(out, (x, w, b), bwd)
 
 
 def concat(tensors, axis: int = -1) -> Tensor:
@@ -283,7 +301,8 @@ def concat(tensors, axis: int = -1) -> Tensor:
     splits = np.cumsum(sizes)[:-1]
 
     def bwd(g):
-        return tuple(np.ascontiguousarray(p) for p in np.split(g, splits, axis=ax))
+        return tuple(np.ascontiguousarray(p) if t.requires_grad else None
+                     for t, p in zip(ts, np.split(g, splits, axis=ax)))
 
     return _record(out, tuple(ts), bwd)
 
@@ -373,12 +392,12 @@ def mse(a, b) -> Tensor:
         raise ShapeError(f"mse operands differ in shape: {a.shape} vs {b.shape}")
     diff = a.data - b.data
     out = Tensor(np.mean(diff * diff))
-    _check_finite(out.data, "mse")
+    check_finite(out.data, "'mse'")
     scale = 2.0 / a.size
 
     def bwd(g):
         gd = g * scale * diff
-        return gd, -gd
+        return (gd if a.requires_grad else None), (-gd if b.requires_grad else None)
 
     return _record(out, (a, b), bwd)
 
@@ -396,7 +415,6 @@ def layer_norm(a, eps: float = 1e-8) -> Tensor:
     inv = 1.0 / np.sqrt(var + eps)
     y = centered * inv
     out = Tensor(y)
-    _check_finite(out.data, "layer_norm")
 
     def bwd(g):
         gm = g.mean(axis=-1, keepdims=True)
@@ -412,13 +430,52 @@ def softmax(a, axis: int = -1) -> Tensor:
     e = np.exp(shifted)
     y = e / e.sum(axis=axis, keepdims=True)
     out = Tensor(y)
-    _check_finite(out.data, "softmax")
 
     def bwd(g):
         dot = np.sum(g * y, axis=axis, keepdims=True)
         return (y * (g - dot),)
 
     return _record(out, (a,), bwd)
+
+
+def attention(q, k, v, heads: int) -> Tensor:
+    """Per head softmax(q k^T / sqrt(d/heads)) v on (B, Tq, d) queries and
+    (B, Tm, d) keys and values, heads merged back into (B, Tq, d); the
+    backward pass reuses the stored exponentials."""
+    q, k, v = _as_tensor(q), _as_tensor(k), _as_tensor(v)
+    (b, tq, d), tm = q.shape, k.shape[1]
+    if k.shape != (b, tm, d) or v.shape != k.shape or d % heads:
+        raise ShapeError(f"attention shapes {q.shape}, {k.shape}, {v.shape} "
+                         f"do not fit {heads} heads")
+    scale = 1.0 / np.sqrt(d // heads)
+
+    def split(z, t):
+        return z.reshape(b, t, heads, -1).transpose(0, 2, 1, 3)   # (B, H, t, dh)
+
+    def merge(z, t):
+        return z.transpose(0, 2, 1, 3).reshape(b, t, d)
+
+    qh, kh, vh = split(q.data * scale, tq), split(k.data, tm), split(v.data, tm)
+    e = qh @ kh.transpose(0, 1, 3, 2)
+    e -= e.max(axis=-1, keepdims=True)
+    np.exp(e, out=e)
+    inv = 1.0 / e.sum(axis=-1, keepdims=True)
+    ctx = e @ vh
+    ctx *= inv                      # normalizing the context, not e, saves a pass
+    out = Tensor(merge(ctx, tq))
+
+    def bwd(g):
+        # with p = e * inv, d(scores) = p * (gc v^T - rowsum(gc * ctx)): the
+        # row sums come from the small context, not from the scores
+        gci = split(g, tq) * inv
+        gs = gci @ vh.transpose(0, 1, 3, 2)
+        gs -= np.sum(gci * ctx, axis=-1, keepdims=True)
+        gs *= e
+        return (merge(gs @ kh, tq) * scale if q.requires_grad else None,
+                merge(gs.transpose(0, 1, 3, 2) @ qh, tm) if k.requires_grad else None,
+                merge(e.transpose(0, 1, 3, 2) @ gci, tm) if v.requires_grad else None)
+
+    return _record(out, (q, k, v), bwd)
 
 
 # ---------------------------------------------------------------------------
@@ -442,7 +499,6 @@ def gelu(a) -> Tensor:
     x = a.data
     cdf = 0.5 * (1.0 + erf(x * _INV_SQRT2))
     out = Tensor(x * cdf)
-    _check_finite(out.data, "gelu")
 
     def bwd(g):
         pdf = np.exp(-0.5 * x * x) * _INV_SQRT2PI
@@ -478,7 +534,7 @@ def sqrt_(a) -> Tensor:
     a = _as_tensor(a)
     y = np.sqrt(a.data)
     out = Tensor(y)
-    _check_finite(out.data, "sqrt")
+    check_finite(out.data, "'sqrt'")
 
     def bwd(g):
         return (g * 0.5 / y,)
@@ -494,8 +550,8 @@ def cross(a, b) -> Tensor:
     out = Tensor(np.cross(a.data, b.data))
 
     def bwd(g):
-        ga = _unbroadcast(np.cross(b.data, g), a.shape)
-        gb = _unbroadcast(np.cross(g, a.data), b.shape)
+        ga = _unbroadcast(np.cross(b.data, g), a.shape) if a.requires_grad else None
+        gb = _unbroadcast(np.cross(g, a.data), b.shape) if b.requires_grad else None
         return ga, gb
 
     return _record(out, (a, b), bwd)
@@ -520,3 +576,40 @@ def embedding(table, indices) -> Tensor:
         return (gt,)
 
     return _record(out, (table,), bwd)
+
+
+def fk(parents, offsets, root, rot) -> Tensor:
+    """(..., J, 3) joint positions from the (..., 3) root translation and
+    (..., J, 3, 3) local rotations; ``parents`` (-1 for the root) lists parents
+    before children. The backward pass is one reverse sweep over the tree."""
+    root, rot = _as_tensor(root), _as_tensor(rot)
+    j = len(parents)
+    batch = rot.shape[:-3]
+    if rot.shape[-3:] != (j, 3, 3) or root.shape != batch + (3,):
+        raise ShapeError(f"fk shapes root {root.shape}, rot {rot.shape} do not fit")
+    r = np.ascontiguousarray(np.moveaxis(rot.data, -3, 0))    # joint-major
+    glob, pos = r.copy(), np.empty((j,) + batch + (3,))
+    for c, p in enumerate(parents):
+        if p < 0:
+            pos[c] = root.data
+        else:
+            glob[c] = glob[p] @ r[c]
+            pos[c] = pos[p] + glob[p] @ offsets[c]
+    out = Tensor(np.moveaxis(pos, 0, -2))
+
+    def bwd(g):
+        gpos, gglob = np.moveaxis(g, -2, 0).copy(), np.zeros_like(glob)
+        rt, globt = np.swapaxes(r, -1, -2), np.swapaxes(glob, -1, -2)
+        for c in range(j - 1, -1, -1):
+            p = parents[c]
+            if p < 0:
+                groot = gpos[c]
+                continue
+            gpos[p] += gpos[c]
+            gglob[p] += gpos[c][..., None] * offsets[c] + gglob[c] @ rt[c]
+            gglob[c] = globt[p] @ gglob[c]            # now d(loss)/d(rot[c])
+        grot = np.ascontiguousarray(np.moveaxis(gglob, 0, -3))
+        return (groot if root.requires_grad else None,
+                grot if rot.requires_grad else None)
+
+    return _record(out, (root, rot), bwd)

@@ -116,44 +116,46 @@ class MotionDenoiser(Module):
 
     def embed_conditions(self, t, a, s, g) -> Tensor:
         """Condition token sequence: timestep, genre, then per-frame tokens."""
-        a_arr = np.asarray(getattr(a, "data", a), dtype=np.float64)
-        if a_arr.ndim == 2:
-            dummy_x = np.zeros((a_arr.shape[0], self.config.motion_width))
-        else:
-            dummy_x = np.zeros(a_arr.shape[:2] + (self.config.motion_width,))
-        x, t_arr, a, s, g_arr, squeeze = self._coerce(dummy_x, t, a, s, g)
-        tokens = self._condition_tokens(t_arr, a, s, g_arr)
+        x = np.zeros(np.shape(getattr(a, "data", a))[:-1] + (self.config.motion_width,))
+        x, t_arr, a, s, g_arr, squeeze = self._coerce(x, t, a, s, g)
+        tokens = ad.concat([self._time_token(t_arr), self.encode_conditions(a, s, g_arr)],
+                           axis=1)
         return tokens[0] if squeeze else tokens
 
-    def _condition_tokens(self, t_arr, a, s, g_arr) -> Tensor:
-        b, frames, _ = a.shape
+    def _time_token(self, t_arr) -> Tensor:
         d = self.config.latent
         sin = Tensor(sinusoidal_embedding(t_arr, d))
-        t_tok = ad.reshape(self.time_proj(sin), (b, 1, d))
-        g_tok = ad.reshape(self.genre_emb(g_arr), (b, 1, d))
+        return ad.reshape(self.time_proj(sin), (t_arr.size, 1, d))
+
+    def encode_conditions(self, a, s, g) -> Tensor:
+        """Genre and per-frame tokens of batched (B, T, .) audio and SSL: they do
+        not depend on the timestep, so a sampler encodes them once per sequence."""
+        g_arr = np.atleast_1d(np.asarray(g, dtype=np.int64))
+        d = self.config.latent
+        g_tok = ad.reshape(self.genre_emb(g_arr), (g_arr.size, 1, d))
         if self.config.ssl_mode == "fused":
             frame_tok = self.cond_proj(Tensor(np.concatenate([a, s], axis=2)))
-            return ad.concat([t_tok, g_tok, frame_tok], axis=1)
-        audio_tok = self.cond_proj(Tensor(a))
-        ssl_tok = self.ssl_proj(Tensor(s))
-        return ad.concat([t_tok, g_tok, ssl_tok, audio_tok], axis=1)
+            return ad.concat([g_tok, frame_tok], axis=1)
+        return ad.concat([g_tok, self.ssl_proj(Tensor(s)), self.cond_proj(Tensor(a))],
+                         axis=1)
 
     # -- forward -------------------------------------------------------------
 
-    def predict_x0(self, x_t, t, a, s, g) -> Tensor:
+    def predict_x0(self, x_t, t, a, s, g, *, cond: Tensor | None = None) -> Tensor:
+        """x0_hat; ``cond`` may hold ``encode_conditions(a, s, g)`` to reuse."""
         x, t_arr, a, s, g_arr, squeeze = self._coerce(x_t, t, a, s, g)
         b, frames, _ = x.shape
-        cond = self._condition_tokens(t_arr, a, s, g_arr)
+        if cond is None:
+            cond = self.encode_conditions(a, s, g_arr)
         motion_tok = self.motion_proj(Tensor(x))
-        tokens = ad.concat([cond, motion_tok], axis=1)
+        tokens = ad.concat([self._time_token(t_arr), cond, motion_tok], axis=1)
         n_tok = tokens.shape[1]
         tokens = ad.add(tokens, self.pos_emb[:n_tok, :])
         for i, block in enumerate(self.blocks):
-            try:
-                tokens = block(tokens)
-            except NumericError as e:
-                raise NumericError(f"transformer layer {i}: {e}") from e
+            tokens = block(tokens)
+            ad.check_finite(tokens.data, f"transformer layer {i}")
         out = self.head(self.final_norm(tokens[:, n_tok - frames:, :]))
+        ad.check_finite(out.data, "the output head")
         return out[0] if squeeze else out
 
     __call__ = predict_x0
@@ -343,9 +345,10 @@ def sample_motion(model: MotionDenoiser, schedule: NoiseSchedule,
                   recompute_velocity: bool = True) -> MotionSequence:
     """Draw one motion conditioned on (audio, ssl, genre)."""
     frames = audio.shape[0]
+    cond = model.encode_conditions(audio[None], ssl[None], genre)
 
     def model_fn(x, t):
-        return model.predict_x0(x, t, audio, ssl, genre).data
+        return model.predict_x0(x, t, audio, ssl, genre, cond=cond).data
 
     x = sample_array(model_fn, (frames, model.config.motion_width), schedule,
                      rng, step_subset)

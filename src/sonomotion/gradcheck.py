@@ -137,6 +137,17 @@ def run_primitive_suite(seed: int = 0, tol: float = DEFAULT_TOL) -> list[GradChe
              [rng.standard_normal((6, 4))])
     add_case("mse", lambda a, b: ad.mse(a, b),
              [rng.standard_normal((3, 4)), rng.standard_normal((3, 4))])
+    add_case("linear", lambda x, w, b: ad.sum_(ad.mul(ad.linear(x, w, b), w2)),
+             [rng.standard_normal((2, 3, 4)), rng.standard_normal((4, 5)),
+              rng.standard_normal((5,))])
+    wa = rng.standard_normal((2, 3, 8))
+    for name, tm in (("attention", 3), ("attention_cross", 5)):
+        add_case(name, lambda q, k, v: ad.sum_(ad.mul(ad.attention(q, k, v, 2), wa)),
+                 [rng.standard_normal((2, t, 8)) for t in (3, tm, tm)])
+    parents, offsets = [-1, 0, 1, 0, 3], rng.standard_normal((5, 3))
+    wk = rng.standard_normal((2, 5, 3))
+    add_case("fk", lambda r, q: ad.sum_(ad.mul(ad.fk(parents, offsets, r, q), wk)),
+             [rng.standard_normal((2, 3)), rng.standard_normal((2, 5, 3, 3))])
     return rows
 
 

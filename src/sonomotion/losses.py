@@ -91,30 +91,6 @@ def rot6d_to_matrix_t(r6: Tensor, eps: float = 1e-12) -> Tensor:
     return ad.concat(cols, axis=-1)
 
 
-def forward_kinematics_t(skel: SkeletonSpec, root: Tensor, rotations: Tensor) -> Tensor:
-    """Taped FK mirroring skeleton.forward_kinematics.
-
-    root: (..., 3); rotations: (..., J, 3, 3). Returns (..., J, 3).
-    """
-    j = skel.joint_count
-    batch = rotations.shape[:-3]
-    glob: list[Tensor] = [None] * j
-    pos: list[Tensor] = [None] * j
-    glob[skel.root] = rotations[..., skel.root, :, :]
-    pos[skel.root] = root
-    for child in range(j):
-        parent = skel.parents[child]
-        if parent < 0:
-            continue
-        pr = glob[parent]
-        glob[child] = ad.matmul(pr, rotations[..., child, :, :])
-        off = skel.offsets[child].reshape(3, 1)
-        step = ad.reshape(ad.matmul(pr, off), batch + (3,))
-        pos[child] = ad.add(pos[parent], step)
-    stacked = [ad.reshape(p, batch + (1, 3)) for p in pos]
-    return ad.concat(stacked, axis=-2)
-
-
 def l_geo(pred: Tensor, target: Tensor, skel: SkeletonSpec) -> Tensor:
     """Position + velocity MSE between FK of prediction and FK of target.
 
@@ -127,7 +103,7 @@ def l_geo(pred: Tensor, target: Tensor, skel: SkeletonSpec) -> Tensor:
     root = pred[..., 0:3]
     r6 = ad.reshape(pred[..., ROT_SLICE], batch + (JOINT_COUNT, 6))
     rot = rot6d_to_matrix_t(r6)
-    fk_pred = forward_kinematics_t(skel, root, rot)
+    fk_pred = ad.fk(skel.parents, skel.offsets, root, rot)
 
     tgt = target.data
     tgt_rot = sixd_to_matrix(tgt[..., ROT_SLICE].reshape(batch + (JOINT_COUNT, 6)))

@@ -61,7 +61,7 @@ class Linear(Module):
         self.b = Tensor(np.zeros(out_dim), requires_grad=True)
 
     def __call__(self, x: Tensor) -> Tensor:
-        return ad.add(ad.matmul(x, self.w), self.b)
+        return ad.linear(x, self.w, self.b)
 
 
 class LayerNorm(Module):
@@ -82,65 +82,26 @@ class Embedding(Module):
         return ad.embedding(self.table, indices)
 
 
-class SelfAttention(Module):
-    """Multi-head scaled dot-product self-attention over (B, T, d) tokens."""
+class Attention(Module):
+    """Multi-head attention: queries from x, keys and values from ``memory``,
+    or from x itself (self attention) when no memory is given."""
 
     def __init__(self, dim: int, heads: int, rng: np.random.Generator):
         if dim % heads:
             raise ConfigError(f"latent dim {dim} not divisible by {heads} heads")
         self.heads = heads
-        self.head_dim = dim // heads
         self.wq = Linear(dim, dim, rng)
         self.wk = Linear(dim, dim, rng)
         self.wv = Linear(dim, dim, rng)
         self.wo = Linear(dim, dim, rng)
 
-    def _split(self, x: Tensor, b: int, t: int) -> Tensor:
-        x = ad.reshape(x, (b, t, self.heads, self.head_dim))
-        return ad.transpose(x, (0, 2, 1, 3))  # (B, H, T, dh)
-
-    def __call__(self, x: Tensor) -> Tensor:
-        b, t, d = x.shape
-        q = self._split(self.wq(x), b, t)
-        k = self._split(self.wk(x), b, t)
-        v = self._split(self.wv(x), b, t)
-        scores = ad.mul(ad.matmul(q, ad.transpose(k, (0, 1, 3, 2))),
-                        1.0 / np.sqrt(self.head_dim))
-        attn = ad.softmax(scores, axis=-1)
-        ctx = ad.matmul(attn, v)
-        ctx = ad.reshape(ad.transpose(ctx, (0, 2, 1, 3)), (b, t, d))
-        return self.wo(ctx)
+    def __call__(self, x: Tensor, memory: Tensor | None = None) -> Tensor:
+        kv = x if memory is None else memory
+        return self.wo(ad.attention(self.wq(x), self.wk(kv), self.wv(kv), self.heads))
 
 
-class CrossAttention(Module):
-    """Queries from x, keys/values from a memory sequence."""
-
-    def __init__(self, dim: int, heads: int, rng: np.random.Generator):
-        if dim % heads:
-            raise ConfigError(f"latent dim {dim} not divisible by {heads} heads")
-        self.heads = heads
-        self.head_dim = dim // heads
-        self.wq = Linear(dim, dim, rng)
-        self.wk = Linear(dim, dim, rng)
-        self.wv = Linear(dim, dim, rng)
-        self.wo = Linear(dim, dim, rng)
-
-    def __call__(self, x: Tensor, memory: Tensor) -> Tensor:
-        b, tq, d = x.shape
-        tm = memory.shape[1]
-
-        def split(z, t):
-            z = ad.reshape(z, (b, t, self.heads, self.head_dim))
-            return ad.transpose(z, (0, 2, 1, 3))
-
-        q = split(self.wq(x), tq)
-        k = split(self.wk(memory), tm)
-        v = split(self.wv(memory), tm)
-        scores = ad.mul(ad.matmul(q, ad.transpose(k, (0, 1, 3, 2))),
-                        1.0 / np.sqrt(self.head_dim))
-        ctx = ad.matmul(ad.softmax(scores, axis=-1), v)
-        ctx = ad.reshape(ad.transpose(ctx, (0, 2, 1, 3)), (b, tq, d))
-        return self.wo(ctx)
+# former names of the two attention flavours; benchmark/tracing.py looks them up
+SelfAttention = CrossAttention = Attention
 
 
 class FeedForward(Module):
@@ -157,7 +118,7 @@ class EncoderBlock(Module):
 
     def __init__(self, dim: int, heads: int, ff_mult: int, rng: np.random.Generator):
         self.ln1 = LayerNorm(dim)
-        self.attn = SelfAttention(dim, heads, rng)
+        self.attn = Attention(dim, heads, rng)
         self.ln2 = LayerNorm(dim)
         self.ff = FeedForward(dim, ff_mult * dim, rng)
 
@@ -171,9 +132,9 @@ class DecoderBlock(Module):
 
     def __init__(self, dim: int, heads: int, ff_mult: int, rng: np.random.Generator):
         self.ln1 = LayerNorm(dim)
-        self.self_attn = SelfAttention(dim, heads, rng)
+        self.self_attn = Attention(dim, heads, rng)
         self.ln2 = LayerNorm(dim)
-        self.cross_attn = CrossAttention(dim, heads, rng)
+        self.cross_attn = Attention(dim, heads, rng)
         self.ln3 = LayerNorm(dim)
         self.ff = FeedForward(dim, ff_mult * dim, rng)
 

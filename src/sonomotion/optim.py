@@ -66,17 +66,5 @@ class AdamW:
                                     eps=eps, weight_decay=weight_decay)
         self.state.init_moments(self.params)
 
-    @property
-    def lr(self) -> float:
-        return self.state.lr
-
-    @lr.setter
-    def lr(self, value: float) -> None:
-        self.state.lr = value
-
-    def zero_grad(self) -> None:
-        for p in self.params:
-            p.zero_grad()
-
     def step(self) -> None:
         adamw_step(self.params, [p.grad for p in self.params], self.state)

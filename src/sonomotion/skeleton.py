@@ -17,6 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .autodiff import fk
 from .errors import (ContractError, DataError, DegenerateRotationError,
                      LayoutError, ShapeError)
 
@@ -276,28 +277,7 @@ def forward_kinematics(skel: SkeletonSpec, root_translation: np.ndarray,
     frames. Returns (..., J, 3). position(child) = position(parent) +
     globalRot(parent) @ offset(child); the root sits at root_translation.
     """
-    root_translation = np.asarray(root_translation, dtype=np.float64)
-    rotations = np.asarray(rotations, dtype=np.float64)
-    j = skel.joint_count
-    if rotations.shape[-3:] != (j, 3, 3):
-        raise ShapeError(f"rotations must be (..., {j}, 3, 3), got {rotations.shape}")
-    batch = rotations.shape[:-3]
-    if root_translation.shape != batch + (3,):
-        raise ShapeError(
-            f"root translation {root_translation.shape} does not match batch {batch}")
-    glob_rot = np.empty_like(rotations)
-    pos = np.empty(batch + (j, 3))
-    glob_rot[..., skel.root, :, :] = rotations[..., skel.root, :, :]
-    pos[..., skel.root, :] = root_translation
-    for child in range(j):
-        parent = skel.parents[child]
-        if parent < 0:
-            continue
-        pr = glob_rot[..., parent, :, :]
-        glob_rot[..., child, :, :] = pr @ rotations[..., child, :, :]
-        pos[..., child, :] = pos[..., parent, :] + (
-            pr @ skel.offsets[child]).reshape(batch + (3,))
-    return pos
+    return fk(skel.parents, skel.offsets, root_translation, rotations).data
 
 
 def compute_velocities(p: np.ndarray, fps: float) -> np.ndarray:

@@ -248,6 +248,15 @@ class TestExtraction:
         au.extract_binaural(au.AudioClip(SR, x, x), CFG, 30)
         assert len(calls) == 2
 
+    def test_one_log_mel_per_ear(self, monkeypatch):
+        calls = []
+        log_mel = au.log_mel_spectrogram
+        monkeypatch.setattr(au, "log_mel_spectrogram",
+                            lambda spec, cfg: calls.append(1) or log_mel(spec, cfg))
+        x = sine(440.0, 1.2)
+        au.extract_binaural(au.AudioClip(SR, x, x), CFG, 30)
+        assert len(calls) == 2
+
     def test_short_clip_duration_error(self):
         clip = au.AudioClip(SR, sine(440, 0.2), sine(440, 0.2))
         with pytest.raises(DurationError):
@@ -267,6 +276,24 @@ class TestExtraction:
         z = stats.apply(np.concatenate([m.values for m in mats]))
         assert np.abs(z.mean(axis=0)).max() < 1e-9
         np.testing.assert_allclose(z.std(axis=0), 1.0, atol=1e-9)
+
+
+    def test_normalization_stats_damaged_file_is_data_error(self, tmp_path):
+        path = tmp_path / "norm_stats.npz"
+        au.NormalizationStats(np.zeros(2272), np.ones(2272)).save(path)
+        assert [p.name for p in tmp_path.iterdir()] == ["norm_stats.npz"]
+        blob = path.read_bytes()
+        bad = tmp_path / "bad.npz"
+        for n in (0, 5, 10, 100, len(blob) // 2, len(blob) - 100, len(blob) - 5,
+                  len(blob) - 1):
+            bad.write_bytes(blob[:n])
+            with pytest.raises(DataError):
+                au.NormalizationStats.load(bad)
+        for arrays in ({"mean": np.zeros(2272)}, {"std": np.ones(2272)},
+                       {"mean": np.zeros(5), "std": np.ones(5)}):
+            np.savez(bad, **arrays)
+            with pytest.raises(DataError):
+                au.NormalizationStats.load(bad)
 
 
 class TestConfig:

@@ -6,11 +6,12 @@ import pytest
 from sonomotion import autodiff as ad
 from sonomotion.autodiff import Tape, Tensor
 from sonomotion.checkpoint import load_checkpoint, save_checkpoint
-from sonomotion.errors import ContractError, NumericError, ShapeError
+from sonomotion.errors import ContractError, DataError, NumericError, ShapeError
 from sonomotion.gradcheck import (check_scalar_fn, numeric_gradient,
                                   run_primitive_suite)
 from sonomotion.nn import Linear, Module
 from sonomotion.optim import AdamW, OptimizerState, adamw_step
+from sonomotion.skeleton import SkeletonSpec
 
 
 class TestForwardPrimitives:
@@ -131,6 +132,49 @@ class TestBackward:
         np.testing.assert_allclose(w.grad, [6.0])
 
 
+class TestFusedOps:
+    def test_linear_matches_matmul_plus_bias(self):
+        rng = np.random.default_rng(20)
+        x, w, b = (rng.standard_normal(s) for s in ((2, 3, 4), (4, 5), (5,)))
+        want = ad.add(ad.matmul(Tensor(x), Tensor(w)), Tensor(b)).data
+        np.testing.assert_allclose(ad.linear(x, w, b).data, want, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("tm", [3, 5])     # self shape, then Tq != Tm
+    def test_attention_matches_composed_ops(self, tm):
+        rng = np.random.default_rng(21)
+        heads, (b, tq, d) = 2, (2, 3, 8)
+        q = rng.standard_normal((b, tq, d))
+        k, v = rng.standard_normal((b, tm, d)), rng.standard_normal((b, tm, d))
+
+        def split(z, t):
+            return ad.transpose(ad.reshape(Tensor(z), (b, t, heads, d // heads)),
+                                (0, 2, 1, 3))
+
+        scores = ad.mul(ad.matmul(split(q, tq), ad.transpose(split(k, tm), (0, 1, 3, 2))),
+                        1.0 / np.sqrt(d // heads))
+        ctx = ad.matmul(ad.softmax(scores, axis=-1), split(v, tm))
+        want = ad.reshape(ad.transpose(ctx, (0, 2, 1, 3)), (b, tq, d)).data
+        got = ad.attention(q, k, v, heads).data
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+    def test_constant_inputs_get_no_gradient(self):
+        rng = np.random.default_rng(23)
+        skel = SkeletonSpec.default()
+        const = Tensor(rng.standard_normal((2, 3, 4)))
+        w = Tensor(rng.standard_normal((4, 8)), requires_grad=True)
+        b = Tensor(np.zeros(8), requires_grad=True)
+        rot = Tensor(rng.standard_normal((2, skel.joint_count, 3, 3)), requires_grad=True)
+        with Tape() as tape:
+            h = ad.linear(const, w, b)
+            ad.attention(h, Tensor(rng.standard_normal((2, 3, 8))), h, 2)
+            ad.fk(skel.parents, skel.offsets, Tensor(np.zeros((2, 3))), rot)
+            ad.matmul(const, w)
+            ad.mse(h, Tensor(np.zeros((2, 3, 8))))
+        for out, inputs, bwd in tape._nodes:
+            for t, g in zip(inputs, bwd(np.ones(out.shape))):
+                assert (g is None) == (not t.requires_grad)
+
+
 class TestGradcheckSuite:
     def test_every_primitive_passes(self):
         rows = run_primitive_suite(seed=0)
@@ -204,6 +248,18 @@ class TestCheckpoint:
         blob = path.read_bytes()
         assert blob[:8] == b"SNMCKPT1"
         assert np.frombuffer(blob[-8:], dtype="<f8")[0] == 1.0
+
+    def test_truncation_at_every_offset_is_data_error(self, tmp_path):
+        path = tmp_path / "m.snm"
+        save_checkpoint(path, [("w", np.ones((2, 3))), ("name.b", np.zeros(4)),
+                               ("s", np.array(1.5))])
+        assert [p.name for p in tmp_path.iterdir()] == ["m.snm"]
+        blob = path.read_bytes()
+        cut = tmp_path / "cut.snm"
+        for n in range(len(blob)):
+            cut.write_bytes(blob[:n])
+            with pytest.raises(DataError):
+                load_checkpoint(cut)
 
     def test_module_state_roundtrip(self, tmp_path):
         rng = np.random.default_rng(3)

@@ -7,7 +7,10 @@ import numpy as np
 import pytest
 
 from sonomotion import cli
-from sonomotion.cli import EXIT_DATA, EXIT_OK, EXIT_USAGE, RunConfig, main
+from sonomotion.checkpoint import save_checkpoint
+from sonomotion.cli import (EXIT_DATA, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, RunConfig,
+                            main)
+from sonomotion.denoiser import MotionDenoiser
 from sonomotion.errors import ConfigError
 from sonomotion.skeleton import load_motion
 
@@ -293,3 +296,24 @@ class TestExitCodes:
                    "--audio", str(wav), "--ssl", "0,1,0",
                    "--out", str(tmp_path / "o")])
         assert rc == EXIT_DATA
+
+    @pytest.mark.parametrize("damage, want", [("nan", EXIT_NUMERIC),
+                                              ("truncate", EXIT_DATA)])
+    def test_damaged_checkpoint_exit_code(self, workspace, tmp_path, capsys,
+                                          damage, want):
+        ws, cfg_path, data_dir = workspace
+        model = MotionDenoiser(RunConfig.load(cfg_path).denoiser_config(),
+                               np.random.default_rng(0))
+        if damage == "nan":
+            model.blocks[0].attn.wq.w.data[:] = np.nan
+        ckpt = tmp_path / "model.snm"
+        save_checkpoint(ckpt, model.named_parameters())
+        if damage == "truncate":
+            os.truncate(ckpt, ckpt.stat().st_size - 9)
+        rc = main(["--config", str(cfg_path), "sample", "--checkpoint", str(ckpt),
+                   "--audio", str(next((data_dir / "audio").glob("*.wav"))),
+                   "--ssl", "0,1,0", "--steps", "2", "--frames", "30",
+                   "--out", str(tmp_path / "o")])
+        assert rc == want
+        err = capsys.readouterr().err
+        assert ("transformer layer 0" if damage == "nan" else "truncated") in err
