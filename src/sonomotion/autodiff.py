@@ -100,8 +100,10 @@ class Tape:
     """Ordered record of primitive ops for one reverse-mode pass.
 
     Use as a context manager around the forward computation; ``backward``
-    then fills ``Tensor.grad`` for every gradient-requiring tensor that was
-    touched by the tape (zeros for tensors with no path to the loss).
+    then fills ``Tensor.grad`` for every gradient-requiring leaf the tape
+    touched, that is an input no recorded op produced (zeros for leaves with
+    no path to the loss). Intermediate outputs keep ``grad`` unset, so their
+    gradients are freed as the sweep passes them.
     """
 
     _stack: list["Tape"] = []
@@ -128,25 +130,20 @@ class Tape:
         self._nodes.append((out, inputs, backward_fn))
 
     def backward(self, loss: Tensor) -> None:
-        """Accumulate d(loss)/d(tensor) into ``.grad`` for all taped tensors."""
+        """Store d(loss)/d(leaf) in ``.grad`` for every taped leaf tensor."""
         if not isinstance(loss, Tensor) or loss.size != 1:
             raise ContractError("backward requires a scalar loss tensor")
         grads: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.data)}
-        touched: dict[int, Tensor] = {}
-        for out, inputs, _ in self._nodes:
+        produced = {id(out) for out, _, _ in self._nodes}
+        leaves: dict[int, Tensor] = {}
+        for _, inputs, _ in self._nodes:
             for t in inputs:
-                if t.requires_grad:
-                    touched[id(t)] = t
-            if out.requires_grad:
-                touched[id(out)] = out
-        done: set[int] = set()
+                if t.requires_grad and id(t) not in produced:
+                    leaves[id(t)] = t
         for out, inputs, backward_fn in reversed(self._nodes):
             g = grads.pop(id(out), None)
             if g is None:
                 continue
-            if out.requires_grad:
-                out.grad = g
-                done.add(id(out))
             for t, ig in zip(inputs, backward_fn(g)):
                 if ig is None or not t.requires_grad:
                     continue
@@ -156,9 +153,7 @@ class Tape:
                     )
                 acc = grads.get(id(t))
                 grads[id(t)] = ig if acc is None else acc + ig
-        for tid, t in touched.items():
-            if tid in done:
-                continue
+        for tid, t in leaves.items():
             g = grads.get(tid)
             # leaves with no path to the loss receive explicit zeros
             t.grad = g if g is not None else np.zeros_like(t.data)

@@ -21,6 +21,7 @@ import numpy as np
 from .audio import (AudioClip, AudioFeatureMatrix, FeatureConfig,
                     NormalizationStats, extract_binaural, feature_cache_key,
                     load_feature_cache, read_wav, save_feature_cache, write_wav)
+from .checkpoint import write_atomically
 from .errors import (AlignmentError, ContractError, DataError,
                      DurationError)
 from .skeleton import (Genre, MotionSequence, SkeletonSpec, SslTrack,
@@ -107,30 +108,32 @@ class _LegIK:
         self.l1 = float(abs(skel.offsets[4][2]))
         self.l2 = float(abs(skel.offsets[7][2]))
 
-    def solve(self, side: int, root_pos, yaw, toe_world):
-        """Local rotations (hip, knee, ankle) pinning the toe at toe_world."""
-        rz = rotation_z(yaw)
+    def solve(self, side: int, roots, yaws, toe_world):
+        """Local (T, 3, 3) rotations (hip, knee, ankle) pinning each frame's
+        toe at ``toe_world``; roots and toe_world are (T, 3), yaws (T,)."""
+        rz = rotation_z(yaws)
         ankle_target = toe_world - rz @ self.toe_off[side]
-        hip_world = root_pos + rz @ self.hip_off[side]
-        t = rz.T @ (ankle_target - hip_world)
+        hip_world = roots + rz @ self.hip_off[side]
+        t = np.einsum("tji,tj->ti", rz, ankle_target - hip_world)
         reach = self.l1 + self.l2
-        d = float(np.linalg.norm(t))
-        d = min(max(d, 0.3 * reach), 0.995 * reach)
-        n = t / max(np.linalg.norm(t), 1e-9)
+        t_norm = np.linalg.norm(t, axis=-1, keepdims=True)
+        d = np.clip(t_norm, 0.3 * reach, 0.995 * reach)
+        n = t / np.maximum(t_norm, 1e-9)
         cos_a = (self.l1 ** 2 + d ** 2 - self.l2 ** 2) / (2.0 * self.l1 * d)
-        alpha = float(np.arccos(np.clip(cos_a, -1.0, 1.0)))
-        hinge = np.array([n[2], 0.0, -n[0]])
-        if np.linalg.norm(hinge) < 1e-6:
-            hinge = np.array([-1.0, 0.0, 0.0])
-        hinge /= np.linalg.norm(hinge)
+        alpha = np.arccos(np.clip(cos_a, -1.0, 1.0))
+        hinge = np.stack([n[:, 2], np.zeros(len(n)), -n[:, 0]], axis=-1)
+        h_norm = np.linalg.norm(hinge, axis=-1, keepdims=True)
+        hinge = np.where(h_norm < 1e-6, [-1.0, 0.0, 0.0],
+                         hinge / np.maximum(h_norm, 1e-6))
         thigh = (n * np.cos(alpha) + np.cross(hinge, n) * np.sin(alpha)
-                 + hinge * np.dot(hinge, n) * (1.0 - np.cos(alpha)))
+                 + hinge * np.sum(hinge * n, axis=-1, keepdims=True)
+                 * (1.0 - np.cos(alpha)))
         shin = n * d - self.l1 * thigh     # clamped-reach target minus thigh
-        shin /= max(np.linalg.norm(shin), 1e-9)
+        shin /= np.maximum(np.linalg.norm(shin, axis=-1, keepdims=True), 1e-9)
         r_hip = minimal_rotation(_DOWN, thigh)
         r_knee_glob = minimal_rotation(_DOWN, shin)
-        r_knee = r_hip.T @ r_knee_glob
-        r_ankle = r_knee_glob.T
+        r_knee = np.swapaxes(r_hip, -1, -2) @ r_knee_glob
+        r_ankle = np.swapaxes(r_knee_glob, -1, -2)
         return r_hip, r_knee, r_ankle
 
 
@@ -339,13 +342,9 @@ def synthesize_motion(spec: SyntheticSceneSpec,
         x_axis, -swings)
     rot[:, 18] = axis_angle_to_matrix(y_axis, -0.8 * raises)
     rot[:, 19] = axis_angle_to_matrix(y_axis, 0.8 * raises)
-    for i in range(t_total):
-        for side, (hip_j, knee_j, ankle_j) in enumerate(((1, 4, 7), (2, 5, 8))):
-            r_hip, r_knee, r_ankle = ik.solve(side, roots[i], yaws[i],
-                                              feet[i, side])
-            rot[i, hip_j] = r_hip
-            rot[i, knee_j] = r_knee
-            rot[i, ankle_j] = r_ankle
+    for side, joints in enumerate(([1, 4, 7], [2, 5, 8])):
+        rot[:, joints] = np.stack(ik.solve(side, roots, yaws, feet[:, side]),
+                                  axis=1)
 
     pos = forward_kinematics(skel, roots, rot)
     p = pos.reshape(t_total, -1)
@@ -543,7 +542,8 @@ class DatasetManifest:
             "seed": self.seed,
             "entries": [vars(e) for e in self.entries],
         }
-        Path(path).write_text(json.dumps(doc, indent=1))
+        blob = json.dumps(doc, indent=1).encode()
+        write_atomically(path, lambda f: f.write(blob))
 
     @classmethod
     def load(cls, path) -> "DatasetManifest":

@@ -18,6 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .autodiff import fk
+from .checkpoint import write_atomically
 from .errors import (ContractError, DataError, DegenerateRotationError,
                      LayoutError, ShapeError)
 
@@ -241,28 +242,26 @@ def matrix_to_axis_angle(rot: np.ndarray) -> np.ndarray:
 
 
 def minimal_rotation(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Smallest rotation taking unit vector a to unit vector b."""
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
+    """Smallest rotations taking unit vectors a to unit vectors b, (..., 3, 3).
+
+    a and b are (..., 3) and broadcast. Per element, parallel vectors give
+    the identity and opposite ones a pi rotation about a perpendicular axis.
+    """
+    a, b = np.broadcast_arrays(np.asarray(a, dtype=np.float64),
+                               np.asarray(b, dtype=np.float64))
     axis = np.cross(a, b)
-    dot = float(np.clip(np.dot(a, b), -1.0, 1.0))
-    n = np.linalg.norm(axis)
-    if n < 1e-12:
-        if dot > 0:
-            return np.eye(3)
-        # opposite vectors: rotate pi about any perpendicular axis
+    dot = np.clip(np.sum(a * b, axis=-1), -1.0, 1.0)
+    n = np.linalg.norm(axis, axis=-1)
+    out = axis_angle_to_matrix(axis, np.arctan2(n, dot))
+    degenerate = n < 1e-12
+    if np.any(degenerate):
         perp = np.cross(a, [1.0, 0.0, 0.0])
-        if np.linalg.norm(perp) < 1e-8:
-            perp = np.cross(a, [0.0, 1.0, 0.0])
-        return axis_angle_to_matrix(perp, np.pi)
-    return axis_angle_to_matrix(axis, np.arctan2(n, dot))
-
-
-def geodesic_interpolate(r0: np.ndarray, r1: np.ndarray, u: float) -> np.ndarray:
-    """Interpolate between rotations along the shortest geodesic."""
-    rel = np.swapaxes(r0, -1, -2) @ r1
-    vec = matrix_to_axis_angle(rel)
-    return r0 @ axis_angle_to_matrix(vec, np.linalg.norm(vec, axis=-1) * u)
+        near_x = np.linalg.norm(perp, axis=-1, keepdims=True) < 1e-8
+        perp = np.where(near_x, np.cross(a, [0.0, 1.0, 0.0]), perp)
+        flip = np.where((dot > 0)[..., None, None], np.eye(3),
+                        axis_angle_to_matrix(perp, np.pi))
+        out = np.where(degenerate[..., None, None], flip, out)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -462,7 +461,9 @@ def _encode(arr: np.ndarray) -> str:
 
 
 def _decode(blob: str, shape) -> np.ndarray:
-    arr = np.frombuffer(base64.b64decode(blob), dtype="<f8")
+    """Decode a base64 float64 block of ``shape``; ValueError or TypeError
+    when it is not valid base64 or holds the wrong number of values."""
+    arr = np.frombuffer(base64.b64decode(blob, validate=True), dtype="<f8")
     return arr.reshape(shape).astype(np.float64)
 
 
@@ -485,27 +486,36 @@ def save_motion(path, m: MotionSequence, ssl: SslTrack | None = None,
         "r": _encode(m.r),
         "v": _encode(m.v),
     }
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(doc))
+    blob = json.dumps(doc).encode()
+    write_atomically(path, lambda f: f.write(blob))
 
 
 def load_motion(path) -> tuple[MotionSequence, SslTrack | None, Genre | None, dict]:
     path = Path(path)
     try:
         doc = json.loads(path.read_text())
-    except (OSError, json.JSONDecodeError) as e:
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as e:
         raise DataError(f"cannot read motion file {path}: {e}") from e
-    if doc.get("format") != "sonomotion-motion":
+    if not isinstance(doc, dict) or doc.get("format") != "sonomotion-motion":
         raise DataError(f"{path} is not a motion file")
-    t = int(doc["frames"])
-    m = MotionSequence(float(doc["fps"]),
-                       _decode(doc["p"], (t, POS_WIDTH)),
-                       _decode(doc["r"], (t, ROT_WIDTH)),
-                       _decode(doc["v"], (t, VEL_WIDTH)))
+    missing = [key for key in ("fps", "frames", "p", "r", "v") if key not in doc]
+    if missing:
+        raise DataError(f"motion file {path} lacks {', '.join(missing)}")
+    widths = {"p": POS_WIDTH, "r": ROT_WIDTH, "v": VEL_WIDTH, "ssl": 3}
+    blocks, name = {}, "header"
+    try:
+        t, fps = int(doc["frames"]), float(doc["fps"])
+        if t < 1:
+            raise ValueError(f"frames = {t}")
+        for name, width in widths.items():
+            if name != "ssl" or doc.get("ssl") is not None:
+                blocks[name] = _decode(doc[name], (t, width))
+    except (TypeError, ValueError) as e:
+        raise DataError(f"motion file {path}: bad {name} ({e})") from e
+    m = MotionSequence(fps, blocks["p"], blocks["r"], blocks["v"])
     ssl = None
-    if doc.get("ssl") is not None:
-        ssl = SslTrack(_decode(doc["ssl"], (t, 3)), frame=doc.get("ssl_frame", "world"))
+    if "ssl" in blocks:
+        ssl = SslTrack(blocks["ssl"], frame=doc.get("ssl_frame", "world"))
     genre = Genre.parse(doc["genre"]) if doc.get("genre") else None
     return m, ssl, genre, doc.get("extras", {})
 

@@ -2,6 +2,7 @@
 
 import json
 import os
+import shutil
 
 import numpy as np
 import pytest
@@ -277,6 +278,21 @@ class TestExitCodes:
                    "--out", str(tmp_path / "ckpt")])
         assert rc == EXIT_DATA
         assert "feature cache" in capsys.readouterr().err
+
+    def test_damaged_motion_file_is_data_error(self, workspace, tmp_path,
+                                               capsys):
+        ws, cfg_path, data_dir = workspace
+        data = tmp_path / "data"
+        shutil.copytree(data_dir, data)
+        motion = sorted((data / "motion").glob("*.json"))[0]
+        doc = json.loads(motion.read_text())
+        doc["p"] = doc["p"][:len(doc["p"]) // 2]
+        motion.write_text(json.dumps(doc))
+        rc = main(["--config", str(cfg_path), "train", "--manifest",
+                   str(data / "manifest.json"), "--out", str(tmp_path / "ckpt")])
+        assert rc == EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and motion.name in err
 
     def test_missing_manifest_is_data_error(self, tmp_path):
         rc = main(["train", "--manifest", str(tmp_path / "none.json")])

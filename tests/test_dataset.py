@@ -1,5 +1,6 @@
 """Synthetic scene oracle, manifest/splits, resampling, and sample loading."""
 
+import os
 import shutil
 
 import numpy as np
@@ -9,10 +10,10 @@ from sonomotion import dataset as ds
 from sonomotion.audio import FeatureConfig, NormalizationStats, load_feature_cache
 from sonomotion.cli import EXIT_OK, main
 from sonomotion.errors import AlignmentError, ContractError
-from sonomotion.skeleton import (SkeletonSpec, compute_velocities,
-                                 detect_foot_contacts, forward_kinematics,
-                                 matrix_to_sixd, rotation_z, save_motion,
-                                 sixd_to_matrix)
+from sonomotion.skeleton import (SkeletonSpec, assemble_vector,
+                                 compute_velocities, detect_foot_contacts,
+                                 forward_kinematics, matrix_to_sixd,
+                                 rotation_z, save_motion, sixd_to_matrix)
 
 SKEL = SkeletonSpec.default()
 
@@ -135,12 +136,49 @@ class TestGeneratorMotion:
         assert z[-1] < z[0] - 0.1
 
     def test_deterministic_per_seed(self):
-        spec = ds.SyntheticSceneSpec(azimuth_deg=40.0, program="walk_toward",
-                                     duration=2.5, seed=11)
-        a = ds.synthesize_pair(spec, SKEL)
-        b = ds.synthesize_pair(spec, SKEL)
-        assert np.array_equal(a.motion.p, b.motion.p)
-        assert np.array_equal(a.clip.left, b.clip.left)
+        for program in ds.PROGRAMS:
+            spec = ds.SyntheticSceneSpec(azimuth_deg=40.0, program=program,
+                                         duration=2.5, seed=11)
+            a = ds.synthesize_pair(spec, SKEL)
+            b = ds.synthesize_pair(spec, SKEL)
+            assert (assemble_vector(a.motion).tobytes()
+                    == assemble_vector(b.motion).tobytes()), program
+            assert np.array_equal(a.clip.left, b.clip.left)
+
+    def test_leg_ik_pins_reachable_planted_toes(self):
+        """FK of the batched two-bone solve puts each planted toe (z = 0) on
+        its target wherever the hip-to-ankle distance is within the solver's
+        reach, 0.3 to 0.995 of the leg length, with the knee bent forward."""
+        rng = np.random.default_rng(23)
+        n = 400
+        yaws = rng.uniform(-np.pi, np.pi, n)
+        roots = np.column_stack([rng.uniform(-2.0, 2.0, (n, 2)),
+                                 rng.uniform(0.6, 0.95, n)])
+        rz = rotation_z(yaws)
+        reach = abs(SKEL.offsets[4, 2]) + abs(SKEL.offsets[7, 2])
+        ik = ds._LegIK(SKEL)
+        for side, (hip, knee, ankle, toe) in enumerate(((1, 4, 7, 10),
+                                                        (2, 5, 8, 11))):
+            local = np.column_stack([rng.uniform(-0.2, 0.2, n),
+                                     rng.uniform(-0.4, 0.4, n), np.zeros(n)])
+            target = roots * [1.0, 1.0, 0.0] + np.einsum("tij,tj->ti", rz, local)
+            rot = np.tile(np.eye(3), (n, 25, 1, 1))
+            rot[:, 0] = rz
+            rot[:, [hip, knee, ankle]] = np.stack(
+                ik.solve(side, roots, yaws, target), axis=1)
+            pos = forward_kinematics(SKEL, roots, rot)
+            hip_to_ankle = (target - rz @ SKEL.offsets[toe]
+                            - roots - rz @ SKEL.offsets[hip])
+            d = np.linalg.norm(hip_to_ankle, axis=-1)
+            reachable = (d > 0.3 * reach) & (d < 0.995 * reach)
+            assert reachable.sum() > n // 2
+            assert np.abs(pos[:, toe] - target)[reachable].max() < 1e-9
+            # the knee bends forward, toward -y in the root frame
+            chord, bend = (np.einsum("tji,tj->ti", rz, pos[:, j] - pos[:, hip])
+                           for j in (ankle, knee))
+            chord /= np.linalg.norm(chord, axis=-1, keepdims=True)
+            bend -= np.sum(bend * chord, axis=-1, keepdims=True) * chord
+            assert (bend[:, 1] < 0.0).all()
 
     def test_active_frames_present(self):
         spec = ds.SyntheticSceneSpec(azimuth_deg=0.0, distance=2.0,
@@ -207,6 +245,32 @@ class TestManifest:
         genres = [e.genre for e in loaded.entries]
         counts = {g: genres.count(g) for g in set(genres)}
         assert max(counts.values()) - min(counts.values()) <= 1
+
+    def test_manifest_and_motion_written_atomically(self, tmp_path,
+                                                   monkeypatch):
+        """A write that fails before the rename leaves the old file whole and
+        no temporary file behind."""
+        manifest = ds.build_manifest(".", [ds.ManifestEntry(
+            f"s{i}", f"a{i}", f"m{i}", "dull") for i in range(10)], seed=1)
+        spec = ds.SyntheticSceneSpec(duration=2.0, seed=3)
+        motion = ds.synthesize_motion(spec, SKEL)[0]
+        writers = {"manifest.json": manifest.save,
+                   "motion.json": lambda p: save_motion(p, motion)}
+        for name, write in writers.items():
+            write(tmp_path / name)
+        before = {name: (tmp_path / name).read_bytes() for name in writers}
+
+        def fail(src, dst):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(os, "replace", fail)
+        manifest.seed = 2
+        motion.p[:] += 1.0
+        for name, write in writers.items():
+            with pytest.raises(OSError):
+                write(tmp_path / name)
+            assert (tmp_path / name).read_bytes() == before[name]
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(writers)
 
     def test_hundred_samples_80_10_10(self):
         entries = [ds.ManifestEntry(f"s{i}", f"a{i}", f"m{i}", "dull",

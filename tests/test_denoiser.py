@@ -160,9 +160,10 @@ class TestPredictX0:
         with pytest.raises(NumericError, match="transformer layer 0"):
             model.predict_x0(x, ts, a, s, g)
 
-    def test_desk_shape_train_step_tape_nodes(self):
-        """One tape node per fused linear, attention and fk call: a train step
-        at B=2, T=16, latent 32 records 119 nodes (305 before the fused ops)."""
+    @staticmethod
+    def _desk_shape_step():
+        """Record one train step at B=2, T=16, latent 32; returns the model,
+        the tape and the total loss."""
         cfg = DenoiserConfig(latent=32, heads=4, layers=2, max_frames=16)
         model = MotionDenoiser(cfg, np.random.default_rng(18))
         rng = np.random.default_rng(19)
@@ -177,8 +178,33 @@ class TestPredictX0:
                      "foot": losses.l_foot(pred, target, rng.random((2, 16, 2)) < 0.5),
                      "traj": losses.l_traj(pred, target),
                      "rot": losses.l_rot(pred, target)}
-            losses.total_loss(terms, LossWeights(), 0)
+            loss, _ = losses.total_loss(terms, LossWeights(), 0)
+        return model, tape, loss
+
+    def test_desk_shape_train_step_tape_nodes(self):
+        """One tape node per fused linear, attention and fk call: a train step
+        at B=2, T=16, latent 32 records 119 nodes (305 before the fused ops)."""
+        _, tape, _ = self._desk_shape_step()
         assert len(tape) <= 119
+
+    def test_backward_keeps_no_intermediate_gradients(self):
+        """Only the leaves get ``.grad``; the parameter gradients match, bit
+        for bit, a reverse sweep that keeps every node's output gradient."""
+        model, tape, loss = self._desk_shape_step()
+        kept = {id(loss): np.ones_like(loss.data)}
+        for out, inputs, backward_fn in reversed(tape._nodes):
+            g = kept.get(id(out))
+            if g is None:
+                continue
+            for t, ig in zip(inputs, backward_fn(g)):
+                if ig is not None and t.requires_grad:
+                    acc = kept.get(id(t))
+                    kept[id(t)] = ig if acc is None else acc + ig
+        tape.backward(loss)
+        assert all(out.grad is None for out, _, _ in tape._nodes)
+        for name, p in model.named_parameters():
+            want = kept.get(id(p), np.zeros_like(p.data))
+            assert p.grad.tobytes() == want.tobytes(), name
 
     def test_config_validation(self):
         with pytest.raises(ConfigError):

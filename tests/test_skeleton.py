@@ -1,11 +1,13 @@
 """Skeleton, rotations, FK, packing, contacts, normalization, file formats."""
 
+import json
+
 import numpy as np
 import pytest
 
 from sonomotion import skeleton as sk
-from sonomotion.errors import (ContractError, DegenerateRotationError,
-                               LayoutError)
+from sonomotion.errors import (ContractError, DataError,
+                               DegenerateRotationError, LayoutError)
 
 
 def random_rotations(rng, n):
@@ -242,6 +244,47 @@ class TestNormalize:
         assert np.abs(got_s.positions - base_s.positions).max() < 1e-6
 
 
+class TestMinimalRotation:
+    def test_batched_matches_rodrigues_per_vector(self):
+        rng = np.random.default_rng(16)
+        a = rng.standard_normal((8, 3))
+        b = rng.standard_normal((8, 3))
+        b[1] = a[1]                        # parallel
+        b[2] = -a[2]                       # antiparallel
+        a[3], b[3] = [1.0, 0.0, 0.0], [-1.0, 0.0, 0.0]   # antiparallel on x
+        a /= np.linalg.norm(a, axis=1, keepdims=True)
+        b /= np.linalg.norm(b, axis=1, keepdims=True)
+        got = sk.minimal_rotation(a, b)
+        assert got.shape == (8, 3, 3)
+        for i in range(8):
+            np.testing.assert_array_equal(sk.minimal_rotation(a[i], b[i]), got[i])
+            np.testing.assert_allclose(got[i] @ a[i], b[i], atol=1e-12)
+            axis = np.cross(a[i], b[i])
+            s, c = np.linalg.norm(axis), a[i] @ b[i]
+            if s < 1e-12 and c > 0:
+                np.testing.assert_array_equal(got[i], np.eye(3))
+            elif s < 1e-12:
+                # a pi rotation about an axis perpendicular to a
+                np.testing.assert_allclose(got[i], got[i].T, atol=1e-12)
+                np.testing.assert_allclose(got[i] @ got[i], np.eye(3), atol=1e-12)
+                assert abs(np.trace(got[i]) + 1.0) < 1e-12
+                assert abs(np.linalg.det(got[i]) - 1.0) < 1e-12
+            else:
+                k = axis / s
+                km = np.array([[0.0, -k[2], k[1]], [k[2], 0.0, -k[0]],
+                               [-k[1], k[0], 0.0]])
+                want = np.eye(3) + s * km + (1.0 - c) * km @ km
+                np.testing.assert_allclose(got[i], want, atol=1e-12)
+
+    def test_single_vector_broadcasts(self):
+        rng = np.random.default_rng(17)
+        b = rng.standard_normal((5, 3))
+        b /= np.linalg.norm(b, axis=1, keepdims=True)
+        down = np.array([0.0, 0.0, -1.0])
+        np.testing.assert_array_equal(sk.minimal_rotation(down, b),
+                                      sk.minimal_rotation(np.tile(down, (5, 1)), b))
+
+
 class TestMotionFiles:
     def test_save_load_roundtrip(self, tmp_path):
         rng = np.random.default_rng(14)
@@ -257,6 +300,31 @@ class TestMotionFiles:
         np.testing.assert_array_equal(ssl2.positions, ssl.positions)
         assert genre is sk.Genre.SENSITIVE
         assert extras == {"note": 1}
+
+    @pytest.mark.parametrize("damage", ["drop-fps", "drop-frames", "drop-p",
+                                        "drop-r", "drop-v", "cut-p", "cut-r",
+                                        "cut-v", "cut-ssl", "garble-p",
+                                        "null-r", "frames-0"])
+    def test_damaged_file_is_data_error(self, tmp_path, damage):
+        rng = np.random.default_rng(18)
+        m, _ = make_motion(rng)
+        path = tmp_path / "m.json"
+        sk.save_motion(path, m, sk.SslTrack(rng.standard_normal((m.frames, 3))))
+        doc = json.loads(path.read_text())
+        kind, key = damage.split("-")
+        if kind == "drop":
+            del doc[key]
+        elif kind == "cut":
+            doc[key] = doc[key][:len(doc[key]) // 2 // 4 * 4]
+        elif kind == "garble":
+            doc[key] = "*" + doc[key][1:]
+        elif kind == "null":
+            doc[key] = None
+        else:
+            doc["frames"] = 0
+        path.write_text(json.dumps(doc))
+        with pytest.raises(DataError):
+            sk.load_motion(path)
 
     def test_csv_export(self, tmp_path):
         rng = np.random.default_rng(15)
