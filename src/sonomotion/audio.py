@@ -88,6 +88,8 @@ class FeatureConfig:
     normalize: bool = True
 
     def __post_init__(self):
+        if min(self.sample_rate, self.motion_fps, self.mel_bands) < 1:
+            raise ConfigError("sample_rate, motion_fps and mel_bands must be >= 1")
         if self.fft_size <= 0 or self.fft_size & (self.fft_size - 1):
             raise ConfigError(f"fft_size must be a power of two, got {self.fft_size}")
         if self.sample_rate % self.motion_fps:

@@ -15,8 +15,9 @@ import os
 import re
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, replace
 from pathlib import Path
+from typing import get_type_hints
 
 import numpy as np
 
@@ -24,7 +25,8 @@ from .audio import FeatureConfig, NormalizationStats, extract_binaural, read_wav
 from .checkpoint import load_checkpoint
 from .dataset import (DatasetManifest, fit_feature_stats, generate_dataset,
                       load_split, raw_features)
-from .denoiser import DenoiserConfig, MotionDenoiser, TrainConfig, train_denoiser
+from .denoiser import (DenoiserConfig, MotionDenoiser, TrainConfig,
+                       sample_motion, train_denoiser)
 from .diffusion import cosine_schedule, stride_subset
 from .errors import (ConfigError, ContractError, DataError, NumericError,
                      ShapeError, SonomotionError)
@@ -34,7 +36,6 @@ from .evalsuite import (ExtractorConfig, ExtractorTrainConfig, MetricReport,
 from .gradcheck import format_rows, run_primitive_suite
 from .skeleton import (Genre, SkeletonSpec, SslTrack, assemble_vector,
                        load_motion, save_motion)
-from .denoiser import sample_motion
 
 ENV_PREFIX = "SONOMOTION"
 
@@ -44,131 +45,103 @@ EXIT_DATA = 2
 EXIT_NUMERIC = 3
 
 
+# (INI section, key) -> the fields it sets: a RunConfig field, or
+# "component.field" for a field of one of its component configs. The field's
+# dataclass declares the default, the type and the range check.
+KEYS = {
+    ("paths", "cache_dir"): ("cache_dir",),
+    ("paths", "checkpoint_dir"): ("checkpoint_dir",),
+    ("model", "latent"): ("model.latent",),
+    ("model", "heads"): ("model.heads",),
+    ("model", "layers"): ("model.layers",),
+    ("model", "ff_mult"): ("model.ff_mult",),
+    ("model", "max_frames"): ("model.max_frames", "extractor.max_frames"),
+    ("schedule", "diffusion_steps"): ("diffusion_steps",),
+    ("training", "epochs"): ("training.epochs",),
+    ("training", "batch_size"): ("training.batch_size",),
+    ("training", "lr"): ("training.lr",),
+    ("training", "weight_decay"): ("training.weight_decay",),
+    ("training", "seed"): ("training.seed", "extractor_training.seed"),
+    ("training", "checkpoint_every"): ("training.checkpoint_every",),
+    ("training", "foot_mode"): ("training.foot_mode",),
+    ("features", "sample_rate"): ("features.sample_rate",),
+    ("features", "motion_fps"): ("features.motion_fps",),
+    ("features", "fft_size"): ("features.fft_size",),
+    ("features", "mel_bands"): ("features.mel_bands",),
+    ("features", "normalize"): ("features.normalize",),
+    ("extractor", "ext_hidden"): ("extractor.hidden",),
+    ("extractor", "ext_gru_layers"): ("extractor.gru_layers",),
+    ("extractor", "ext_ae_latent"): ("extractor.ae_latent",),
+    ("extractor", "ext_ae_layers"): ("extractor.ae_layers",),
+    ("extractor", "ext_ae_heads"): ("extractor.ae_heads",),
+    ("extractor", "ext_epochs"): ("extractor_training.epochs",),
+    ("extractor", "ext_batch_size"): ("extractor_training.batch_size",),
+    ("extractor", "ext_lr"): ("extractor_training.lr",),
+}
+
+
+def _parse(section: str, key: str, raw: str, kind: type):
+    try:
+        if kind is bool:
+            return configparser.ConfigParser.BOOLEAN_STATES[raw.lower()]
+        return kind(raw)
+    except (KeyError, ValueError):
+        raise ConfigError(f"[{section}] {key}: {raw!r} is not a valid "
+                          f"{kind.__name__}") from None
+
+
 @dataclass
 class RunConfig:
-    """Flattened run configuration; sections map to field prefixes."""
+    """One instance of each component config, plus the run values that belong
+    to no component."""
 
-    # [paths]
-    dataset_root: str = "dataset"
+    model: DenoiserConfig = field(default_factory=DenoiserConfig)
+    training: TrainConfig = field(default_factory=TrainConfig)
+    features: FeatureConfig = field(default_factory=FeatureConfig)
+    extractor: ExtractorConfig = field(default_factory=ExtractorConfig)
+    extractor_training: ExtractorTrainConfig = field(
+        default_factory=ExtractorTrainConfig)
     cache_dir: str = "cache"
     checkpoint_dir: str = "checkpoints"
-    # [model]
-    latent: int = 512
-    heads: int = 8
-    layers: int = 4
-    ff_mult: int = 4
-    max_frames: int = 240
-    ssl_mode: str = "fused"
-    # [schedule]
     diffusion_steps: int = 1000
-    # [training]
-    epochs: int = 2000
-    batch_size: int = 8
-    lr: float = 1e-4
-    weight_decay: float = 0.0
-    seed: int = 0
-    checkpoint_every: int = 0
-    foot_mode: str = "magnitude"
-    # [features]
-    sample_rate: int = 24000
-    motion_fps: int = 30
-    fft_size: int = 1024
-    mel_bands: int = 128
-    normalize: bool = True
-    # [extractor]
-    ext_hidden: int = 64
-    ext_gru_layers: int = 1
-    ext_ae_latent: int = 32
-    ext_ae_layers: int = 1
-    ext_ae_heads: int = 2
-    ext_epochs: int = 40
-    ext_batch_size: int = 16
-    ext_lr: float = 5e-5
-
-    SECTIONS = {
-        "paths": ("dataset_root", "cache_dir", "checkpoint_dir"),
-        "model": ("latent", "heads", "layers", "ff_mult", "max_frames",
-                  "ssl_mode"),
-        "schedule": ("diffusion_steps",),
-        "training": ("epochs", "batch_size", "lr", "weight_decay", "seed",
-                     "checkpoint_every", "foot_mode"),
-        "features": ("sample_rate", "motion_fps", "fft_size", "mel_bands",
-                     "normalize"),
-        "extractor": ("ext_hidden", "ext_gru_layers", "ext_ae_latent",
-                      "ext_ae_layers", "ext_ae_heads", "ext_epochs",
-                      "ext_batch_size", "ext_lr"),
-    }
 
     def __post_init__(self):
-        if self.epochs < 1 or self.batch_size < 1 or self.ext_epochs < 1:
-            raise ConfigError("epoch/batch settings must be >= 1")
-        if self.lr <= 0 or self.ext_lr <= 0:
-            raise ConfigError("learning rates must be positive")
         if self.diffusion_steps < 1:
             raise ConfigError("diffusion_steps must be >= 1")
 
     @classmethod
-    def _field_map(cls):
-        return {f.name: f.type for f in fields(cls)}
-
-    @classmethod
-    def _coerce(cls, name: str, raw: str):
-        kinds = cls._field_map()
-        kind = kinds[name]
-        if kind in (int, "int"):
-            return int(raw)
-        if kind in (float, "float"):
-            return float(raw)
-        if kind in (bool, "bool"):
-            if raw.lower() in ("1", "true", "yes", "on"):
-                return True
-            if raw.lower() in ("0", "false", "no", "off"):
-                return False
-            raise ConfigError(f"bad boolean for {name}: {raw!r}")
-        return raw
-
-    @classmethod
     def load(cls, path=None, env=None) -> "RunConfig":
-        values: dict = {}
-        known = {k: sec for sec, keys in cls.SECTIONS.items() for k in keys}
+        """The defaults, overridden by the INI file at ``path`` and then by the
+        ``SONOMOTION_<SECTION>_<KEY>`` variables of ``env`` (os.environ)."""
+        raw: dict[tuple[str, str], str] = {}
         if path is not None:
             parser = configparser.ConfigParser()
-            read = parser.read(path)
-            if not read:
+            if not parser.read(path):
                 raise DataError(f"cannot read config file {path}")
             for section in parser.sections():
-                if section not in cls.SECTIONS:
+                if section not in {s for s, _ in KEYS}:
                     raise ConfigError(f"unknown config section [{section}]")
-                for key, raw in parser.items(section):
-                    if key not in cls.SECTIONS[section]:
+                for key, value in parser.items(section):
+                    if (section, key) not in KEYS:
                         raise ConfigError(
                             f"unknown key '{key}' in section [{section}]")
-                    values[key] = cls._coerce(key, raw)
+                    raw[section, key] = value
         env = os.environ if env is None else env
-        for name, section in known.items():
-            var = f"{ENV_PREFIX}_{section.upper()}_{name.upper()}"
+        for section, key in KEYS:
+            var = f"{ENV_PREFIX}_{section.upper()}_{key.upper()}"
             if var in env:
-                values[name] = cls._coerce(name, env[var])
-        return cls(**values)
-
-    def feature_config(self) -> FeatureConfig:
-        return FeatureConfig(sample_rate=self.sample_rate,
-                             motion_fps=self.motion_fps,
-                             fft_size=self.fft_size, mel_bands=self.mel_bands,
-                             normalize=self.normalize)
-
-    def denoiser_config(self) -> DenoiserConfig:
-        return DenoiserConfig(latent=self.latent, heads=self.heads,
-                              layers=self.layers, ff_mult=self.ff_mult,
-                              max_frames=self.max_frames, ssl_mode=self.ssl_mode)
-
-    def extractor_config(self) -> ExtractorConfig:
-        return ExtractorConfig(hidden=self.ext_hidden,
-                               gru_layers=self.ext_gru_layers,
-                               ae_latent=self.ext_ae_latent,
-                               ae_layers=self.ext_ae_layers,
-                               ae_heads=self.ext_ae_heads,
-                               max_frames=self.max_frames)
+                raw[section, key] = env[var]
+        cfg = cls()
+        changes: dict[str, dict] = {}
+        for (section, key), value in raw.items():
+            for target in KEYS[section, key]:
+                owner, _, name = target.rpartition(".")
+                kind = get_type_hints(type(getattr(cfg, owner) if owner else cfg))
+                changes.setdefault(owner, {})[name] = _parse(section, key, value,
+                                                             kind[name])
+        own = changes.pop("", {})
+        return replace(cfg, **own, **{owner: replace(getattr(cfg, owner), **kw)
+                                      for owner, kw in changes.items()})
 
 
 def _parse_ssl(raw: str, frames: int) -> np.ndarray:
@@ -194,9 +167,10 @@ def _parse_ssl(raw: str, frames: int) -> np.ndarray:
 
 
 def cmd_synth_data(args, cfg: RunConfig) -> int:
-    manifest = generate_dataset(args.out, count=args.count, seed=cfg.seed,
-                                duration=args.duration, fps=cfg.motion_fps,
-                                sample_rate=cfg.sample_rate)
+    manifest = generate_dataset(args.out, count=args.count,
+                                seed=cfg.training.seed, duration=args.duration,
+                                fps=cfg.features.motion_fps,
+                                sample_rate=cfg.features.sample_rate)
     counts: dict[str, int] = {}
     for e in manifest.entries:
         counts[e.tag] = counts.get(e.tag, 0) + 1
@@ -218,16 +192,16 @@ def _featurize(job) -> None:
 
 def cmd_features(args, cfg: RunConfig) -> int:
     manifest = DatasetManifest.load(args.manifest)
-    feat_cfg = cfg.feature_config()
     cache_dir = Path(args.cache or cfg.cache_dir)
     cache_dir.mkdir(parents=True, exist_ok=True)
-    jobs = [(*manifest.resolve(e), feat_cfg, cache_dir) for e in manifest.entries]
+    jobs = [(*manifest.resolve(e), cfg.features, cache_dir)
+            for e in manifest.entries]
     if args.workers > 1:
         with ProcessPoolExecutor(max_workers=args.workers) as pool:
             list(pool.map(_featurize, jobs))
     else:
         list(map(_featurize, jobs))
-    stats = fit_feature_stats(manifest, feat_cfg, cache_dir)
+    stats = fit_feature_stats(manifest, cfg.features, cache_dir)
     stats.save(cache_dir / "norm_stats.npz")
     print(f"cached {len(jobs)} feature files in {cache_dir}")
     print(f"normalization statistics: {cache_dir / 'norm_stats.npz'}")
@@ -241,8 +215,7 @@ def _norm_stats(cfg: RunConfig) -> NormalizationStats | None:
 
 def _load_training_split(cfg: RunConfig, manifest_path, split="train"):
     cache_dir = Path(cfg.cache_dir)
-    return load_split(DatasetManifest.load(manifest_path), split,
-                      cfg.feature_config(),
+    return load_split(DatasetManifest.load(manifest_path), split, cfg.features,
                       cache_dir=cache_dir if cache_dir.exists() else None,
                       stats=_norm_stats(cfg))
 
@@ -252,23 +225,17 @@ def cmd_train(args, cfg: RunConfig) -> int:
     if not samples:
         raise DataError("training split is empty")
     frames = samples[0][0].shape[0]
-    model_cfg = cfg.denoiser_config()
-    if frames > model_cfg.max_frames:
+    if frames > cfg.model.max_frames:
         raise ConfigError(f"sequences have {frames} frames > model max_frames "
-                          f"{model_cfg.max_frames}")
-    rng = np.random.default_rng(cfg.seed)
-    model = MotionDenoiser(model_cfg, rng)
+                          f"{cfg.model.max_frames}")
+    train_cfg = replace(cfg.training, out_dir=args.out or cfg.checkpoint_dir)
+    model = MotionDenoiser(cfg.model, np.random.default_rng(train_cfg.seed))
     schedule = cosine_schedule(cfg.diffusion_steps)
-    train_cfg = TrainConfig(epochs=cfg.epochs, batch_size=cfg.batch_size,
-                            lr=cfg.lr, weight_decay=cfg.weight_decay,
-                            seed=cfg.seed, checkpoint_every=cfg.checkpoint_every,
-                            out_dir=args.out or cfg.checkpoint_dir,
-                            foot_mode=cfg.foot_mode)
     skel = SkeletonSpec.default()
-    verbose_every = max(1, cfg.epochs // 20)
+    verbose_every = max(1, train_cfg.epochs // 20)
 
     def log_fn(epoch, line):
-        if epoch % verbose_every == 0 or epoch == cfg.epochs - 1:
+        if epoch % verbose_every == 0 or epoch == train_cfg.epochs - 1:
             print(line)
 
     train_denoiser(model, schedule, samples, skel, train_cfg, log_fn=log_fn)
@@ -278,18 +245,17 @@ def cmd_train(args, cfg: RunConfig) -> int:
 
 def _restore_model(cfg: RunConfig, checkpoint_path) -> MotionDenoiser:
     state = load_checkpoint(checkpoint_path)
-    model = MotionDenoiser(cfg.denoiser_config(), np.random.default_rng(cfg.seed))
+    model = MotionDenoiser(cfg.model, np.random.default_rng(cfg.training.seed))
     model.load_state(state)
     return model
 
 
 def cmd_sample(args, cfg: RunConfig) -> int:
     model = _restore_model(cfg, args.checkpoint)
-    feat_cfg = cfg.feature_config()
+    fps = cfg.features.motion_fps
     clip = read_wav(args.audio)
-    frames = args.frames or min(cfg.max_frames,
-                                int(clip.duration * cfg.motion_fps))
-    feats = extract_binaural(clip, feat_cfg, frames, stats=_norm_stats(cfg))
+    frames = args.frames or min(cfg.model.max_frames, int(clip.duration * fps))
+    feats = extract_binaural(clip, cfg.features, frames, stats=_norm_stats(cfg))
     ssl = _parse_ssl(args.ssl, frames)
     genre = Genre.parse(args.genre)
     schedule = cosine_schedule(cfg.diffusion_steps)
@@ -298,14 +264,15 @@ def cmd_sample(args, cfg: RunConfig) -> int:
         subset = stride_subset(cfg.diffusion_steps, args.steps)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    rng = np.random.default_rng(cfg.seed)
+    seed = cfg.training.seed
+    rng = np.random.default_rng(seed)
     for i in range(args.count):
         motion = sample_motion(model, schedule, feats.values, ssl, int(genre),
-                               rng, step_subset=subset, fps=cfg.motion_fps)
+                               rng, step_subset=subset, fps=fps)
         path = out_dir / f"generated_{i:03d}.json"
         save_motion(path, motion, SslTrack(ssl, frame="local"), genre,
                     extras={"steps": args.steps or cfg.diffusion_steps,
-                            "seed": cfg.seed})
+                            "seed": seed})
         print(f"wrote {path}")
     return EXIT_OK
 
@@ -315,20 +282,18 @@ def cmd_eval(args, cfg: RunConfig) -> int:
     test_samples = _load_training_split(cfg, args.manifest, split="test")
     if len(test_samples) < 2:
         raise DataError("test split too small for evaluation")
-    ext_cfg = cfg.extractor_config()
-    ext_train = ExtractorTrainConfig(epochs=cfg.ext_epochs,
-                                     batch_size=cfg.ext_batch_size,
-                                     lr=cfg.ext_lr, seed=cfg.seed)
-    extractor, _ = train_extractor(train_samples, ext_cfg, ext_train)
+    extractor, _ = train_extractor(train_samples, cfg.extractor,
+                                   cfg.extractor_training)
 
     if args.checkpoint:
         model = _restore_model(cfg, args.checkpoint)
         schedule = cosine_schedule(cfg.diffusion_steps)
-        rng = np.random.default_rng(cfg.seed)
+        rng = np.random.default_rng(cfg.training.seed)
         gen_samples = []
         for x0, audio, ssl, genre in test_samples:
             motion = sample_motion(model, schedule, audio, ssl, genre, rng,
-                                   fps=cfg.motion_fps, recompute_velocity=False)
+                                   fps=cfg.features.motion_fps,
+                                   recompute_velocity=False)
             gen_samples.append((assemble_vector(motion), audio, ssl, genre))
     else:
         gen_samples = test_samples    # ground truth against itself
@@ -336,7 +301,7 @@ def cmd_eval(args, cfg: RunConfig) -> int:
     pool = min(32, len(test_samples))
     cond_real, mot_real = extract_features(extractor, test_samples)
     cond_gen, mot_gen = extract_features(extractor, gen_samples)
-    rng = np.random.default_rng(cfg.seed)
+    rng = np.random.default_rng(cfg.training.seed)
     rp = r_precision(cond_gen, mot_gen, pool_size=pool, rng=rng) \
         if len(test_samples) >= pool and pool >= 2 else \
         {f"top{k}": float("nan") for k in (1, 2, 3)} | \
@@ -357,7 +322,7 @@ def cmd_eval(args, cfg: RunConfig) -> int:
 
 
 def cmd_gradcheck(args, cfg: RunConfig) -> int:
-    rows = run_primitive_suite(seed=cfg.seed)
+    rows = run_primitive_suite(seed=cfg.training.seed)
     print(format_rows(rows))
     if all(r.passed for r in rows):
         return EXIT_OK
@@ -442,10 +407,11 @@ def _attach_ssl_value(argv: list[str]) -> list[str]:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(_attach_ssl_value(sys.argv[1:] if argv is None else argv))
+    env = dict(os.environ)
+    if args.seed is not None:   # the flag wins over the INI file and the env
+        env[f"{ENV_PREFIX}_TRAINING_SEED"] = str(args.seed)
     try:
-        cfg = RunConfig.load(args.config)
-        if args.seed is not None:
-            cfg.seed = args.seed
+        cfg = RunConfig.load(args.config, env)
         return COMMANDS[args.command](args, cfg)
     except (ConfigError,) as e:
         print(f"config error: {e}", file=sys.stderr)

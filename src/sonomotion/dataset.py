@@ -13,7 +13,7 @@ the ground-truth oracle for the acceptance tests.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -523,6 +523,14 @@ class ManifestEntry:
     meta: dict = field(default_factory=dict)
 
 
+def _require_keys(doc, keys: set[str], what: str) -> None:
+    """DataError unless ``doc`` is a JSON object with exactly ``keys``."""
+    if not isinstance(doc, dict):
+        raise DataError(f"{what} is not a JSON object")
+    if doc.keys() != keys:
+        raise DataError(f"{what} has keys {sorted(doc)}, expected {sorted(keys)}")
+
+
 @dataclass
 class DatasetManifest:
     root: str
@@ -552,13 +560,22 @@ class DatasetManifest:
             doc = json.loads(path.read_text())
         except (OSError, json.JSONDecodeError) as e:
             raise DataError(f"cannot read manifest {path}: {e}") from e
-        if doc.get("format") != "sonomotion-manifest":
+        if not isinstance(doc, dict) or doc.get("format") != "sonomotion-manifest":
             raise DataError(f"{path} is not a dataset manifest")
+        _require_keys(doc, {"format", "version", "root", "fps", "seed", "entries"},
+                      f"manifest {path}")
+        if doc["version"] != 1:
+            raise DataError(f"manifest {path} has unknown version {doc['version']!r}")
+        if not isinstance(doc["entries"], list):
+            raise DataError(f"manifest {path}: entries is not a list")
+        names = {f.name for f in fields(ManifestEntry)}
+        for i, e in enumerate(doc["entries"]):
+            _require_keys(e, names, f"manifest {path} entry {i}")
         entries = [ManifestEntry(**e) for e in doc["entries"]]
         root = Path(doc["root"])
         if not root.is_absolute():        # relative roots anchor at the file
             root = path.parent / root
-        return cls(str(root), doc["fps"], entries, doc.get("seed", 0))
+        return cls(str(root), doc["fps"], entries, doc["seed"])
 
     def resolve(self, entry: ManifestEntry) -> tuple[Path, Path]:
         root = Path(self.root)

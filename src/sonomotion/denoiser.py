@@ -1,10 +1,10 @@
 """Encoder-only transformer that predicts clean motion from noisy motion.
 
-Token layout (fused SSL mode, the default):
+Token layout:
     [timestep | genre | audio+ssl frame tokens (T) | motion tokens (T)]
 so the sequence length is 2T + 2 and the prediction is read from the last T
-output tokens. ``ssl_mode="separate"`` gives the sound-source location its
-own per-frame token stream (length 3T + 2).
+output tokens. Each frame token projects that frame's audio features and
+sound-source location together.
 """
 
 from __future__ import annotations
@@ -44,23 +44,18 @@ class DenoiserConfig:
     ssl_width: int = SSL_WIDTH
     genre_vocab: int = 3
     max_frames: int = 240
-    ssl_mode: str = "fused"   # "fused" per-frame [audio|ssl], or "separate"
 
     def __post_init__(self):
+        for name in ("latent", "heads", "layers", "ff_mult", "max_frames"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be >= 1")
         if self.latent % self.heads:
             raise ConfigError(f"latent {self.latent} not divisible by "
                               f"{self.heads} heads")
-        if self.ssl_mode not in ("fused", "separate"):
-            raise ConfigError(f"unknown ssl_mode {self.ssl_mode!r}")
-
-    @property
-    def condition_tokens(self) -> int:
-        per_frame = 2 if self.ssl_mode == "separate" else 1
-        return per_frame * self.max_frames + 2
 
     @property
     def max_tokens(self) -> int:
-        return self.condition_tokens + self.max_frames
+        return 2 * self.max_frames + 2
 
 
 class MotionDenoiser(Module):
@@ -71,11 +66,7 @@ class MotionDenoiser(Module):
         self.config = config
         self.time_proj = Linear(d, d, rng)
         self.genre_emb = Embedding(config.genre_vocab, d, rng)
-        if config.ssl_mode == "fused":
-            self.cond_proj = Linear(config.audio_width + config.ssl_width, d, rng)
-        else:
-            self.cond_proj = Linear(config.audio_width, d, rng)
-            self.ssl_proj = Linear(config.ssl_width, d, rng)
+        self.cond_proj = Linear(config.audio_width + config.ssl_width, d, rng)
         self.motion_proj = Linear(config.motion_width, d, rng)
         self.pos_emb = Tensor(rng.uniform(-0.02, 0.02, (config.max_tokens, d)),
                               requires_grad=True)
@@ -133,11 +124,8 @@ class MotionDenoiser(Module):
         g_arr = np.atleast_1d(np.asarray(g, dtype=np.int64))
         d = self.config.latent
         g_tok = ad.reshape(self.genre_emb(g_arr), (g_arr.size, 1, d))
-        if self.config.ssl_mode == "fused":
-            frame_tok = self.cond_proj(Tensor(np.concatenate([a, s], axis=2)))
-            return ad.concat([g_tok, frame_tok], axis=1)
-        return ad.concat([g_tok, self.ssl_proj(Tensor(s)), self.cond_proj(Tensor(a))],
-                         axis=1)
+        frame_tok = self.cond_proj(Tensor(np.concatenate([a, s], axis=2)))
+        return ad.concat([g_tok, frame_tok], axis=1)
 
     # -- forward -------------------------------------------------------------
 
@@ -181,7 +169,7 @@ class TrainConfig:
     def __post_init__(self):
         if self.epochs < 1 or self.batch_size < 1:
             raise ConfigError("epochs and batch_size must be >= 1")
-        if self.lr <= 0:
+        if not self.lr > 0:     # also rejects nan
             raise ConfigError("learning rate must be positive")
 
 

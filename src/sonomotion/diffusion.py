@@ -13,7 +13,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractError, ShapeError
-from .skeleton import MotionSequence, compute_velocities, disassemble_vector
 
 COSINE_OFFSET = 0.008
 MAX_BETA = 0.999
@@ -161,13 +160,3 @@ def sample_array(model_fn, shape: tuple[int, ...], schedule: NoiseSchedule,
         x = p_sample_step(x, t, x0_hat, schedule, noise, t_prev=t_prev)
     return x
 
-
-def sample(model_fn, shape: tuple[int, ...], schedule: NoiseSchedule,
-           rng: np.random.Generator, step_subset: list[int] | None = None,
-           fps: float = 30.0, recompute_velocity: bool = False) -> MotionSequence:
-    """Ancestral sampling returning a disassembled MotionSequence."""
-    x = sample_array(model_fn, shape, schedule, rng, step_subset)
-    m = disassemble_vector(x, fps)
-    if recompute_velocity:
-        m.v = compute_velocities(m.p, fps)
-    return m

@@ -61,14 +61,16 @@ def contrastive_loss(c: Tensor, m: Tensor, y, margin: float = 10.0) -> Tensor:
 
 @dataclass
 class ExtractorConfig:
+    """Defaults are the desk-scale extractor that ``eval`` trains."""
+
     audio_width: int = 2272
     ssl_width: int = 3
     motion_width: int = FRAME_WIDTH
-    hidden: int = 1024
-    gru_layers: int = 4
-    ae_latent: int = 512
-    ae_layers: int = 4
-    ae_heads: int = 4
+    hidden: int = 64
+    gru_layers: int = 1
+    ae_latent: int = 32
+    ae_layers: int = 1
+    ae_heads: int = 2
     ae_ff_mult: int = 2
     max_frames: int = 240
     margin: float = 10.0
@@ -156,13 +158,17 @@ class ExtractorModel(Module):
 
 @dataclass
 class ExtractorTrainConfig:
-    epochs: int = 1500
-    batch_size: int = 64
+    epochs: int = 40
+    batch_size: int = 16
     lr: float = 5e-5
     seed: int = 0
     freeze_fraction: float = 2.0 / 3.0   # autoencoder freezes after this point
 
     def __post_init__(self):
+        if self.epochs < 1 or self.batch_size < 1:
+            raise ConfigError("extractor epochs and batch_size must be >= 1")
+        if not self.lr > 0:     # also rejects nan
+            raise ConfigError("extractor learning rate must be positive")
         if not 0.0 < self.freeze_fraction <= 1.0:
             raise ConfigError("freeze_fraction must be in (0, 1]")
 

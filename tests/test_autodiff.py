@@ -10,7 +10,7 @@ from sonomotion.errors import ContractError, DataError, NumericError, ShapeError
 from sonomotion.gradcheck import (check_scalar_fn, numeric_gradient,
                                   run_primitive_suite)
 from sonomotion.nn import Linear, Module
-from sonomotion.optim import AdamW, OptimizerState, adamw_step
+from sonomotion.optim import AdamW
 from sonomotion.skeleton import SkeletonSpec
 
 
@@ -217,9 +217,9 @@ class TestOptimizer:
 
     def test_shape_mismatch_rejected(self):
         p = Tensor(np.ones(3), requires_grad=True)
-        state = OptimizerState(lr=0.1)
+        p.grad = np.ones(4)
         with pytest.raises(ContractError):
-            adamw_step([p], [np.ones(4)], state)
+            AdamW([p], lr=0.1).step()
 
     def test_weight_decay_shrinks(self):
         p = Tensor(np.full(2, 2.0), requires_grad=True)

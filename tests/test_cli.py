@@ -11,7 +11,8 @@ from sonomotion import cli
 from sonomotion.checkpoint import save_checkpoint
 from sonomotion.cli import (EXIT_DATA, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, RunConfig,
                             main)
-from sonomotion.denoiser import MotionDenoiser
+from sonomotion.audio import FeatureConfig
+from sonomotion.denoiser import DenoiserConfig, MotionDenoiser, TrainConfig
 from sonomotion.errors import ConfigError
 from sonomotion.skeleton import load_motion
 
@@ -53,10 +54,75 @@ def workspace(tmp_path_factory):
     return ws, cfg_path, data_dir
 
 
+# (section, key) -> (the parent CLI's default, another valid value) for every
+# key of cli.KEYS
+KEY_VALUES = {
+    ("paths", "cache_dir"): ("cache", "c2"),
+    ("paths", "checkpoint_dir"): ("checkpoints", "k2"),
+    ("model", "latent"): (512, 256),
+    ("model", "heads"): (8, 4),
+    ("model", "layers"): (4, 2),
+    ("model", "ff_mult"): (4, 2),
+    ("model", "max_frames"): (240, 120),
+    ("schedule", "diffusion_steps"): (1000, 50),
+    ("training", "epochs"): (2000, 7),
+    ("training", "batch_size"): (8, 3),
+    ("training", "lr"): (1e-4, 0.002),
+    ("training", "weight_decay"): (0.0, 0.01),
+    ("training", "seed"): (0, 5),
+    ("training", "checkpoint_every"): (0, 2),
+    ("training", "foot_mode"): ("magnitude", "zero"),
+    ("features", "sample_rate"): (24000, 48000),
+    ("features", "motion_fps"): (30, 60),
+    ("features", "fft_size"): (1024, 2048),
+    ("features", "mel_bands"): (128, 64),
+    ("features", "normalize"): (True, False),
+    ("extractor", "ext_hidden"): (64, 32),
+    ("extractor", "ext_gru_layers"): (1, 2),
+    ("extractor", "ext_ae_latent"): (32, 16),
+    ("extractor", "ext_ae_layers"): (1, 2),
+    ("extractor", "ext_ae_heads"): (2, 4),
+    ("extractor", "ext_epochs"): (40, 5),
+    ("extractor", "ext_batch_size"): (16, 4),
+    ("extractor", "ext_lr"): (5e-5, 1e-3),
+}
+
+
+def _targets(cfg, section, key):
+    """The values of every field the key sets."""
+    out = []
+    for target in cli.KEYS[section, key]:
+        obj = cfg
+        for part in target.split("."):
+            obj = getattr(obj, part)
+        out.append(obj)
+    return out
+
+
 class TestRunConfig:
     def test_defaults_load(self):
-        cfg = RunConfig.load(None)
-        assert cfg.latent == 512 and cfg.epochs == 2000
+        cfg = RunConfig.load(None, env={})
+        assert cfg.model == DenoiserConfig() and cfg.features == FeatureConfig()
+        assert cfg.training == TrainConfig()
+        ext = cfg.extractor
+        assert (ext.hidden, ext.gru_layers, ext.ae_latent, ext.ae_layers,
+                ext.ae_heads, ext.max_frames) == (64, 1, 32, 1, 2, 240)
+        ext_train = cfg.extractor_training
+        assert (ext_train.epochs, ext_train.batch_size, ext_train.lr,
+                ext_train.seed) == (40, 16, 5e-5, 0)
+        assert set(KEY_VALUES) == set(cli.KEYS)
+
+    @pytest.mark.parametrize("section, key", sorted(KEY_VALUES))
+    def test_key_default_ini_and_env(self, tmp_path, section, key):
+        default, other = KEY_VALUES[section, key]
+        for got in _targets(RunConfig.load(None, env={}), section, key):
+            assert got == default and type(got) is type(default)
+        ini = tmp_path / "run.ini"
+        ini.write_text(f"[{section}]\n{key} = {other}\n")
+        env = {f"SONOMOTION_{section.upper()}_{key.upper()}": str(other)}
+        for cfg in (RunConfig.load(ini, env={}), RunConfig.load(None, env=env)):
+            for got in _targets(cfg, section, key):
+                assert got == other and type(got) is type(other)
 
     def test_unknown_key_rejected(self, tmp_path):
         bad = tmp_path / "bad.ini"
@@ -72,13 +138,16 @@ class TestRunConfig:
 
     def test_env_override(self, tmp_path):
         cfg = RunConfig.load(None, env={"SONOMOTION_TRAINING_EPOCHS": "7"})
-        assert cfg.epochs == 7
+        assert cfg.training.epochs == 7
 
     def test_range_validation(self):
-        with pytest.raises(ConfigError):
-            RunConfig(epochs=0)
-        with pytest.raises(ConfigError):
-            RunConfig(lr=-1.0)
+        for var, value in (("TRAINING_EPOCHS", "0"), ("TRAINING_LR", "-1.0"),
+                           ("TRAINING_LR", "nan"), ("EXTRACTOR_EXT_EPOCHS", "0"),
+                           ("EXTRACTOR_EXT_LR", "0"),
+                           ("SCHEDULE_DIFFUSION_STEPS", "0"),
+                           ("FEATURES_MOTION_FPS", "0")):
+            with pytest.raises(ConfigError):
+                RunConfig.load(None, env={f"SONOMOTION_{var}": value})
 
 
 class TestSynthData:
@@ -304,6 +373,16 @@ class TestExitCodes:
         rc = main(["--config", str(bad), "gradcheck"])
         assert rc == EXIT_USAGE
 
+    @pytest.mark.parametrize("section, line", [
+        ("training", "epochs = abc"), ("model", "heads = 0"),
+        ("extractor", "ext_batch_size = 0")])
+    def test_bad_config_value_is_one_line(self, tmp_path, capsys, section, line):
+        bad = tmp_path / "bad.ini"
+        bad.write_text(f"[{section}]\n{line}\n")
+        assert main(["--config", str(bad), "gradcheck"]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and err.count("\n") == 1
+
     def test_missing_checkpoint_is_data_error(self, tmp_path):
         wav = tmp_path / "x.wav"
         from sonomotion.audio import AudioClip, write_wav
@@ -318,7 +397,7 @@ class TestExitCodes:
     def test_damaged_checkpoint_exit_code(self, workspace, tmp_path, capsys,
                                           damage, want):
         ws, cfg_path, data_dir = workspace
-        model = MotionDenoiser(RunConfig.load(cfg_path).denoiser_config(),
+        model = MotionDenoiser(RunConfig.load(cfg_path).model,
                                np.random.default_rng(0))
         if damage == "nan":
             model.blocks[0].attn.wq.w.data[:] = np.nan

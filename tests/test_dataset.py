@@ -1,5 +1,6 @@
 """Synthetic scene oracle, manifest/splits, resampling, and sample loading."""
 
+import json
 import os
 import shutil
 
@@ -8,8 +9,8 @@ import pytest
 
 from sonomotion import dataset as ds
 from sonomotion.audio import FeatureConfig, NormalizationStats, load_feature_cache
-from sonomotion.cli import EXIT_OK, main
-from sonomotion.errors import AlignmentError, ContractError
+from sonomotion.cli import EXIT_DATA, EXIT_OK, main
+from sonomotion.errors import AlignmentError, ContractError, DataError
 from sonomotion.skeleton import (SkeletonSpec, assemble_vector,
                                  compute_velocities, detect_foot_contacts,
                                  forward_kinematics, matrix_to_sixd,
@@ -271,6 +272,26 @@ class TestManifest:
                 write(tmp_path / name)
             assert (tmp_path / name).read_bytes() == before[name]
         assert sorted(p.name for p in tmp_path.iterdir()) == sorted(writers)
+
+    def test_missing_key_is_data_error(self, tmp_path):
+        ds.build_manifest(".", [ds.ManifestEntry(
+            f"s{i}", f"a{i}", f"m{i}", "dull") for i in range(10)],
+            seed=1).save(tmp_path / "good.json")
+        good = json.loads((tmp_path / "good.json").read_text())
+        damaged = [{k: v for k, v in good.items() if k != key} for key in good]
+        for key in good["entries"][0]:
+            doc = json.loads(json.dumps(good))
+            del doc["entries"][3][key]
+            damaged.append(doc)
+        doc = json.loads(json.dumps(good))
+        doc["entries"][3]["extra"] = 1
+        damaged.append(doc)
+        path = tmp_path / "manifest.json"
+        for doc in damaged:
+            path.write_text(json.dumps(doc))
+            with pytest.raises(DataError):
+                ds.DatasetManifest.load(path)
+        assert main(["features", "--manifest", str(path)]) == EXIT_DATA
 
     def test_hundred_samples_80_10_10(self):
         entries = [ds.ManifestEntry(f"s{i}", f"a{i}", f"m{i}", "dull",

@@ -17,10 +17,10 @@ TINY = DenoiserConfig(latent=16, heads=2, layers=1, ff_mult=2,
                       audio_width=12, ssl_width=3, max_frames=6)
 
 
-def tiny_inputs(rng, b=2, t=4, cfg=TINY):
-    x = rng.standard_normal((b, t, cfg.motion_width))
-    a = rng.standard_normal((b, t, cfg.audio_width))
-    s = rng.standard_normal((b, t, cfg.ssl_width))
+def tiny_inputs(rng, b=2, t=4):
+    x = rng.standard_normal((b, t, TINY.motion_width))
+    a = rng.standard_normal((b, t, TINY.audio_width))
+    s = rng.standard_normal((b, t, TINY.ssl_width))
     g = rng.integers(0, 3, b)
     ts = rng.integers(1, 50, b)
     return x, ts, a, s, g
@@ -52,15 +52,6 @@ class TestEmbedConditions:
         u, v = tok.data[0, 0], tok.data[1, 0]
         cos = np.dot(u, v) / (np.linalg.norm(u) * np.linalg.norm(v))
         assert cos < 0.999
-
-    def test_separate_ssl_mode_token_count(self):
-        cfg = DenoiserConfig(latent=16, heads=2, layers=1, audio_width=12,
-                             max_frames=6, ssl_mode="separate")
-        rng = np.random.default_rng(3)
-        model = MotionDenoiser(cfg, rng)
-        _, ts, a, s, g = tiny_inputs(rng, b=2, t=6, cfg=cfg)
-        tokens = model.embed_conditions(ts, a, s, g)
-        assert tokens.shape == (2, 2 * 6 + 2, cfg.latent)
 
 
 class TestPredictX0:
@@ -209,8 +200,9 @@ class TestPredictX0:
     def test_config_validation(self):
         with pytest.raises(ConfigError):
             DenoiserConfig(latent=30, heads=4)
-        with pytest.raises(ConfigError):
-            DenoiserConfig(ssl_mode="global")
+        for name in ("latent", "heads", "layers", "ff_mult", "max_frames"):
+            with pytest.raises(ConfigError, match=name):
+                DenoiserConfig(**{name: 0})
 
 
 class TestTraining:

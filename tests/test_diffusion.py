@@ -164,9 +164,13 @@ class TestSampling:
                             np.random.default_rng(0))
 
     def test_sample_returns_motion_sequence(self):
+        from sonomotion.denoiser import DenoiserConfig, MotionDenoiser, sample_motion
         from sonomotion.skeleton import MotionSequence
-        sched = df.cosine_schedule(20)
-        m = df.sample(lambda x, t: np.zeros_like(x), (6, 300), sched,
-                      np.random.default_rng(13), fps=30.0)
+        rng = np.random.default_rng(13)
+        cfg = DenoiserConfig(latent=16, heads=2, layers=1, audio_width=12,
+                             max_frames=6)
+        model = MotionDenoiser(cfg, rng)
+        m = sample_motion(model, df.cosine_schedule(20), rng.standard_normal((6, 12)),
+                          rng.standard_normal((6, 3)), 1, rng, fps=30.0)
         assert isinstance(m, MotionSequence)
-        assert m.frames == 6
+        assert m.frames == 6 and m.fps == 30.0
