@@ -470,6 +470,24 @@ def resample_channel(x: np.ndarray, sr_in: int, sr_out: int) -> np.ndarray:
 # normalization statistics
 
 
+def _as_rows(f) -> np.ndarray:
+    return np.asarray(getattr(f, "values", f), dtype=np.float64)
+
+
+def _column_sums(blocks) -> tuple[np.ndarray | None, int]:
+    """Column sums over the rows of every block, and the row count. The rows
+    are added to one accumulator in order, as numpy's axis-0 reduction of
+    the stacked rows adds them, and one block is held at a time."""
+    acc, n = None, 0
+    for x in blocks:
+        n += x.shape[0]
+        if acc is not None:
+            x = np.concatenate([acc[None], x])
+        acc = np.add.reduce(x, axis=0)
+        del x                       # freed before the next block is made
+    return acc, n
+
+
 @dataclass
 class NormalizationStats:
     mean: np.ndarray
@@ -483,15 +501,30 @@ class NormalizationStats:
 
     @classmethod
     def fit(cls, feature_matrices) -> "NormalizationStats":
-        stacked = np.concatenate([np.asarray(getattr(f, "values", f))
-                                  for f in feature_matrices], axis=0)
-        mean = stacked.mean(axis=0)
-        std = stacked.std(axis=0)
+        """Column mean and std over the rows of every matrix, in two passes
+        that each hold one matrix at a time: ``feature_matrices`` is iterated
+        twice, so it must be a list or another re-iterable object. The result
+        is bit-identical to ``np.concatenate(...).mean(0)`` and ``.std(0)``.
+        """
+        total, n = _column_sums(map(_as_rows, feature_matrices))
+        if n == 0:
+            raise ShapeError("no feature rows to fit normalization stats on")
+        mean = total / n
+
+        def squared_deviations(f):
+            d = _as_rows(f) - mean
+            d *= d
+            return d
+
+        squares, _ = _column_sums(map(squared_deviations, feature_matrices))
+        std = np.sqrt(squares / n)
         std[std < 1e-8] = 1.0
         return cls(mean, std)
 
     def apply(self, feats: np.ndarray) -> np.ndarray:
-        return (feats - self.mean) / self.std
+        out = feats - self.mean
+        out /= self.std
+        return out
 
     def save(self, path) -> None:
         write_atomically(path, lambda f: np.savez(f, mean=self.mean, std=self.std))
@@ -536,12 +569,12 @@ def read_wav(path) -> AudioClip:
 def write_wav(path, clip: AudioClip, dtype: str = "float32") -> None:
     stereo = np.stack([clip.left, clip.right], axis=1)
     if dtype == "float32":
-        wavfile.write(path, clip.sample_rate, stereo.astype(np.float32))
+        data = stereo.astype(np.float32)
     elif dtype == "int16":
-        wavfile.write(path, clip.sample_rate,
-                      np.clip(np.round(stereo * 32767.0), -32768, 32767).astype(np.int16))
+        data = np.clip(np.round(stereo * 32767.0), -32768, 32767).astype(np.int16)
     else:
         raise ConfigError(f"unsupported WAV write dtype {dtype}")
+    write_atomically(path, lambda f: wavfile.write(f, clip.sample_rate, data))
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,7 @@ from typing import get_type_hints
 import numpy as np
 
 from .audio import FeatureConfig, NormalizationStats, extract_binaural, read_wav
-from .checkpoint import load_checkpoint
+from .checkpoint import load_checkpoint, write_atomically
 from .dataset import (DatasetManifest, fit_feature_stats, generate_dataset,
                       load_split, raw_features)
 from .denoiser import (DenoiserConfig, MotionDenoiser, TrainConfig,
@@ -35,7 +35,7 @@ from .evalsuite import (ExtractorConfig, ExtractorTrainConfig, MetricReport,
                         train_extractor)
 from .gradcheck import format_rows, run_primitive_suite
 from .skeleton import (Genre, SkeletonSpec, SslTrack, assemble_vector,
-                       load_motion, save_motion)
+                       read_motion_header, save_motion)
 
 ENV_PREFIX = "SONOMOTION"
 
@@ -147,7 +147,10 @@ class RunConfig:
 def _parse_ssl(raw: str, frames: int) -> np.ndarray:
     """Either "x,y,z" (static source) or a path to a JSON [[x,y,z], ...] track."""
     if "," in raw and not Path(raw).exists():
-        parts = [float(v) for v in raw.split(",")]
+        try:
+            parts = [float(v) for v in raw.split(",")]
+        except ValueError:
+            parts = []
         if len(parts) != 3:
             raise ConfigError(f"--ssl expects 'x,y,z', got {raw!r}")
         return np.tile(parts, (frames, 1))
@@ -187,7 +190,7 @@ def cmd_synth_data(args, cfg: RunConfig) -> int:
 
 def _featurize(job) -> None:
     audio_path, motion_path, feat_cfg, cache_dir = job
-    raw_features(audio_path, load_motion(motion_path)[0], feat_cfg, cache_dir)
+    raw_features(audio_path, *read_motion_header(motion_path), feat_cfg, cache_dir)
 
 
 def cmd_features(args, cfg: RunConfig) -> int:
@@ -315,7 +318,7 @@ def cmd_eval(args, cfg: RunConfig) -> int:
     report = MetricReport(rp["top1"], rp["top1_ci"], rp["top2"], rp["top2_ci"],
                           rp["top3"], rp["top3_ci"], fid_val, div, div_ci,
                           apd_val)
-    Path(args.out).write_text(report.to_json())
+    write_atomically(args.out, lambda f: f.write(report.to_json().encode()))
     print(report.to_table())
     print(f"report: {args.out}")
     return EXIT_OK

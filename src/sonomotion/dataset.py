@@ -28,8 +28,8 @@ from .skeleton import (Genre, MotionSequence, SkeletonSpec, SslTrack,
                        assemble_vector, axis_angle_to_matrix,
                        compute_velocities, forward_kinematics, load_motion,
                        matrix_to_axis_angle, matrix_to_sixd, minimal_rotation,
-                       normalize_sequence, rotation_z, save_motion,
-                       sixd_to_matrix)
+                       normalize_sequence, read_motion_header, rotation_z,
+                       save_motion, sixd_to_matrix)
 
 SPEED_OF_SOUND = 343.0
 HEAD_RADIUS = 0.0875
@@ -697,16 +697,17 @@ def generate_dataset(out_dir, count: int, seed: int, duration: float = 10.0,
 # loading
 
 
-def raw_features(audio_path, motion: MotionSequence, feat_config: FeatureConfig,
+def raw_features(audio_path, frames: int, fps: float, feat_config: FeatureConfig,
                  cache_dir=None) -> AudioFeatureMatrix:
-    """Raw (T, 2272) features of a motion's paired audio file, T = the
-    motion's frame count at ``feat_config.motion_fps``.
+    """Raw (T, 2272) features of a motion's paired audio file, where the
+    motion has ``frames`` frames at ``fps`` and T is its frame count at
+    ``feat_config.motion_fps``.
 
     With ``cache_dir`` the features come from ``<feature_cache_key>.feat``
     there, which a miss extracts and writes first; the values returned are
     the cached float32 rows either way.
     """
-    frames = _resampled_frames(motion.frames, motion.fps, feat_config.motion_fps)
+    frames = _resampled_frames(frames, fps, feat_config.motion_fps)
     try:
         audio_bytes = Path(audio_path).read_bytes()
     except OSError as e:
@@ -748,7 +749,8 @@ def load_sample(manifest: DatasetManifest, entry: ManifestEntry,
     motion, ssl_pos = resample_motion(motion, feat_config.motion_fps, ssl.positions)
     normalized, ssl_local = normalize_sequence(motion, ssl_pos)
     x0 = assemble_vector(normalized)
-    values = raw_features(audio_path, normalized, feat_config, cache_dir).values
+    values = raw_features(audio_path, motion.frames, motion.fps, feat_config,
+                          cache_dir).values
     if stats is not None and feat_config.normalize:
         values = stats.apply(values)
     return x0, values, ssl_local.positions, int(Genre.parse(entry.genre))
@@ -760,15 +762,29 @@ def load_split(manifest: DatasetManifest, split: str, feat_config: FeatureConfig
             for e in manifest.split_entries(split)]
 
 
+class _CachedFeatures:
+    """The raw features of (audio path, frames, fps) jobs, read from the cache
+    anew on each iteration."""
+
+    def __init__(self, jobs, feat_config: FeatureConfig, cache_dir):
+        self.jobs, self.feat_config, self.cache_dir = jobs, feat_config, cache_dir
+
+    def __iter__(self):
+        for audio, frames, fps in self.jobs:
+            yield raw_features(audio, frames, fps, self.feat_config, self.cache_dir)
+
+
 def fit_feature_stats(manifest: DatasetManifest, feat_config: FeatureConfig,
-                      cache_dir=None) -> NormalizationStats:
-    """Per-column mean/std over the training split's raw features: with
-    ``cache_dir``, exactly the rows that ``load_split`` reads from it."""
-    mats = [raw_features(audio, load_motion(motion)[0], feat_config, cache_dir)
-            for audio, motion in map(manifest.resolve, manifest.split_entries("train"))]
-    if not mats:
+                      cache_dir) -> NormalizationStats:
+    """Per-column mean/std over the training split's raw features, exactly
+    the rows that ``load_split`` reads from ``cache_dir``. The fit takes two
+    passes that each hold one clip: the first fills or hits the cache, the
+    second reads it warm."""
+    jobs = [(audio, *read_motion_header(motion)) for audio, motion
+            in map(manifest.resolve, manifest.split_entries("train"))]
+    if not jobs:
         raise DataError("training split is empty; cannot fit feature statistics")
-    return NormalizationStats.fit(mats)
+    return NormalizationStats.fit(_CachedFeatures(jobs, feat_config, cache_dir))
 
 
 def load_recorded_dataset(root) -> DatasetManifest:

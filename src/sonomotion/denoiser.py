@@ -18,7 +18,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tape, Tensor
-from .checkpoint import save_checkpoint
+from .checkpoint import save_checkpoint, write_atomically
 from .diffusion import NoiseSchedule, q_sample, sample_array
 from .errors import ConfigError, ContractError, NumericError
 from .losses import LossWeights, l_data, l_foot, l_geo, l_rot, l_traj, total_loss
@@ -216,7 +216,8 @@ def write_model_card(path, config: DenoiserConfig, train_cfg: TrainConfig,
     lines += [f"{k} = {v}" for k, v in asdict(config).items()]
     lines += ["", "[training]"]
     lines += [f"{k} = {v}" for k, v in asdict(train_cfg).items()]
-    Path(path).write_text("\n".join(lines) + "\n")
+    text = "\n".join(lines) + "\n"
+    write_atomically(path, lambda f: f.write(text.encode()))
 
 
 def train_denoiser(model: MotionDenoiser, schedule: NoiseSchedule, samples,

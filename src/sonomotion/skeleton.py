@@ -490,10 +490,16 @@ def save_motion(path, m: MotionSequence, ssl: SslTrack | None = None,
     write_atomically(path, lambda f: f.write(blob))
 
 
-def load_motion(path) -> tuple[MotionSequence, SslTrack | None, Genre | None, dict]:
-    path = Path(path)
+_BLOCK_WIDTHS = {"p": POS_WIDTH, "r": ROT_WIDTH, "v": VEL_WIDTH, "ssl": 3}
+
+
+def _read_checked(path) -> tuple[dict, int, float]:
+    """A motion file's parsed document, frame count and fps. DataError unless
+    it is a motion file with ``fps``, ``frames`` >= 1 and ``p``/``r``/``v``,
+    and every block present is a base64 string of the length its
+    (frames, width) shape implies."""
     try:
-        doc = json.loads(path.read_text())
+        doc = json.loads(Path(path).read_text())
     except (OSError, UnicodeDecodeError, json.JSONDecodeError) as e:
         raise DataError(f"cannot read motion file {path}: {e}") from e
     if not isinstance(doc, dict) or doc.get("format") != "sonomotion-motion":
@@ -501,14 +507,35 @@ def load_motion(path) -> tuple[MotionSequence, SslTrack | None, Genre | None, di
     missing = [key for key in ("fps", "frames", "p", "r", "v") if key not in doc]
     if missing:
         raise DataError(f"motion file {path} lacks {', '.join(missing)}")
-    widths = {"p": POS_WIDTH, "r": ROT_WIDTH, "v": VEL_WIDTH, "ssl": 3}
-    blocks, name = {}, "header"
     try:
         t, fps = int(doc["frames"]), float(doc["fps"])
-        if t < 1:
-            raise ValueError(f"frames = {t}")
-        for name, width in widths.items():
-            if name != "ssl" or doc.get("ssl") is not None:
+    except (TypeError, ValueError) as e:
+        raise DataError(f"motion file {path}: bad header ({e})") from e
+    if t < 1:
+        raise DataError(f"motion file {path}: bad header (frames = {t})")
+    for name, width in _BLOCK_WIDTHS.items():
+        blob = doc.get(name)
+        if name == "ssl" and blob is None:
+            continue
+        want = 4 * -(-8 * t * width // 3)        # base64 of t*width float64
+        if not isinstance(blob, str) or len(blob) != want:
+            raise DataError(f"motion file {path}: {name} is not {want} base64 "
+                            f"characters ({t} frames)")
+    return doc, t, fps
+
+
+def read_motion_header(path) -> tuple[int, float]:
+    """(frames, fps) of a motion file, after the same checks of its header
+    and block lengths that ``load_motion`` runs, without decoding a block."""
+    return _read_checked(path)[1:]
+
+
+def load_motion(path) -> tuple[MotionSequence, SslTrack | None, Genre | None, dict]:
+    doc, t, fps = _read_checked(path)
+    blocks = {}
+    try:
+        for name, width in _BLOCK_WIDTHS.items():
+            if doc.get(name) is not None:
                 blocks[name] = _decode(doc[name], (t, width))
     except (TypeError, ValueError) as e:
         raise DataError(f"motion file {path}: bad {name} ({e})") from e

@@ -5,6 +5,7 @@ import os
 
 import numpy as np
 import pytest
+from scipy.io import wavfile
 
 from sonomotion import audio as au
 from sonomotion.errors import ConfigError, DataError, DurationError
@@ -277,6 +278,33 @@ class TestExtraction:
         assert np.abs(z.mean(axis=0)).max() < 1e-9
         np.testing.assert_allclose(z.std(axis=0), 1.0, atol=1e-9)
 
+    def test_normalization_stats_fit_is_bit_identical(self):
+        """Clips of unequal length and a constant column: the two-pass fit
+        gives numpy's mean and std of the stacked rows bit for bit."""
+        rng = np.random.default_rng(8)
+        mats = [rng.standard_normal((t, 2272)) * 3 + rng.standard_normal(2272)
+                for t in (7, 31, 1, 12)]
+        for m in mats:
+            m[:, 9] = 0.3
+        stats = au.NormalizationStats.fit(
+            [au.AudioFeatureMatrix(m) for m in mats[:2]] + mats[2:])
+        rows = np.concatenate(mats)
+        std = rows.std(axis=0)
+        assert std[9] < 1e-8 and stats.std[9] == 1.0
+        assert stats.mean.tobytes() == rows.mean(axis=0).tobytes()
+        assert stats.std.tobytes() == np.where(std < 1e-8, 1.0, std).tobytes()
+
+    def test_normalization_stats_apply_is_bit_identical(self):
+        rng = np.random.default_rng(9)
+        stats = au.NormalizationStats(rng.standard_normal(2272),
+                                      rng.uniform(0.5, 2.0, 2272))
+        for feats in (rng.standard_normal((40, 2272)),
+                      rng.standard_normal((40, 2272)).astype(np.float32)):
+            kept = feats.copy()
+            z = stats.apply(feats)
+            assert z.dtype == np.float64
+            np.testing.assert_array_equal(z, (feats - stats.mean) / stats.std)
+            np.testing.assert_array_equal(feats, kept)
 
     def test_normalization_stats_damaged_file_is_data_error(self, tmp_path):
         path = tmp_path / "norm_stats.npz"
@@ -325,6 +353,33 @@ class TestWavIO:
         au.write_wav(path, clip, dtype="int16")
         back = au.read_wav(path)
         np.testing.assert_allclose(back.left, clip.left, atol=1e-4)
+
+    def test_written_atomically(self, tmp_path, monkeypatch):
+        """The bytes scipy writes to a path; a failed rename leaves the old
+        file and no temporary file."""
+        rng = np.random.default_rng(7)
+        clip = au.AudioClip(SR, rng.uniform(-0.9, 0.9, 300),
+                            rng.uniform(-0.9, 0.9, 300))
+        path = tmp_path / "x.wav"
+        for dtype, data in (
+                ("int16", np.round(np.stack([clip.left, clip.right], 1) * 32767)
+                 .astype(np.int16)),
+                ("float32", np.stack([clip.left, clip.right], 1)
+                 .astype(np.float32))):
+            au.write_wav(path, clip, dtype=dtype)
+            wavfile.write(tmp_path / "ref.wav", SR, data)
+            assert path.read_bytes() == (tmp_path / "ref.wav").read_bytes()
+            (tmp_path / "ref.wav").unlink()
+        before = path.read_bytes()
+
+        def fail(src, dst):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(os, "replace", fail)
+        with pytest.raises(OSError):
+            au.write_wav(path, au.AudioClip(SR, clip.right, clip.left))
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["x.wav"]
 
     def test_24bit_pcm_readable(self, tmp_path):
         # hand-built 24-bit RIFF: value 0.5 in both channels

@@ -363,6 +363,61 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and motion.name in err
 
+    @pytest.mark.parametrize("damage", ["drop-frames", "frames-0", "cut-p"])
+    def test_damaged_motion_header_fails_features(self, workspace, tmp_path,
+                                                  capsys, damage):
+        ws, cfg_path, data_dir = workspace
+        data = tmp_path / "data"
+        shutil.copytree(data_dir, data)
+        motion = sorted((data / "motion").glob("*.json"))[0]
+        doc = json.loads(motion.read_text())
+        if damage == "drop-frames":
+            del doc["frames"]
+        elif damage == "frames-0":
+            doc["frames"] = 0
+        else:
+            doc["p"] = doc["p"][:len(doc["p"]) // 2 // 4 * 4]
+        motion.write_text(json.dumps(doc))
+        rc = main(["features", "--manifest", str(data / "manifest.json"),
+                   "--cache", str(tmp_path / "cache")])
+        assert rc == EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and motion.name in err
+
+    def test_non_numeric_static_ssl_is_usage_error(self, workspace, tmp_path,
+                                                   capsys):
+        ws, cfg_path, data_dir = workspace
+        ckpt = tmp_path / "model.snm"
+        save_checkpoint(ckpt, MotionDenoiser(RunConfig.load(cfg_path).model,
+                                             np.random.default_rng(0))
+                        .named_parameters())
+        rc = main(["--config", str(cfg_path), "sample", "--checkpoint", str(ckpt),
+                   "--audio", str(next((data_dir / "audio").glob("*.wav"))),
+                   "--ssl", "a,b,c", "--steps", "2", "--frames", "30",
+                   "--out", str(tmp_path / "o")])
+        assert rc == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "'a,b,c'" in err
+
+    def test_report_written_atomically(self, workspace, tmp_path, monkeypatch):
+        """A failed rename leaves the old report.json and no temporary file."""
+        ws, cfg_path, data_dir = workspace
+        monkeypatch.chdir(tmp_path)         # no feature cache under the cwd
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "report.json").write_text("old")
+
+        def fail(src, dst):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(os, "replace", fail)
+        with pytest.raises(OSError):
+            main(["--config", str(cfg_path), "eval", "--manifest",
+                  str(data_dir / "manifest.json"), "--out",
+                  str(out / "report.json")])
+        assert (out / "report.json").read_text() == "old"
+        assert [p.name for p in out.iterdir()] == ["report.json"]
+
     def test_missing_manifest_is_data_error(self, tmp_path):
         rc = main(["train", "--manifest", str(tmp_path / "none.json")])
         assert rc == EXIT_DATA

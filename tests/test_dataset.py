@@ -3,6 +3,7 @@
 import json
 import os
 import shutil
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -370,11 +371,31 @@ class TestLoadSample:
         normed = ds.load_sample(manifest, e, cfg, stats=stats)[1]
         np.testing.assert_allclose(normed, (raw - 1.0) / 2.0, atol=1e-9)
 
-    def test_fit_feature_stats(self, small_dataset):
+    def test_fit_feature_stats(self, small_dataset, tmp_path):
         _, manifest = small_dataset
-        stats = ds.fit_feature_stats(manifest, FeatureConfig())
+        stats = ds.fit_feature_stats(manifest, FeatureConfig(), tmp_path)
         assert stats.mean.shape == (2272,)
         assert (stats.std > 0).all()
+
+    def test_fit_feature_stats_holds_under_three_clips(self, small_dataset,
+                                                       tmp_path):
+        """On a warm cache the fit's peak traced memory stays below three
+        clips' float64 rows, whatever the number of train clips."""
+        root, manifest = small_dataset
+        six = ds.DatasetManifest(str(root), manifest.fps,
+                                 manifest.split_entries("train")[:6],
+                                 manifest.seed)
+        cfg = FeatureConfig()
+        ds.fit_feature_stats(six, cfg, tmp_path)
+        tracemalloc.start()
+        try:
+            ds.fit_feature_stats(six, cfg, tmp_path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        clips = [load_feature_cache(p).values for p in tmp_path.glob("*.feat")]
+        assert len(clips) == 6
+        assert peak < 3 * max(c.nbytes for c in clips)
 
     def test_short_audio_alignment_error(self, small_dataset, tmp_path):
         root, manifest = small_dataset
@@ -454,7 +475,7 @@ class TestFeaturePipeline:
         assert {load_feature_cache(p).frames for p in cache.glob("*.feat")} == {want}
         x0, a, _, _ = ds.load_sample(manifest, manifest.entries[0], FeatureConfig())
         assert x0.shape[0] == a.shape[0] == want
-        ds.fit_feature_stats(manifest, FeatureConfig())
+        ds.fit_feature_stats(manifest, FeatureConfig(), tmp_path / "fresh")
         assert set(asked) == {want}
         assert len(asked) == len(manifest.entries) + 1 \
             + len(manifest.split_entries("train"))

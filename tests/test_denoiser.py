@@ -1,5 +1,7 @@
 """Condition embedding, clean-sample prediction, and the training loop."""
 
+import os
+
 import numpy as np
 import pytest
 
@@ -7,7 +9,8 @@ from sonomotion import autodiff as ad
 from sonomotion import losses
 from sonomotion.autodiff import Tape, Tensor
 from sonomotion.denoiser import (DenoiserConfig, MotionDenoiser, TrainConfig,
-                                 TrainSample, sample_motion, train_denoiser)
+                                 TrainSample, sample_motion, train_denoiser,
+                                 write_model_card)
 from sonomotion.diffusion import cosine_schedule, sample_array
 from sonomotion.errors import ConfigError, ContractError, NumericError
 from sonomotion.losses import LossWeights
@@ -280,6 +283,22 @@ class TestTraining:
         train_denoiser(model, sched, samples, skel, cfg)
         assert (tmp_path / "checkpoint_000002.snm").exists()
         assert (tmp_path / "checkpoint_000004.snm").exists()
+
+    def test_model_card_written_atomically(self, tmp_path, monkeypatch):
+        """A failed rename leaves the old card and no temporary file."""
+        path = tmp_path / "model_card.txt"
+        write_model_card(path, TINY, TrainConfig(), "old")
+        before = path.read_bytes()
+        assert b"data_hash: old\n" in before
+
+        def fail(src, dst):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(os, "replace", fail)
+        with pytest.raises(OSError):
+            write_model_card(path, TINY, TrainConfig(), "new")
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["model_card.txt"]
 
 
 class TestSampling:

@@ -325,6 +325,16 @@ class TestMotionFiles:
         path.write_text(json.dumps(doc))
         with pytest.raises(DataError):
             sk.load_motion(path)
+        if kind != "garble":    # right length: only load_motion decodes it
+            with pytest.raises(DataError):
+                sk.read_motion_header(path)
+
+    def test_header_matches_decoded_motion(self, tmp_path):
+        rng = np.random.default_rng(19)
+        m, _ = make_motion(rng, frames=7, fps=25.0)
+        path = tmp_path / "m.json"
+        sk.save_motion(path, m, sk.SslTrack(rng.standard_normal((7, 3))))
+        assert sk.read_motion_header(path) == (7, 25.0)
 
     def test_csv_export(self, tmp_path):
         rng = np.random.default_rng(15)
