@@ -23,8 +23,9 @@ import numpy as np
 
 from .audio import FeatureConfig, NormalizationStats, extract_binaural, read_wav
 from .checkpoint import load_checkpoint, write_atomically
-from .dataset import (DatasetManifest, fit_feature_stats, generate_dataset,
-                      load_split, raw_features)
+from .dataset import (DatasetManifest, FeatureSource, feature_source,
+                      fit_feature_stats, generate_dataset, load_split,
+                      read_features)
 from .denoiser import (DenoiserConfig, MotionDenoiser, TrainConfig,
                        sample_motion, train_denoiser)
 from .diffusion import cosine_schedule, stride_subset
@@ -188,9 +189,12 @@ def cmd_synth_data(args, cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def _featurize(job) -> None:
+def _featurize(job) -> FeatureSource:
     audio_path, motion_path, feat_cfg, cache_dir = job
-    raw_features(audio_path, *read_motion_header(motion_path), feat_cfg, cache_dir)
+    source = feature_source(audio_path, *read_motion_header(motion_path),
+                            feat_cfg, cache_dir)
+    read_features(source, feat_cfg)
+    return source
 
 
 def cmd_features(args, cfg: RunConfig) -> int:
@@ -201,10 +205,11 @@ def cmd_features(args, cfg: RunConfig) -> int:
             for e in manifest.entries]
     if args.workers > 1:
         with ProcessPoolExecutor(max_workers=args.workers) as pool:
-            list(pool.map(_featurize, jobs))
+            sources = list(pool.map(_featurize, jobs))
     else:
-        list(map(_featurize, jobs))
-    stats = fit_feature_stats(manifest, cfg.features, cache_dir)
+        sources = list(map(_featurize, jobs))
+    train = [s for e, s in zip(manifest.entries, sources) if e.split == "train"]
+    stats = fit_feature_stats(manifest, cfg.features, cache_dir, train)
     stats.save(cache_dir / "norm_stats.npz")
     print(f"cached {len(jobs)} feature files in {cache_dir}")
     print(f"normalization statistics: {cache_dir / 'norm_stats.npz'}")
@@ -247,9 +252,8 @@ def cmd_train(args, cfg: RunConfig) -> int:
 
 
 def _restore_model(cfg: RunConfig, checkpoint_path) -> MotionDenoiser:
-    state = load_checkpoint(checkpoint_path)
     model = MotionDenoiser(cfg.model, np.random.default_rng(cfg.training.seed))
-    model.load_state(state)
+    load_checkpoint(checkpoint_path, model.named_parameters())
     return model
 
 

@@ -15,6 +15,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field, fields
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -697,16 +698,19 @@ def generate_dataset(out_dir, count: int, seed: int, duration: float = 10.0,
 # loading
 
 
-def raw_features(audio_path, frames: int, fps: float, feat_config: FeatureConfig,
-                 cache_dir=None) -> AudioFeatureMatrix:
-    """Raw (T, 2272) features of a motion's paired audio file, where the
-    motion has ``frames`` frames at ``fps`` and T is its frame count at
-    ``feat_config.motion_fps``.
+class FeatureSource(NamedTuple):
+    """Where one clip's raw features come from: its audio file, its frame
+    count at ``feat_config.motion_fps`` and its cache file (None: uncached)."""
+    audio_path: Path
+    frames: int
+    cache_path: Path | None
 
-    With ``cache_dir`` the features come from ``<feature_cache_key>.feat``
-    there, which a miss extracts and writes first; the values returned are
-    the cached float32 rows either way.
-    """
+
+def feature_source(audio_path, frames: int, fps: float,
+                   feat_config: FeatureConfig, cache_dir=None) -> FeatureSource:
+    """The source of the features of a motion's paired audio file, where the
+    motion has ``frames`` frames at ``fps``. With ``cache_dir`` the cache file
+    is ``<feature_cache_key>.feat`` there, which hashes the whole WAV."""
     frames = _resampled_frames(frames, fps, feat_config.motion_fps)
     try:
         audio_bytes = Path(audio_path).read_bytes()
@@ -716,16 +720,25 @@ def raw_features(audio_path, frames: int, fps: float, feat_config: FeatureConfig
     if cache_dir is not None:
         key = feature_cache_key(audio_bytes, feat_config)
         cache_path = Path(cache_dir) / f"{key}.feat"
-        if cache_path.exists():
-            feats = load_feature_cache(cache_path)
-            if feats.frames < frames:
-                raise AlignmentError(f"{cache_path}: cached audio covers "
-                                     f"{feats.frames} frames, motion has {frames}")
-            return AudioFeatureMatrix(feats.values[:frames])
+    return FeatureSource(Path(audio_path), frames, cache_path)
+
+
+def read_features(source: FeatureSource,
+                  feat_config: FeatureConfig) -> AudioFeatureMatrix:
+    """Raw (T, 2272) features of ``source``. A cached source reads its cache
+    file, which a miss extracts and writes first; the values returned are the
+    cached float32 rows either way."""
+    cache_path, frames = source.cache_path, source.frames
+    if cache_path is not None and cache_path.exists():
+        feats = load_feature_cache(cache_path)
+        if feats.frames < frames:
+            raise AlignmentError(f"{cache_path}: cached audio covers "
+                                 f"{feats.frames} frames, motion has {frames}")
+        return AudioFeatureMatrix(feats.values[:frames])
     try:
-        feats = extract_binaural(read_wav(audio_path), feat_config, frames)
+        feats = extract_binaural(read_wav(source.audio_path), feat_config, frames)
     except DurationError as e:
-        raise AlignmentError(f"{audio_path}: {e}") from e
+        raise AlignmentError(f"{source.audio_path}: {e}") from e
     if cache_path is not None:
         save_feature_cache(cache_path, feats)
         feats = AudioFeatureMatrix(feats.values.astype(np.float32))
@@ -749,8 +762,9 @@ def load_sample(manifest: DatasetManifest, entry: ManifestEntry,
     motion, ssl_pos = resample_motion(motion, feat_config.motion_fps, ssl.positions)
     normalized, ssl_local = normalize_sequence(motion, ssl_pos)
     x0 = assemble_vector(normalized)
-    values = raw_features(audio_path, motion.frames, motion.fps, feat_config,
-                          cache_dir).values
+    values = read_features(feature_source(audio_path, motion.frames, motion.fps,
+                                          feat_config, cache_dir),
+                           feat_config).values
     if stats is not None and feat_config.normalize:
         values = stats.apply(values)
     return x0, values, ssl_local.positions, int(Genre.parse(entry.genre))
@@ -763,28 +777,35 @@ def load_split(manifest: DatasetManifest, split: str, feat_config: FeatureConfig
 
 
 class _CachedFeatures:
-    """The raw features of (audio path, frames, fps) jobs, read from the cache
-    anew on each iteration."""
+    """The raw features of FeatureSources, read anew on each iteration."""
 
-    def __init__(self, jobs, feat_config: FeatureConfig, cache_dir):
-        self.jobs, self.feat_config, self.cache_dir = jobs, feat_config, cache_dir
+    def __init__(self, sources, feat_config: FeatureConfig):
+        self.sources, self.feat_config = sources, feat_config
 
     def __iter__(self):
-        for audio, frames, fps in self.jobs:
-            yield raw_features(audio, frames, fps, self.feat_config, self.cache_dir)
+        for source in self.sources:
+            yield read_features(source, self.feat_config)
 
 
 def fit_feature_stats(manifest: DatasetManifest, feat_config: FeatureConfig,
-                      cache_dir) -> NormalizationStats:
+                      cache_dir, sources=None) -> NormalizationStats:
     """Per-column mean/std over the training split's raw features, exactly
     the rows that ``load_split`` reads from ``cache_dir``. The fit takes two
     passes that each hold one clip: the first fills or hits the cache, the
-    second reads it warm."""
-    jobs = [(audio, *read_motion_header(motion)) for audio, motion
-            in map(manifest.resolve, manifest.split_entries("train"))]
-    if not jobs:
+    second reads it warm.
+
+    ``sources`` are the train entries' FeatureSources in manifest order, for
+    a caller that has resolved them already; without them each entry's
+    motion header is read and its WAV hashed here.
+    """
+    if sources is None:
+        sources = [feature_source(audio, *read_motion_header(motion),
+                                  feat_config, cache_dir)
+                   for audio, motion
+                   in map(manifest.resolve, manifest.split_entries("train"))]
+    if not sources:
         raise DataError("training split is empty; cannot fit feature statistics")
-    return NormalizationStats.fit(_CachedFeatures(jobs, feat_config, cache_dir))
+    return NormalizationStats.fit(_CachedFeatures(sources, feat_config))
 
 
 def load_recorded_dataset(root) -> DatasetManifest:

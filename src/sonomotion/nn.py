@@ -11,7 +11,8 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .errors import ConfigError, ShapeError
+from .checkpoint import check_shapes
+from .errors import ConfigError
 
 
 class Module:
@@ -40,14 +41,12 @@ class Module:
         return {name: t.data.copy() for name, t in self.named_parameters()}
 
     def load_state(self, mapping: dict[str, np.ndarray]) -> None:
-        for name, t in self.named_parameters():
-            if name not in mapping:
-                raise ShapeError(f"missing parameter '{name}' in state")
-            arr = np.asarray(mapping[name], dtype=np.float64)
-            if arr.shape != t.data.shape:
-                raise ShapeError(
-                    f"parameter '{name}': stored shape {arr.shape} != {t.data.shape}")
-            t.data = np.ascontiguousarray(arr)
+        """Replace every parameter from ``mapping``; a missing name or wrong
+        shape raises ShapeError before any parameter changes."""
+        params = self.named_parameters()
+        check_shapes(params, {name: np.shape(v) for name, v in mapping.items()})
+        for name, t in params:
+            t.data = np.ascontiguousarray(mapping[name], dtype=np.float64)
 
 
 def uniform_init(rng: np.random.Generator, shape, fan_in: int) -> Tensor:

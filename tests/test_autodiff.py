@@ -1,5 +1,8 @@
 """Tensor engine: forward semantics, taped backward, optimizer, checkpoints."""
 
+import struct
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -262,17 +265,103 @@ class TestCheckpoint:
                 load_checkpoint(cut)
 
     def test_module_state_roundtrip(self, tmp_path):
-        rng = np.random.default_rng(3)
-
-        class Net(Module):
-            def __init__(self):
-                self.fc1 = Linear(4, 5, rng)
-                self.fc2 = Linear(5, 2, rng)
-
-        net = Net()
+        net = _Net(3)
         path = tmp_path / "net.snm"
         save_checkpoint(path, net.named_parameters())
-        net2 = Net()
+        net2 = _Net(4)
         net2.load_state(load_checkpoint(path))
         for (_, a), (_, b) in zip(net.named_parameters(), net2.named_parameters()):
             np.testing.assert_array_equal(a.data, b.data)
+
+    def test_save_writes_the_documented_bytes(self, tmp_path):
+        """Header fields, then each entry's float64 values, byte for byte."""
+        rng = np.random.default_rng(5)
+        named = [("w", rng.standard_normal((3, 4))),
+                 ("b.\u00e9", rng.standard_normal(4).astype(np.float32)),
+                 ("t", rng.standard_normal((4, 3)).T),      # not contiguous
+                 ("s", np.array(2.5)), ("e", np.zeros((0, 3)))]
+        want = [b"SNMCKPT1", struct.pack("<II", 1, len(named))]
+        for name, value in named:
+            arr = np.ascontiguousarray(value, dtype=np.float64)
+            raw = name.encode("utf-8")
+            want += [struct.pack("<H", len(raw)), raw,
+                     struct.pack("<B", arr.ndim),
+                     struct.pack(f"<{arr.ndim}I", *arr.shape),
+                     arr.astype("<f8").tobytes()]
+        path = tmp_path / "m.snm"
+        save_checkpoint(path, named)
+        assert path.read_bytes() == b"".join(want)
+
+    def test_restore_into_params_matches_load_state(self, tmp_path):
+        path = tmp_path / "net.snm"
+        save_checkpoint(path, [*_Net(3).named_parameters(),
+                               ("unused", np.ones(3))])
+        by_dict, streamed = _Net(4), _Net(4)
+        by_dict.load_state(load_checkpoint(path))
+        assert load_checkpoint(path, streamed.named_parameters()) is None
+        for (_, a), (_, b) in zip(by_dict.named_parameters(),
+                                  streamed.named_parameters()):
+            assert a.data.dtype == b.data.dtype == np.float64
+            assert a.data.flags.c_contiguous and b.data.flags.c_contiguous
+            assert a.data.tobytes() == b.data.tobytes()
+
+    def test_damaged_file_leaves_params_unchanged(self, tmp_path):
+        """Every truncation and a duplicated name raise DataError before any
+        parameter is replaced."""
+        path = tmp_path / "net.snm"
+        source = _Net(3)
+        save_checkpoint(path, source.named_parameters())
+        blob = path.read_bytes()
+        damaged = [blob[:n] for n in range(len(blob))]
+        save_checkpoint(path, [*source.named_parameters(),
+                               ("fc1.w", source.fc1.w.data)])
+        damaged.append(path.read_bytes())
+        target = _Net(4)
+        before = [t.data.tobytes() for t in target.parameters()]
+        for data in damaged:
+            path.write_bytes(data)
+            with pytest.raises(DataError):
+                load_checkpoint(path, target.named_parameters())
+            assert [t.data.tobytes() for t in target.parameters()] == before
+        with pytest.raises(DataError, match="duplicate entry 'fc1.w'"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("damage", ["shape", "missing"])
+    def test_mismatch_is_shape_error_before_any_change(self, tmp_path, damage):
+        """The last parameter is the bad one, so a check made entry by entry
+        would already have replaced the others."""
+        named = _Net(3).named_parameters()
+        last, _ = named.pop()
+        if damage == "shape":
+            named.append((last, np.zeros(7)))
+        path = tmp_path / "net.snm"
+        save_checkpoint(path, named)
+        for load in (lambda net: load_checkpoint(path, net.named_parameters()),
+                     lambda net: net.load_state(load_checkpoint(path))):
+            target = _Net(4)
+            before = [t.data.tobytes() for t in target.parameters()]
+            with pytest.raises(ShapeError, match=f"'{last}'"):
+                load(target)
+            assert [t.data.tobytes() for t in target.parameters()] == before
+
+    def test_restore_holds_one_copy_of_the_weights(self, tmp_path):
+        net = _Net(3, dims=(256,) * 9)
+        path = tmp_path / "net.snm"
+        save_checkpoint(path, net.named_parameters())
+        params = net.parameters()
+        total = sum(t.data.nbytes for t in params)
+        largest = max(t.data.nbytes for t in params)
+        tracemalloc.start()
+        try:
+            load_checkpoint(path, net.named_parameters())
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < total + largest + 2**20
+
+
+class _Net(Module):
+    def __init__(self, seed, dims=(4, 5, 2)):
+        rng = np.random.default_rng(seed)
+        self.fc1 = Linear(dims[0], dims[1], rng)
+        self.rest = [Linear(a, b, rng) for a, b in zip(dims[1:], dims[2:])]

@@ -447,6 +447,30 @@ class TestExitCodes:
                    "--out", str(tmp_path / "o")])
         assert rc == EXIT_DATA
 
+    def test_desk_checkpoint_under_full_scale_config(self, workspace, tmp_path,
+                                                     capsys, monkeypatch):
+        """The default config builds the full-scale model: restoring a desk
+        checkpoint into it names the first mismatched parameter."""
+        ws, cfg_path, data_dir = workspace
+        monkeypatch.chdir(tmp_path)
+        desk = MotionDenoiser(RunConfig.load(cfg_path).model,
+                              np.random.default_rng(0)).named_parameters()
+        ckpt = tmp_path / "desk.snm"
+        save_checkpoint(ckpt, desk)
+        full = MotionDenoiser(RunConfig().model, np.random.default_rng(0))
+        first = next(name for (name, a), (_, b)
+                     in zip(desk, full.named_parameters())
+                     if a.data.shape != b.data.shape)
+        del full
+        rc = main(["sample", "--checkpoint", str(ckpt),
+                   "--audio", str(next((data_dir / "audio").glob("*.wav"))),
+                   "--ssl", "0,1,0", "--out", str(tmp_path / "o")])
+        assert rc == EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and f"parameter '{first}'" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "o").exists()
+
     @pytest.mark.parametrize("damage, want", [("nan", EXIT_NUMERIC),
                                               ("truncate", EXIT_DATA)])
     def test_damaged_checkpoint_exit_code(self, workspace, tmp_path, capsys,

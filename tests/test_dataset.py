@@ -480,6 +480,36 @@ class TestFeaturePipeline:
         assert len(asked) == len(manifest.entries) + 1 \
             + len(manifest.split_entries("train"))
 
+    def test_features_hashes_each_clip_once(self, small_dataset, tmp_path,
+                                            monkeypatch):
+        """``features`` hashes each WAV and reads each motion header once, and
+        hands the train entries' sources to the fit; the statistics equal
+        those of a fit that resolves the entries itself."""
+        from sonomotion import cli
+        root, manifest = small_dataset
+        calls = {"key": 0, "header": 0}
+
+        def counted(name, fn):
+            def wrapper(*args):
+                calls[name] += 1
+                return fn(*args)
+            return wrapper
+
+        monkeypatch.setattr(ds, "feature_cache_key",
+                            counted("key", ds.feature_cache_key))
+        for module in (ds, cli):
+            monkeypatch.setattr(module, "read_motion_header",
+                                counted("header", module.read_motion_header))
+        assert main(["features", "--manifest", str(root / "manifest.json"),
+                     "--cache", str(tmp_path)]) == EXIT_OK
+        n = len(manifest.entries)
+        assert calls == {"key": n, "header": n}
+        saved = NormalizationStats.load(tmp_path / "norm_stats.npz")
+        fitted = ds.fit_feature_stats(manifest, FeatureConfig(), tmp_path)
+        assert calls["key"] == n + len(manifest.split_entries("train"))
+        assert saved.mean.tobytes() == fitted.mean.tobytes()
+        assert saved.std.tobytes() == fitted.std.tobytes()
+
     def test_warm_cache_extracts_nothing(self, small_dataset, tmp_path,
                                          monkeypatch):
         root, manifest = small_dataset
