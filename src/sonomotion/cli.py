@@ -252,12 +252,19 @@ def cmd_train(args, cfg: RunConfig) -> int:
 
 
 def _restore_model(cfg: RunConfig, checkpoint_path) -> MotionDenoiser:
-    model = MotionDenoiser(cfg.model, np.random.default_rng(cfg.training.seed))
+    model = MotionDenoiser(cfg.model, None)     # every weight comes from the file
     load_checkpoint(checkpoint_path, model.named_parameters())
     return model
 
 
 def cmd_sample(args, cfg: RunConfig) -> int:
+    for flag in ("steps", "frames", "count"):
+        value = getattr(args, flag)
+        if value is not None and value < 1:
+            raise ConfigError(f"--{flag} must be >= 1, got {value}")
+    if args.steps is not None and args.steps > cfg.diffusion_steps:
+        raise ConfigError(f"--steps {args.steps} exceeds diffusion_steps "
+                          f"{cfg.diffusion_steps}")
     model = _restore_model(cfg, args.checkpoint)
     fps = cfg.features.motion_fps
     clip = read_wav(args.audio)

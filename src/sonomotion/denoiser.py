@@ -4,7 +4,8 @@ Token layout:
     [timestep | genre | audio+ssl frame tokens (T) | motion tokens (T)]
 so the sequence length is 2T + 2 and the prediction is read from the last T
 output tokens. Each frame token projects that frame's audio features and
-sound-source location together.
+sound-source location together. The last block computes only those T motion
+rows; their queries still attend over all 2T + 2 tokens.
 """
 
 from __future__ import annotations
@@ -59,17 +60,21 @@ class DenoiserConfig:
 
 
 class MotionDenoiser(Module):
-    """G(x_t, t; a, s, g) -> x0_hat."""
+    """G(x_t, t; a, s, g) -> x0_hat.
 
-    def __init__(self, config: DenoiserConfig, rng: np.random.Generator):
+    With ``rng=None`` the weights are allocated but not drawn, for a model a
+    checkpoint is about to fill."""
+
+    def __init__(self, config: DenoiserConfig, rng: np.random.Generator | None):
         d = config.latent
         self.config = config
         self.time_proj = Linear(d, d, rng)
         self.genre_emb = Embedding(config.genre_vocab, d, rng)
         self.cond_proj = Linear(config.audio_width + config.ssl_width, d, rng)
         self.motion_proj = Linear(config.motion_width, d, rng)
-        self.pos_emb = Tensor(rng.uniform(-0.02, 0.02, (config.max_tokens, d)),
-                              requires_grad=True)
+        shape = (config.max_tokens, d)
+        self.pos_emb = Tensor(np.empty(shape) if rng is None
+                              else rng.uniform(-0.02, 0.02, shape), requires_grad=True)
         self.blocks = [EncoderBlock(d, config.heads, config.ff_mult, rng)
                        for _ in range(config.layers)]
         self.final_norm = LayerNorm(d)
@@ -114,16 +119,14 @@ class MotionDenoiser(Module):
         return tokens[0] if squeeze else tokens
 
     def _time_token(self, t_arr) -> Tensor:
-        d = self.config.latent
-        sin = Tensor(sinusoidal_embedding(t_arr, d))
-        return ad.reshape(self.time_proj(sin), (t_arr.size, 1, d))
+        return self.time_proj(
+            Tensor(sinusoidal_embedding(t_arr, self.config.latent)[:, None, :]))
 
     def encode_conditions(self, a, s, g) -> Tensor:
         """Genre and per-frame tokens of batched (B, T, .) audio and SSL: they do
         not depend on the timestep, so a sampler encodes them once per sequence."""
         g_arr = np.atleast_1d(np.asarray(g, dtype=np.int64))
-        d = self.config.latent
-        g_tok = ad.reshape(self.genre_emb(g_arr), (g_arr.size, 1, d))
+        g_tok = self.genre_emb(g_arr[:, None])
         frame_tok = self.cond_proj(Tensor(np.concatenate([a, s], axis=2)))
         return ad.concat([g_tok, frame_tok], axis=1)
 
@@ -137,12 +140,13 @@ class MotionDenoiser(Module):
             cond = self.encode_conditions(a, s, g_arr)
         motion_tok = self.motion_proj(Tensor(x))
         tokens = ad.concat([self._time_token(t_arr), cond, motion_tok], axis=1)
-        n_tok = tokens.shape[1]
-        tokens = ad.add(tokens, self.pos_emb[:n_tok, :])
+        tokens = ad.add(tokens, self.pos_emb[:tokens.shape[1], :])
+        last = len(self.blocks) - 1
         for i, block in enumerate(self.blocks):
-            tokens = block(tokens)
+            # the head reads only the motion rows, so the last block computes no others
+            tokens = block(tokens, tail=frames if i == last else None)
             ad.check_finite(tokens.data, f"transformer layer {i}")
-        out = self.head(self.final_norm(tokens[:, n_tok - frames:, :]))
+        out = self.head(self.final_norm(tokens))
         ad.check_finite(out.data, "the output head")
         return out[0] if squeeze else out
 

@@ -49,7 +49,11 @@ class Module:
             t.data = np.ascontiguousarray(mapping[name], dtype=np.float64)
 
 
-def uniform_init(rng: np.random.Generator, shape, fan_in: int) -> Tensor:
+def uniform_init(rng: np.random.Generator | None, shape, fan_in: int) -> Tensor:
+    """Uniform in +-sqrt(1/fan_in); with no ``rng`` the values are left unset,
+    for a model whose parameters a checkpoint is about to replace."""
+    if rng is None:
+        return Tensor(np.empty(shape), requires_grad=True)
     bound = np.sqrt(1.0 / fan_in)
     return Tensor(rng.uniform(-bound, bound, shape), requires_grad=True)
 
@@ -113,7 +117,11 @@ class FeedForward(Module):
 
 
 class EncoderBlock(Module):
-    """Pre-norm residual block: x + attn(ln(x)), then x + ff(ln(x))."""
+    """Pre-norm residual block: x + attn(ln(x)), then x + ff(ln(x)).
+
+    With ``tail`` only the last ``tail`` rows are computed: their queries
+    still attend over every row, so they equal those rows of the full output.
+    """
 
     def __init__(self, dim: int, heads: int, ff_mult: int, rng: np.random.Generator):
         self.ln1 = LayerNorm(dim)
@@ -121,8 +129,13 @@ class EncoderBlock(Module):
         self.ln2 = LayerNorm(dim)
         self.ff = FeedForward(dim, ff_mult * dim, rng)
 
-    def __call__(self, x: Tensor) -> Tensor:
-        x = ad.add(x, self.attn(self.ln1(x)))
+    def __call__(self, x: Tensor, tail: int | None = None) -> Tensor:
+        z = self.ln1(x)
+        if tail is None:
+            x = ad.add(x, self.attn(z))
+        else:
+            first = x.shape[1] - tail
+            x = ad.add(x[:, first:], self.attn(z[:, first:], z))
         return ad.add(x, self.ff(self.ln2(x)))
 
 

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from sonomotion import cli
-from sonomotion.checkpoint import save_checkpoint
+from sonomotion.checkpoint import load_checkpoint, save_checkpoint
 from sonomotion.cli import (EXIT_DATA, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, RunConfig,
                             main)
 from sonomotion.audio import FeatureConfig
@@ -398,6 +398,43 @@ class TestExitCodes:
         assert rc == EXIT_USAGE
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "'a,b,c'" in err
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--frames", "-5"), ("--frames", "0"), ("--steps", "0"), ("--steps", "-3"),
+        ("--steps", "50"), ("--count", "0"), ("--count", "-2")])
+    def test_sample_flag_out_of_range_is_usage_error(self, workspace, tmp_path,
+                                                     capsys, flag, value):
+        """--steps, --frames and --count must be >= 1, and --steps at most
+        diffusion_steps (8 here): exit 1 with one line naming the flag."""
+        ws, cfg_path, data_dir = workspace
+        ckpt = tmp_path / "model.snm"
+        save_checkpoint(ckpt, MotionDenoiser(RunConfig.load(cfg_path).model,
+                                             np.random.default_rng(0))
+                        .named_parameters())
+        flags = {"--steps": "2", "--frames": "30", "--count": "1", flag: value}
+        rc = main(["--config", str(cfg_path), "sample", "--checkpoint", str(ckpt),
+                   "--audio", str(next((data_dir / "audio").glob("*.wav"))),
+                   "--ssl", "0,1,0", "--out", str(tmp_path / "o"),
+                   *(tok for item in flags.items() for tok in item)])
+        assert rc == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and flag in err
+        assert not (tmp_path / "o").exists()
+
+    def test_restore_model_matches_load_state(self, workspace, tmp_path):
+        """The restore target is allocated, not drawn: every parameter is
+        bit-identical to loading the checkpoint into a seeded model."""
+        ws, cfg_path, data_dir = workspace
+        cfg = RunConfig.load(cfg_path)
+        ckpt = tmp_path / "model.snm"
+        save_checkpoint(ckpt, MotionDenoiser(cfg.model, np.random.default_rng(4))
+                        .named_parameters())
+        want = MotionDenoiser(cfg.model, np.random.default_rng(5))
+        want.load_state(load_checkpoint(ckpt))
+        got = cli._restore_model(cfg, ckpt)
+        for (name, p), (_, q) in zip(got.named_parameters(), want.named_parameters()):
+            assert p.data.dtype == q.data.dtype and p.data.shape == q.data.shape, name
+            assert p.data.tobytes() == q.data.tobytes(), name
 
     def test_report_written_atomically(self, workspace, tmp_path, monkeypatch):
         """A failed rename leaves the old report.json and no temporary file."""

@@ -14,6 +14,7 @@ from sonomotion.denoiser import (DenoiserConfig, MotionDenoiser, TrainConfig,
 from sonomotion.diffusion import cosine_schedule, sample_array
 from sonomotion.errors import ConfigError, ContractError, NumericError
 from sonomotion.losses import LossWeights
+from sonomotion.nn import EncoderBlock
 from sonomotion.skeleton import SkeletonSpec
 
 TINY = DenoiserConfig(latent=16, heads=2, layers=1, ff_mult=2,
@@ -155,9 +156,61 @@ class TestPredictX0:
             model.predict_x0(x, ts, a, s, g)
 
     @staticmethod
-    def _desk_shape_step():
-        """Record one train step at B=2, T=16, latent 32; returns the model,
-        the tape and the total loss."""
+    def _full_rows_x0(model, x, t, a, s, g) -> Tensor:
+        """Reference for predict_x0: every block computes all 2T + 2 rows, and
+        the motion rows are sliced off before the head."""
+        x, t, a, s, g, _ = model._coerce(x, t, a, s, g)
+        tokens = ad.concat([model._time_token(t), model.encode_conditions(a, s, g),
+                            model.motion_proj(Tensor(x))], axis=1)
+        tokens = ad.add(tokens, model.pos_emb[:tokens.shape[1], :])
+        for block in model.blocks:
+            tokens = block(tokens)
+        return model.head(model.final_norm(tokens[:, tokens.shape[1] - x.shape[1]:, :]))
+
+    def test_encoder_block_tail_equals_last_rows(self):
+        rng = np.random.default_rng(20)
+        block = EncoderBlock(32, 4, 2, rng)
+        x = Tensor(rng.standard_normal((3, 11, 32)))
+        full = block(x).data
+        for tail in (1, 4, 11):
+            np.testing.assert_allclose(block(x, tail).data, full[:, -tail:],
+                                       rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("cfg, b, frames", [
+        (DenoiserConfig(latent=64, heads=4, layers=2, max_frames=60), 8, 60),
+        (DenoiserConfig(), 1, 240)], ids=["desk", "full"])
+    def test_predict_x0_equals_full_rows_reference(self, cfg, b, frames):
+        model = MotionDenoiser(cfg, np.random.default_rng(21))
+        rng = np.random.default_rng(22)
+        x = rng.standard_normal((b, frames, cfg.motion_width))
+        a = rng.standard_normal((b, frames, cfg.audio_width))
+        s = rng.standard_normal((b, frames, cfg.ssl_width))
+        t, g = rng.integers(1, 1000, b), rng.integers(0, cfg.genre_vocab, b)
+        want = self._full_rows_x0(model, x, t, a, s, g).data
+        got = model.predict_x0(x, t, a, s, g).data
+        assert got.shape == want.shape == (b, frames, cfg.motion_width)
+        np.testing.assert_allclose(got, want, rtol=0,
+                                   atol=1e-12 * np.abs(want).max())
+
+    def test_tail_gradients_equal_full_rows_reference(self):
+        """Parameter gradients of the five-term loss through the last block's
+        motion rows equal those through the full-row reference, relative to
+        the largest gradient entry (the key biases' exact gradient is zero, as
+        softmax ignores a shift shared by a row's scores)."""
+        model, tape, loss = self._desk_shape_step()
+        tape.backward(loss)
+        ref, tape, loss = self._desk_shape_step(self._full_rows_x0)
+        tape.backward(loss)
+        scale = max(np.abs(q.grad).max() for q in ref.parameters())
+        for (name, p), (_, q) in zip(model.named_parameters(), ref.named_parameters()):
+            np.testing.assert_allclose(p.grad, q.grad, rtol=0, atol=1e-10 * scale,
+                                       err_msg=name)
+
+    @staticmethod
+    def _desk_shape_step(forward=MotionDenoiser.predict_x0):
+        """Record one train step at B=2, T=16, latent 32 through ``forward``
+        (model, x_t, t, a, s, g) -> x0_hat; returns the model, the tape and
+        the total loss."""
         cfg = DenoiserConfig(latent=32, heads=4, layers=2, max_frames=16)
         model = MotionDenoiser(cfg, np.random.default_rng(18))
         rng = np.random.default_rng(19)
@@ -165,7 +218,7 @@ class TestPredictX0:
         a, s = rng.standard_normal((2, 16, 2272)), rng.standard_normal((2, 16, 3))
         skel = SkeletonSpec.default()
         with Tape() as tape:
-            pred = model.predict_x0(x0, np.array([3, 9]), a, s, np.array([0, 2]))
+            pred = forward(model, x0, np.array([3, 9]), a, s, np.array([0, 2]))
             target = Tensor(x0)
             terms = {"data": losses.l_data(pred, target),
                      "geo": losses.l_geo(pred, target, skel),
@@ -177,9 +230,11 @@ class TestPredictX0:
 
     def test_desk_shape_train_step_tape_nodes(self):
         """One tape node per fused linear, attention and fk call: a train step
-        at B=2, T=16, latent 32 records 119 nodes (305 before the fused ops)."""
+        at B=2, T=16, latent 32 records 118 nodes (305 before the fused ops).
+        The last block's two row slices replace the slice before the head, and
+        the time and genre tokens come out of their ops already (B, 1, d)."""
         _, tape, _ = self._desk_shape_step()
-        assert len(tape) <= 119
+        assert len(tape) <= 118
 
     def test_backward_keeps_no_intermediate_gradients(self):
         """Only the leaves get ``.grad``; the parameter gradients match, bit
