@@ -566,14 +566,9 @@ def read_wav(path) -> AudioClip:
     return AudioClip(int(rate), scaled[:, 0], scaled[:, 1])
 
 
-def write_wav(path, clip: AudioClip, dtype: str = "float32") -> None:
-    stereo = np.stack([clip.left, clip.right], axis=1)
-    if dtype == "float32":
-        data = stereo.astype(np.float32)
-    elif dtype == "int16":
-        data = np.clip(np.round(stereo * 32767.0), -32768, 32767).astype(np.int16)
-    else:
-        raise ConfigError(f"unsupported WAV write dtype {dtype}")
+def write_wav(path, clip: AudioClip) -> None:
+    """Write ``clip`` as a 2-channel float32 WAV."""
+    data = np.stack([clip.left, clip.right], axis=1).astype(np.float32)
     write_atomically(path, lambda f: wavfile.write(f, clip.sample_rate, data))
 
 

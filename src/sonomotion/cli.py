@@ -14,6 +14,7 @@ import json
 import os
 import re
 import sys
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -175,12 +176,8 @@ def cmd_synth_data(args, cfg: RunConfig) -> int:
                                 seed=cfg.training.seed, duration=args.duration,
                                 fps=cfg.features.motion_fps,
                                 sample_rate=cfg.features.sample_rate)
-    counts: dict[str, int] = {}
-    for e in manifest.entries:
-        counts[e.tag] = counts.get(e.tag, 0) + 1
-    genre_counts: dict[str, int] = {}
-    for e in manifest.entries:
-        genre_counts[e.genre] = genre_counts.get(e.genre, 0) + 1
+    counts = Counter(e.tag for e in manifest.entries)
+    genre_counts = Counter(e.genre for e in manifest.entries)
     print(f"wrote {len(manifest.entries)} samples to {args.out}")
     for tag in sorted(counts):
         print(f"  scenario {tag}: {counts[tag]}")
@@ -265,10 +262,15 @@ def cmd_sample(args, cfg: RunConfig) -> int:
     if args.steps is not None and args.steps > cfg.diffusion_steps:
         raise ConfigError(f"--steps {args.steps} exceeds diffusion_steps "
                           f"{cfg.diffusion_steps}")
+    if args.frames is not None and args.frames > cfg.model.max_frames:
+        raise ConfigError(f"--frames {args.frames} exceeds max_frames "
+                          f"{cfg.model.max_frames}")
     model = _restore_model(cfg, args.checkpoint)
     fps = cfg.features.motion_fps
     clip = read_wav(args.audio)
     frames = args.frames or min(cfg.model.max_frames, int(clip.duration * fps))
+    covered = frames * clip.sample_rate // fps      # the audio the motion spans
+    clip = replace(clip, left=clip.left[:covered], right=clip.right[:covered])
     feats = extract_binaural(clip, cfg.features, frames, stats=_norm_stats(cfg))
     ssl = _parse_ssl(args.ssl, frames)
     genre = Genre.parse(args.genre)
@@ -312,18 +314,15 @@ def cmd_eval(args, cfg: RunConfig) -> int:
     else:
         gen_samples = test_samples    # ground truth against itself
 
-    pool = min(32, len(test_samples))
     cond_real, mot_real = extract_features(extractor, test_samples)
     cond_gen, mot_gen = extract_features(extractor, gen_samples)
     rng = np.random.default_rng(cfg.training.seed)
-    rp = r_precision(cond_gen, mot_gen, pool_size=pool, rng=rng) \
-        if len(test_samples) >= pool and pool >= 2 else \
-        {f"top{k}": float("nan") for k in (1, 2, 3)} | \
-        {f"top{k}_ci": 0.0 for k in (1, 2, 3)}
+    # two or more test items: the pool and the diversity subset are >= 2 and 1
+    rp = r_precision(cond_gen, mot_gen, pool_size=min(32, len(test_samples)),
+                     rng=rng)
     fid_val = fid(mot_real, mot_gen)
-    sd = min(64, len(gen_samples) // 2)
-    div, div_ci = diversity(mot_gen, subset_size=max(sd, 1), rng=rng) \
-        if sd >= 1 else (0.0, 0.0)
+    div, div_ci = diversity(mot_gen, subset_size=min(64, len(gen_samples) // 2),
+                            rng=rng)
     motions = np.stack([s[0] for s in gen_samples])
     apd_val = apd(motions)
     report = MetricReport(rp["top1"], rp["top1_ci"], rp["top2"], rp["top2_ci"],

@@ -807,19 +807,3 @@ def fit_feature_stats(manifest: DatasetManifest, feat_config: FeatureConfig,
         raise DataError("training split is empty; cannot fit feature statistics")
     return NormalizationStats.fit(_CachedFeatures(sources, feat_config))
 
-
-def load_recorded_dataset(root) -> DatasetManifest:
-    """Loader stub for externally captured data.
-
-    Expected layout (a guess until a public release defines one):
-        root/manifest.json        split manifest in this package's format
-        root/audio/*.wav          binaural 2-channel recordings
-        root/motion/*.json        motion files with world-frame SSL tracks
-    """
-    root = Path(root)
-    manifest_path = root / "manifest.json"
-    if not manifest_path.exists():
-        raise DataError(
-            f"no manifest at {manifest_path}; expected layout: manifest.json + "
-            "audio/*.wav + motion/*.json (see load_recorded_dataset docstring)")
-    return DatasetManifest.load(manifest_path)

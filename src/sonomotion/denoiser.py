@@ -257,16 +257,15 @@ def train_denoiser(model: MotionDenoiser, schedule: NoiseSchedule, samples,
         write_model_card(out_dir / "model_card.txt", model.config, train_cfg,
                          dataset_fingerprint(samples))
 
+    keys = ("total", "data", "geo", "foot", "traj", "rot")
     curves: dict[str, list[float]] = {k: [] for k in
-                                      ("total", "data", "geo", "foot", "traj", "rot")}
-    curves["lambda_traj"] = []
-    curves["lambda_rot"] = []
+                                      keys + ("lambda_traj", "lambda_rot")}
     n = len(samples)
     bs = min(train_cfg.batch_size, n)
     try:
         for epoch in range(train_cfg.epochs):
             order = rng.permutation(n)
-            sums = {k: 0.0 for k in ("total", "data", "geo", "foot", "traj", "rot")}
+            sums = dict.fromkeys(keys, 0.0)
             steps = 0
             w_used = weights.at_epoch(epoch)
             for start in range(0, n, bs):
@@ -280,15 +279,15 @@ def train_denoiser(model: MotionDenoiser, schedule: NoiseSchedule, samples,
                                             genre_all[idx])
                     target = Tensor(x0)
                     terms = {}
-                    for name, fn in (
-                            ("data", lambda: l_data(pred, target)),
-                            ("geo", lambda: l_geo(pred, target, skel)),
-                            ("foot", lambda: l_foot(pred, target, contact_all[idx],
-                                                    train_cfg.foot_mode)),
-                            ("traj", lambda: l_traj(pred, target)),
-                            ("rot", lambda: l_rot(pred, target))):
+                    # names read here, at call time: the benchmark's tracer wraps them
+                    for name, fn, extra in (
+                            ("data", l_data, ()),
+                            ("geo", l_geo, (skel,)),
+                            ("foot", l_foot, (contact_all[idx], train_cfg.foot_mode)),
+                            ("traj", l_traj, ()),
+                            ("rot", l_rot, ())):
                         try:
-                            terms[name] = fn()
+                            terms[name] = fn(pred, target, *extra)
                         except NumericError as e:
                             raise NumericError(
                                 f"loss term '{name}' failed at epoch {epoch}: {e}"
@@ -307,13 +306,9 @@ def train_denoiser(model: MotionDenoiser, schedule: NoiseSchedule, samples,
                 curves[name].append(sums[name] / steps)
             curves["lambda_traj"].append(w_used["traj"])
             curves["lambda_rot"].append(w_used["rot"])
-            line = (f"epoch={epoch} total={curves['total'][-1]:.6f} "
-                    f"data={curves['data'][-1]:.6f} geo={curves['geo'][-1]:.6f} "
-                    f"foot={curves['foot'][-1]:.6f} traj={curves['traj'][-1]:.6f} "
-                    f"rot={curves['rot'][-1]:.6f} "
-                    f"lambda_data={w_used['data']:g} lambda_geo={w_used['geo']:g} "
-                    f"lambda_foot={w_used['foot']:g} lambda_traj={w_used['traj']:g} "
-                    f"lambda_rot={w_used['rot']:g}")
+            line = " ".join([f"epoch={epoch}"]
+                            + [f"{k}={curves[k][-1]:.6f}" for k in keys]
+                            + [f"lambda_{k}={v:g}" for k, v in w_used.items()])
             if metrics_file:
                 metrics_file.write(line + "\n")
                 metrics_file.flush()

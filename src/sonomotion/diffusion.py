@@ -84,13 +84,19 @@ def q_sample(x0: np.ndarray, t, noise: np.ndarray,
     return np.sqrt(abar) * x0 + np.sqrt(1.0 - abar) * noise
 
 
-def posterior_coefficients(schedule: NoiseSchedule, t: int,
-                           t_prev: int | None = None) -> tuple[float, float, float]:
-    """(coef_x0, coef_xt, noise_std) for the reverse step t -> t_prev.
+def p_sample_step(x_t: np.ndarray, t: int, x0_hat: np.ndarray,
+                  schedule: NoiseSchedule, noise: np.ndarray | None = None,
+                  t_prev: int | None = None) -> np.ndarray:
+    """One ancestral reverse step t -> t_prev (default t - 1); deterministic
+    when t_prev == 0.
 
     For strided sampling t_prev may skip steps; the posterior is recomputed
     for the pair using the effective alpha = abar_t / abar_prev.
     """
+    x_t = np.asarray(x_t, dtype=np.float64)
+    x0_hat = np.asarray(x0_hat, dtype=np.float64)
+    if x0_hat.shape != x_t.shape:
+        raise ShapeError(f"x0_hat shape {x0_hat.shape} != x_t shape {x_t.shape}")
     if t_prev is None:
         t_prev = t - 1
     if not (0 <= t_prev < t <= schedule.steps):
@@ -103,21 +109,8 @@ def posterior_coefficients(schedule: NoiseSchedule, t: int,
     coef_x0 = np.sqrt(abar_prev) * beta_eff / denom
     coef_xt = np.sqrt(alpha_eff) * (1.0 - abar_prev) / denom
     var = (1.0 - abar_prev) / denom * beta_eff
-    return float(coef_x0), float(coef_xt), float(np.sqrt(max(var, 0.0)))
-
-
-def p_sample_step(x_t: np.ndarray, t: int, x0_hat: np.ndarray,
-                  schedule: NoiseSchedule, noise: np.ndarray | None = None,
-                  t_prev: int | None = None) -> np.ndarray:
-    """One ancestral reverse step; deterministic when t_prev == 0."""
-    x_t = np.asarray(x_t, dtype=np.float64)
-    x0_hat = np.asarray(x0_hat, dtype=np.float64)
-    if x0_hat.shape != x_t.shape:
-        raise ShapeError(f"x0_hat shape {x0_hat.shape} != x_t shape {x_t.shape}")
-    if t_prev is None:
-        t_prev = t - 1
-    c0, ct, std = posterior_coefficients(schedule, t, t_prev)
-    mean = c0 * x0_hat + ct * x_t
+    std = np.sqrt(max(var, 0.0))
+    mean = coef_x0 * x0_hat + coef_xt * x_t
     if t_prev == 0 or std == 0.0 or noise is None:
         return mean
     return mean + std * np.asarray(noise, dtype=np.float64)

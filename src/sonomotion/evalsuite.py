@@ -146,14 +146,11 @@ class ExtractorModel(Module):
     def encode_condition(self, audio, ssl, genre) -> Tensor:
         return self.cond_gru(self.condition_input(audio, ssl, genre))
 
-    def encode_motion(self, motion, reconstruct: bool = True) -> Tensor:
+    def encode_motion(self, motion) -> Tensor:
         motion = np.asarray(getattr(motion, "data", motion), dtype=np.float64)
         if motion.ndim == 2:
             motion = motion[None]
-        x = Tensor(motion)
-        if reconstruct:
-            x = self.autoencoder(x)
-        return self.motion_gru(x)
+        return self.motion_gru(self.autoencoder(Tensor(motion)))
 
 
 @dataclass

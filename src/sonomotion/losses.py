@@ -46,25 +46,28 @@ def _check_pair(pred: Tensor, target: Tensor) -> None:
         raise ShapeError(f"prediction {pred.shape} != target {target.shape}")
 
 
+def _mse_with_diff(pred: Tensor, target: Tensor) -> Tensor:
+    """MSE of the values plus MSE of their frame difference."""
+    return ad.add(ad.mse(pred, target),
+                  ad.mse(_frame_diff(pred), _frame_diff(target)))
+
+
 def l_data(pred: Tensor, target: Tensor) -> Tensor:
     """MSE on the packed motion vector plus MSE on its frame difference."""
     _check_pair(pred, target)
-    return ad.add(ad.mse(pred, target),
-                  ad.mse(_frame_diff(pred), _frame_diff(target)))
+    return _mse_with_diff(pred, target)
 
 
 def l_traj(pred: Tensor, target: Tensor) -> Tensor:
     """Same structure as l_data restricted to the root position track."""
     _check_pair(pred, target)
-    pt, tt = pred[..., 0:3], target[..., 0:3]
-    return ad.add(ad.mse(pt, tt), ad.mse(_frame_diff(pt), _frame_diff(tt)))
+    return _mse_with_diff(pred[..., 0:3], target[..., 0:3])
 
 
 def l_rot(pred: Tensor, target: Tensor) -> Tensor:
     """Same structure as l_data restricted to the 150-wide rotation block."""
     _check_pair(pred, target)
-    pr, tr = pred[..., ROT_SLICE], target[..., ROT_SLICE]
-    return ad.add(ad.mse(pr, tr), ad.mse(_frame_diff(pr), _frame_diff(tr)))
+    return _mse_with_diff(pred[..., ROT_SLICE], target[..., ROT_SLICE])
 
 
 # ---------------------------------------------------------------------------
@@ -110,9 +113,7 @@ def l_geo(pred: Tensor, target: Tensor, skel: SkeletonSpec) -> Tensor:
     fk_tgt = Tensor(forward_kinematics(skel, tgt[..., 0:3], tgt_rot)
                     .reshape(batch + (JOINT_COUNT * 3,)))
 
-    fk_pred = ad.reshape(fk_pred, batch + (JOINT_COUNT * 3,))
-    return ad.add(ad.mse(fk_pred, fk_tgt),
-                  ad.mse(_frame_diff(fk_pred), _frame_diff(fk_tgt)))
+    return _mse_with_diff(ad.reshape(fk_pred, batch + (JOINT_COUNT * 3,)), fk_tgt)
 
 
 def l_foot(pred: Tensor, target: Tensor, contacts: np.ndarray,

@@ -8,7 +8,6 @@ plane, and a character with an identity root rotation faces the -y axis
 from __future__ import annotations
 
 import base64
-import csv
 import enum
 import json
 from dataclasses import dataclass
@@ -34,7 +33,6 @@ VEL_SLICE = slice(POS_WIDTH + ROT_WIDTH, FRAME_WIDTH)
 ROOT_POS_SLICE = slice(0, 3)
 
 REST_FORWARD = np.array([0.0, -1.0, 0.0])
-REST_UP = np.array([0.0, 0.0, 1.0])
 
 
 class Genre(enum.IntEnum):
@@ -120,17 +118,6 @@ class SkeletonSpec:
         spec.left_foot = names.index("left_foot") if "left_foot" in names else 10
         spec.right_foot = names.index("right_foot") if "right_foot" in names else 11
         return spec
-
-    @classmethod
-    def load(cls, path) -> "SkeletonSpec":
-        return cls.from_text(Path(path).read_text())
-
-    def save(self, path) -> None:
-        lines = ["# index name parent ox oy oz"]
-        for i, name in enumerate(self.names):
-            ox, oy, oz = self.offsets[i]
-            lines.append(f"{i} {name} {self.parents[i]} {ox:.6f} {oy:.6f} {oz:.6f}")
-        Path(path).write_text("\n".join(lines) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -365,18 +352,14 @@ def assemble_vector(m: MotionSequence) -> np.ndarray:
     return np.concatenate([m.p, m.r, m.v], axis=1)
 
 
-def disassemble_vector(x: np.ndarray, fps: float,
-                       validate_rotations: bool = False) -> MotionSequence:
+def disassemble_vector(x: np.ndarray, fps: float) -> MotionSequence:
     """Inverse of assemble_vector. Raw generative samples may carry rotation
-    blocks that are not yet orthonormal, so validation is opt-in."""
+    blocks that are not yet orthonormal, so none are validated here."""
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != FRAME_WIDTH:
         raise LayoutError(f"expected (T, {FRAME_WIDTH}), got {x.shape}")
-    m = MotionSequence(fps, x[:, POS_SLICE].copy(), x[:, ROT_SLICE].copy(),
-                       x[:, VEL_SLICE].copy())
-    if validate_rotations:
-        m.validate_rotations()
-    return m
+    return MotionSequence(fps, x[:, POS_SLICE].copy(), x[:, ROT_SLICE].copy(),
+                          x[:, VEL_SLICE].copy())
 
 
 # ---------------------------------------------------------------------------
@@ -405,14 +388,6 @@ def detect_foot_contacts(p: np.ndarray, fps: float, skel: SkeletonSpec,
     return (speed < speed_threshold) & (height < height_threshold)
 
 
-def facing_direction(root_rot: np.ndarray) -> np.ndarray:
-    """Forward axis of a root rotation projected to the ground plane."""
-    f = np.asarray(root_rot) @ REST_FORWARD
-    f = f.copy()
-    f[..., 2] = 0.0
-    return f
-
-
 def normalize_sequence(m: MotionSequence,
                        ssl_world: np.ndarray | SslTrack) -> tuple[MotionSequence, SslTrack]:
     """Re-anchor frame 0 to the origin facing -y; SSL to per-frame local space.
@@ -428,7 +403,8 @@ def normalize_sequence(m: MotionSequence,
 
     rot = m.rotation_matrices()                     # (T, J, 3, 3)
     root_rot = rot[:, 0]
-    f = facing_direction(root_rot[0])
+    f = root_rot[0] @ REST_FORWARD                  # frame-0 facing, on the ground
+    f[2] = 0.0
     norm = np.linalg.norm(f)
     if norm < 1e-8:
         raise ContractError("frame-0 facing direction is vertical; cannot normalize")
@@ -546,16 +522,3 @@ def load_motion(path) -> tuple[MotionSequence, SslTrack | None, Genre | None, di
     genre = Genre.parse(doc["genre"]) if doc.get("genre") else None
     return m, ssl, genre, doc.get("extras", {})
 
-
-def export_csv(path, m: MotionSequence) -> None:
-    """Flat per-frame CSV (frame, time, then the 300 packed columns)."""
-    x = assemble_vector(m)
-    header = (["frame", "time"]
-              + [f"p{i}" for i in range(POS_WIDTH)]
-              + [f"r{i}" for i in range(ROT_WIDTH)]
-              + [f"v{i}" for i in range(VEL_WIDTH)])
-    with open(path, "w", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(header)
-        for t in range(m.frames):
-            writer.writerow([t, t / m.fps] + [f"{v:.9g}" for v in x[t]])

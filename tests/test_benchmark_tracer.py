@@ -4,7 +4,9 @@
 up by name (``losses.l_data``, ``nn.SelfAttention.__call__``,
 ``AdamW.__dict__["step"]``, ``MotionDenoiser.cond_proj`` and others), so
 deleting or renaming one of them breaks a traced benchmark run. The
-benchmark's own tests are not collected with these, hence this guard.
+benchmark's own tests (``benchmark/tests``) are collected with these and
+install the tracer too; this guard keeps the lookup next to the package's
+own tests.
 """
 
 import sys

@@ -11,7 +11,7 @@ from sonomotion import cli
 from sonomotion.checkpoint import load_checkpoint, save_checkpoint
 from sonomotion.cli import (EXIT_DATA, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, RunConfig,
                             main)
-from sonomotion.audio import FeatureConfig
+from sonomotion.audio import AudioClip, FeatureConfig, read_wav, write_wav
 from sonomotion.denoiser import DenoiserConfig, MotionDenoiser, TrainConfig
 from sonomotion.errors import ConfigError
 from sonomotion.skeleton import load_motion
@@ -250,6 +250,32 @@ class TestFeaturesTrainSample:
         assert by_global == by_own == own_wins
         assert load_motion(tmp_path / "g" / "generated_000.json")[3]["seed"] == 5
 
+    def test_sample_reads_only_the_audio_its_motion_covers(self, workspace,
+                                                           tmp_path):
+        """A 30 s WAV gives the same file as that WAV cut to the 60 frames
+        (2 s) that max_frames lets the motion cover."""
+        ws, cfg_path, data_dir = workspace
+        cfg = RunConfig.load(cfg_path)
+        ckpt = tmp_path / "model.snm"
+        save_checkpoint(ckpt, MotionDenoiser(cfg.model, np.random.default_rng(0))
+                        .named_parameters())
+        clip = read_wav(next((data_dir / "audio").glob("*.wav")))
+        write_wav(tmp_path / "long.wav", AudioClip(
+            clip.sample_rate, np.tile(clip.left, 15), np.tile(clip.right, 15)))
+        covered = cfg.model.max_frames * clip.sample_rate // cfg.features.motion_fps
+        write_wav(tmp_path / "cut.wav", AudioClip(
+            clip.sample_rate, clip.left[:covered], clip.right[:covered]))
+        outputs = []
+        for name in ("long", "cut"):
+            rc = main(["--config", str(cfg_path), "sample", "--checkpoint",
+                       str(ckpt), "--audio", str(tmp_path / f"{name}.wav"),
+                       "--ssl", "0,1,0", "--steps", "2",
+                       "--out", str(tmp_path / name)])
+            assert rc == EXIT_OK
+            outputs.append((tmp_path / name / "generated_000.json").read_bytes())
+        assert outputs[0] == outputs[1]
+        assert json.loads(outputs[0])["frames"] == cfg.model.max_frames
+
     def test_sample_with_ssl_track_file(self, workspace, tmp_path):
         ws, cfg_path, data_dir = workspace
         ckpt = ws / "ckpt" / "checkpoint_final.snm"
@@ -401,11 +427,13 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("flag, value", [
         ("--frames", "-5"), ("--frames", "0"), ("--steps", "0"), ("--steps", "-3"),
-        ("--steps", "50"), ("--count", "0"), ("--count", "-2")])
+        ("--steps", "50"), ("--count", "0"), ("--count", "-2"),
+        ("--frames", "61")])
     def test_sample_flag_out_of_range_is_usage_error(self, workspace, tmp_path,
                                                      capsys, flag, value):
-        """--steps, --frames and --count must be >= 1, and --steps at most
-        diffusion_steps (8 here): exit 1 with one line naming the flag."""
+        """--steps, --frames and --count must be >= 1, --steps at most
+        diffusion_steps (8 here) and --frames at most max_frames (60): exit 1
+        with one line naming the flag."""
         ws, cfg_path, data_dir = workspace
         ckpt = tmp_path / "model.snm"
         save_checkpoint(ckpt, MotionDenoiser(RunConfig.load(cfg_path).model,

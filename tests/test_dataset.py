@@ -412,13 +412,16 @@ class TestLoadSample:
             ds.load_sample(bad_manifest, e, FeatureConfig())
         assert e.sample_id in str(err.value)
 
-    def test_recorded_dataset_stub(self, small_dataset, tmp_path):
+    def test_recorded_layout_loads_through_manifest(self, small_dataset,
+                                                    tmp_path):
+        """Recorded data uses the generator's layout: manifest.json beside
+        audio/*.wav and motion/*.json."""
         root, _ = small_dataset
-        loaded = ds.load_recorded_dataset(root)
+        loaded = ds.DatasetManifest.load(root / "manifest.json")
         assert len(loaded.entries) == 10
         from sonomotion.errors import DataError
         with pytest.raises(DataError):
-            ds.load_recorded_dataset(tmp_path / "nowhere")
+            ds.DatasetManifest.load(tmp_path / "nowhere" / "manifest.json")
 
     def test_higher_fps_motion_resampled(self, small_dataset, tmp_path):
         root, manifest = small_dataset

@@ -313,6 +313,9 @@ class TestTraining:
         log_lines = (tmp_path / "metrics.log").read_text().splitlines()
         assert "lambda_traj=1" in log_lines[bump - 1]
         assert "lambda_traj=3" in log_lines[bump]
+        assert [tok.split("=")[0] for tok in log_lines[0].split(" ")] == [
+            "epoch", "total", "data", "geo", "foot", "traj", "rot", "lambda_data",
+            "lambda_geo", "lambda_foot", "lambda_traj", "lambda_rot"]
         assert (tmp_path / "model_card.txt").exists()
         assert (tmp_path / "checkpoint_final.snm").exists()
 

@@ -117,6 +117,30 @@ class TestPSampleStep:
         want = SCHED_1000.posterior_var[t]
         assert abs(var - want) / want < 0.02
 
+    def test_strided_step_matches_closed_form(self):
+        """t -> t_prev skipping steps uses the posterior of that pair, with
+        alpha = abar_t / abar_prev: its mean and its noise scale."""
+        rng = np.random.default_rng(8)
+        t, t_prev = 700, 650
+        ab, ab_prev = SCHED_1000.alpha_bars[t], SCHED_1000.alpha_bars[t_prev]
+        alpha = ab / ab_prev
+        xt, x0h, noise = rng.standard_normal((3, 4, 5))
+        mean = (np.sqrt(ab_prev) * (1.0 - alpha) * x0h
+                + np.sqrt(alpha) * (1.0 - ab_prev) * xt) / (1.0 - ab)
+        std = np.sqrt((1.0 - ab_prev) / (1.0 - ab) * (1.0 - alpha))
+        assert std > 2.0 * np.sqrt(SCHED_1000.posterior_var[t])
+        quiet = df.p_sample_step(xt, t, x0h, SCHED_1000, t_prev=t_prev)
+        np.testing.assert_allclose(quiet, mean, rtol=1e-12, atol=1e-12)
+        noisy = df.p_sample_step(xt, t, x0h, SCHED_1000, noise, t_prev=t_prev)
+        np.testing.assert_allclose(noisy - quiet, std * noise, rtol=1e-12,
+                                   atol=1e-12)
+
+    @pytest.mark.parametrize("t_prev", [5, 6])
+    def test_step_that_does_not_go_down_is_contract_error(self, t_prev):
+        with pytest.raises(ContractError):
+            df.p_sample_step(np.zeros(2), 5, np.zeros(2), SCHED_1000,
+                             t_prev=t_prev)
+
 
 class TestSampling:
     def test_stub_model_collapses_to_zero(self):

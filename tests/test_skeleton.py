@@ -336,24 +336,6 @@ class TestMotionFiles:
         sk.save_motion(path, m, sk.SslTrack(rng.standard_normal((7, 3))))
         assert sk.read_motion_header(path) == (7, 25.0)
 
-    def test_csv_export(self, tmp_path):
-        rng = np.random.default_rng(15)
-        m, _ = make_motion(rng, frames=3)
-        path = tmp_path / "m.csv"
-        sk.export_csv(path, m)
-        lines = path.read_text().strip().splitlines()
-        assert len(lines) == 4                       # header + 3 frames
-        assert len(lines[0].split(",")) == 302       # frame, time, 300 columns
-
-    def test_skeleton_file_roundtrip(self, tmp_path):
-        skel = sk.SkeletonSpec.default()
-        path = tmp_path / "skel.txt"
-        skel.save(path)
-        loaded = sk.SkeletonSpec.load(path)
-        assert loaded.names == skel.names
-        np.testing.assert_array_equal(loaded.parents, skel.parents)
-        np.testing.assert_allclose(loaded.offsets, skel.offsets)
-
     def test_genre_parse(self):
         assert sk.Genre.parse("dull") is sk.Genre.DULL
         assert sk.Genre.parse(2) is sk.Genre.SENSITIVE
