@@ -438,8 +438,10 @@ def extract_ear(x: np.ndarray, config: FeatureConfig) -> np.ndarray:
 
 def extract_binaural(clip: AudioClip, config: FeatureConfig, t_target: int,
                      stats: "NormalizationStats | None" = None) -> AudioFeatureMatrix:
-    """(T_target, 2272) features, optionally z-scored with training statistics."""
-    left, right = clip.left, clip.right
+    """(T_target, 2272) features of only the audio the T_target motion frames
+    span, optionally z-scored with training statistics."""
+    covered = t_target * clip.sample_rate // config.motion_fps
+    left, right = clip.left[:covered], clip.right[:covered]
     if clip.sample_rate != config.sample_rate:
         left = resample_channel(left, clip.sample_rate, config.sample_rate)
         right = resample_channel(right, clip.sample_rate, config.sample_rate)

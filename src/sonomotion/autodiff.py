@@ -100,9 +100,10 @@ class Tape:
     """Ordered record of primitive ops for one reverse-mode pass.
 
     Use as a context manager around the forward computation; ``backward``
-    then fills ``Tensor.grad`` for every gradient-requiring leaf the tape
-    touched, that is an input no recorded op produced (zeros for leaves with
-    no path to the loss). Intermediate outputs keep ``grad`` unset, so their
+    then sets ``Tensor.grad`` on every gradient-requiring leaf the tape
+    touched, that is an input no recorded op produced: d(loss)/d(leaf), or
+    ``None`` for a leaf with no path to the loss, which the optimizer then
+    leaves as it is. Intermediate outputs keep ``grad`` unset, so their
     gradients are freed as the sweep passes them.
     """
 
@@ -130,7 +131,8 @@ class Tape:
         self._nodes.append((out, inputs, backward_fn))
 
     def backward(self, loss: Tensor) -> None:
-        """Store d(loss)/d(leaf) in ``.grad`` for every taped leaf tensor."""
+        """Store d(loss)/d(leaf), or None off the loss's path, in ``.grad``
+        for every taped leaf tensor."""
         if not isinstance(loss, Tensor) or loss.size != 1:
             raise ContractError("backward requires a scalar loss tensor")
         grads: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.data)}
@@ -154,9 +156,7 @@ class Tape:
                 acc = grads.get(id(t))
                 grads[id(t)] = ig if acc is None else acc + ig
         for tid, t in leaves.items():
-            g = grads.get(tid)
-            # leaves with no path to the loss receive explicit zeros
-            t.grad = g if g is not None else np.zeros_like(t.data)
+            t.grad = grads.get(tid)
 
 
 def _record(out: Tensor, inputs: tuple[Tensor, ...], backward_fn) -> Tensor:

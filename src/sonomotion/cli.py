@@ -243,7 +243,8 @@ def cmd_train(args, cfg: RunConfig) -> int:
         if epoch % verbose_every == 0 or epoch == train_cfg.epochs - 1:
             print(line)
 
-    train_denoiser(model, schedule, samples, skel, train_cfg, log_fn=log_fn)
+    train_denoiser(model, schedule, samples, skel, train_cfg,
+                   fps=cfg.features.motion_fps, log_fn=log_fn)
     print(f"checkpoints in {train_cfg.out_dir}")
     return EXIT_OK
 
@@ -269,8 +270,6 @@ def cmd_sample(args, cfg: RunConfig) -> int:
     fps = cfg.features.motion_fps
     clip = read_wav(args.audio)
     frames = args.frames or min(cfg.model.max_frames, int(clip.duration * fps))
-    covered = frames * clip.sample_rate // fps      # the audio the motion spans
-    clip = replace(clip, left=clip.left[:covered], right=clip.right[:covered])
     feats = extract_binaural(clip, cfg.features, frames, stats=_norm_stats(cfg))
     ssl = _parse_ssl(args.ssl, frames)
     genre = Genre.parse(args.genre)

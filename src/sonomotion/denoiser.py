@@ -12,20 +12,21 @@ from __future__ import annotations
 
 import hashlib
 import time
+from contextlib import nullcontext
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import Tape, Tensor
+from .autodiff import Tensor
 from .checkpoint import save_checkpoint, write_atomically
 from .diffusion import NoiseSchedule, q_sample, sample_array
 from .errors import ConfigError, ContractError, NumericError
 from .losses import LossWeights, l_data, l_foot, l_geo, l_rot, l_traj, total_loss
 from .nn import (EncoderBlock, Embedding, LayerNorm, Linear, Module,
                  sinusoidal_embedding)
-from .optim import AdamW
+from .optim import AdamW, fit
 from .skeleton import (FRAME_WIDTH, MotionSequence, SkeletonSpec,
                        compute_velocities, detect_foot_contacts,
                        disassemble_vector)
@@ -167,8 +168,6 @@ class TrainConfig:
     checkpoint_every: int = 0           # 0 disables periodic checkpoints
     out_dir: str | None = None
     foot_mode: str = "magnitude"
-    foot_speed_threshold: float = 0.1
-    foot_height_threshold: float = 0.06
 
     def __post_init__(self):
         if self.epochs < 1 or self.batch_size < 1:
@@ -185,20 +184,6 @@ class TrainSample:
     audio: np.ndarray     # (T, 2272)
     ssl: np.ndarray       # (T, 3)
     genre: int
-    contacts: np.ndarray = None  # (T, 2) bool, derived from x0 if omitted
-
-
-def prepare_samples(raw, skel: SkeletonSpec, fps: float,
-                    cfg: TrainConfig) -> list[TrainSample]:
-    out = []
-    for item in raw:
-        s = item if isinstance(item, TrainSample) else TrainSample(*item)
-        if s.contacts is None:
-            s.contacts = detect_foot_contacts(
-                s.x0[:, :75], fps, skel,
-                cfg.foot_speed_threshold, cfg.foot_height_threshold)
-        out.append(s)
-    return out
 
 
 def dataset_fingerprint(samples: list[TrainSample]) -> str:
@@ -234,96 +219,80 @@ def train_denoiser(model: MotionDenoiser, schedule: NoiseSchedule, samples,
     1..steps, noise the clean motion, predict x0, apply the weighted loss,
     and take one AdamW step. Returns per-epoch curves for every term.
     """
-    samples = prepare_samples(samples, skel, fps, train_cfg)
+    samples = [s if isinstance(s, TrainSample) else TrainSample(*s)
+               for s in samples]
     if not samples:
         raise ContractError("empty training set")
     if weights is None:
         weights = LossWeights.with_schedule(train_cfg.epochs)
     rng = np.random.default_rng(train_cfg.seed)
-    params = model.parameters()
-    opt = AdamW(params, lr=train_cfg.lr, weight_decay=train_cfg.weight_decay)
+    opt = AdamW(model.parameters(), lr=train_cfg.lr,
+                weight_decay=train_cfg.weight_decay)
 
     x0_all = np.stack([s.x0 for s in samples])
     audio_all = np.stack([s.audio for s in samples])
     ssl_all = np.stack([s.ssl for s in samples])
     genre_all = np.array([s.genre for s in samples], dtype=np.int64)
-    contact_all = np.stack([s.contacts for s in samples])
+    contact_all = np.stack([detect_foot_contacts(s.x0[:, :75], fps, skel)
+                            for s in samples])
 
     out_dir = Path(train_cfg.out_dir) if train_cfg.out_dir else None
-    metrics_file = None
     if out_dir:
         out_dir.mkdir(parents=True, exist_ok=True)
-        metrics_file = open(out_dir / "metrics.log", "w")
         write_model_card(out_dir / "model_card.txt", model.config, train_cfg,
                          dataset_fingerprint(samples))
 
+    def step(epoch, idx):
+        x0 = x0_all[idx]
+        t = rng.integers(1, schedule.steps + 1, size=idx.size)
+        noise = rng.standard_normal(x0.shape)
+        x_t = q_sample(x0, t, noise, schedule)
+        pred = model.predict_x0(x_t, t, audio_all[idx], ssl_all[idx],
+                                genre_all[idx])
+        target = Tensor(x0)
+        terms = {}
+        # names read here, at call time: the benchmark's tracer wraps them
+        for name, fn, extra in (
+                ("data", l_data, ()),
+                ("geo", l_geo, (skel,)),
+                ("foot", l_foot, (contact_all[idx], train_cfg.foot_mode)),
+                ("traj", l_traj, ()),
+                ("rot", l_rot, ())):
+            try:
+                terms[name] = fn(pred, target, *extra)
+            except NumericError as e:
+                raise NumericError(
+                    f"loss term '{name}' failed at epoch {epoch}: {e}") from e
+        terms["total"] = total_loss(terms, weights, epoch)[0]
+        return terms["total"], terms
+
     keys = ("total", "data", "geo", "foot", "traj", "rot")
-    curves: dict[str, list[float]] = {k: [] for k in
-                                      keys + ("lambda_traj", "lambda_rot")}
-    n = len(samples)
-    bs = min(train_cfg.batch_size, n)
-    try:
-        for epoch in range(train_cfg.epochs):
-            order = rng.permutation(n)
-            sums = dict.fromkeys(keys, 0.0)
-            steps = 0
-            w_used = weights.at_epoch(epoch)
-            for start in range(0, n, bs):
-                idx = order[start:start + bs]
-                x0 = x0_all[idx]
-                t = rng.integers(1, schedule.steps + 1, size=idx.size)
-                noise = rng.standard_normal(x0.shape)
-                x_t = q_sample(x0, t, noise, schedule)
-                with Tape() as tape:
-                    pred = model.predict_x0(x_t, t, audio_all[idx], ssl_all[idx],
-                                            genre_all[idx])
-                    target = Tensor(x0)
-                    terms = {}
-                    # names read here, at call time: the benchmark's tracer wraps them
-                    for name, fn, extra in (
-                            ("data", l_data, ()),
-                            ("geo", l_geo, (skel,)),
-                            ("foot", l_foot, (contact_all[idx], train_cfg.foot_mode)),
-                            ("traj", l_traj, ()),
-                            ("rot", l_rot, ())):
-                        try:
-                            terms[name] = fn(pred, target, *extra)
-                        except NumericError as e:
-                            raise NumericError(
-                                f"loss term '{name}' failed at epoch {epoch}: {e}"
-                            ) from e
-                        if not np.isfinite(terms[name].data):
-                            raise NumericError(
-                                f"loss term '{name}' is non-finite at epoch {epoch}")
-                    loss, w_used = total_loss(terms, weights, epoch)
-                    tape.backward(loss)
-                opt.step()
-                for name in terms:
-                    sums[name] += terms[name].item()
-                sums["total"] += loss.item()
-                steps += 1
-            for name in sums:
-                curves[name].append(sums[name] / steps)
-            curves["lambda_traj"].append(w_used["traj"])
-            curves["lambda_rot"].append(w_used["rot"])
-            line = " ".join([f"epoch={epoch}"]
-                            + [f"{k}={curves[k][-1]:.6f}" for k in keys]
-                            + [f"lambda_{k}={v:g}" for k, v in w_used.items()])
-            if metrics_file:
-                metrics_file.write(line + "\n")
-                metrics_file.flush()
-            if log_fn:
-                log_fn(epoch, line)
-            if (out_dir and train_cfg.checkpoint_every
-                    and (epoch + 1) % train_cfg.checkpoint_every == 0):
-                save_checkpoint(out_dir / f"checkpoint_{epoch + 1:06d}.snm",
-                                model.named_parameters())
+
+    def end_epoch(epoch, means):
+        w = weights.at_epoch(epoch)
+        line = " ".join([f"epoch={epoch}"]
+                        + [f"{k}={means[k]:.6f}" for k in keys]
+                        + [f"lambda_{k}={v:g}" for k, v in w.items()])
+        if metrics_file:
+            metrics_file.write(line + "\n")
+            metrics_file.flush()
+        if log_fn:
+            log_fn(epoch, line)
+        if (out_dir and train_cfg.checkpoint_every
+                and (epoch + 1) % train_cfg.checkpoint_every == 0):
+            save_checkpoint(out_dir / f"checkpoint_{epoch + 1:06d}.snm",
+                            model.named_parameters())
+
+    with (open(out_dir / "metrics.log", "w") if out_dir
+          else nullcontext()) as metrics_file:
+        curves = fit(opt, step, len(samples), train_cfg.batch_size,
+                     train_cfg.epochs, rng, end_epoch)
         if out_dir:
             save_checkpoint(out_dir / "checkpoint_final.snm",
                             model.named_parameters())
-    finally:
-        if metrics_file:
-            metrics_file.close()
+    for k in ("traj", "rot"):
+        curves[f"lambda_{k}"] = [weights.at_epoch(e)[k]
+                                 for e in range(train_cfg.epochs)]
     return curves
 
 

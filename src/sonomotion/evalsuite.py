@@ -18,11 +18,11 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import Tape, Tensor
+from .autodiff import Tensor
 from .errors import ConfigError, ContractError, NumericError, SamplingError, ShapeError
 from .nn import (BiGRUEncoder, DecoderBlock, EncoderBlock, LayerNorm, Linear,
                  Module)
-from .optim import AdamW
+from .optim import AdamW, fit
 from .skeleton import FRAME_WIDTH
 
 log = logging.getLogger(__name__)
@@ -71,9 +71,7 @@ class ExtractorConfig:
     ae_latent: int = 32
     ae_layers: int = 1
     ae_heads: int = 2
-    ae_ff_mult: int = 2
     max_frames: int = 240
-    margin: float = 10.0
 
     def __post_init__(self):
         if self.hidden <= self.ssl_width + 1:
@@ -90,7 +88,8 @@ class ExtractorConfig:
 
 
 class MotionAutoencoder(Module):
-    """Transformer encoder-decoder reconstructing (B, T, 300) sequences."""
+    """Transformer encoder-decoder reconstructing (B, T, 300) sequences; its
+    feed-forward layers are twice the latent width."""
 
     def __init__(self, cfg: ExtractorConfig, rng: np.random.Generator):
         d = cfg.ae_latent
@@ -98,11 +97,11 @@ class MotionAutoencoder(Module):
         self.in_proj = Linear(cfg.motion_width, d, rng)
         self.enc_pos = Tensor(rng.uniform(-0.02, 0.02, (cfg.max_frames, d)),
                               requires_grad=True)
-        self.encoder = [EncoderBlock(d, cfg.ae_heads, cfg.ae_ff_mult, rng)
+        self.encoder = [EncoderBlock(d, cfg.ae_heads, 2, rng)
                         for _ in range(cfg.ae_layers)]
         self.queries = Tensor(rng.uniform(-0.02, 0.02, (cfg.max_frames, d)),
                               requires_grad=True)
-        self.decoder = [DecoderBlock(d, cfg.ae_heads, cfg.ae_ff_mult, rng)
+        self.decoder = [DecoderBlock(d, cfg.ae_heads, 2, rng)
                         for _ in range(cfg.ae_layers)]
         self.final_norm = LayerNorm(d)
         self.out_proj = Linear(d, cfg.motion_width, rng)
@@ -159,19 +158,19 @@ class ExtractorTrainConfig:
     batch_size: int = 16
     lr: float = 5e-5
     seed: int = 0
-    freeze_fraction: float = 2.0 / 3.0   # autoencoder freezes after this point
 
     def __post_init__(self):
-        if self.epochs < 1 or self.batch_size < 1:
-            raise ConfigError("extractor epochs and batch_size must be >= 1")
+        if self.epochs < 1:
+            raise ConfigError("extractor epochs must be >= 1")
+        if self.batch_size < 2:     # each contrastive pair needs two items
+            raise ConfigError("extractor batch_size must be >= 2")
         if not self.lr > 0:     # also rejects nan
             raise ConfigError("extractor learning rate must be positive")
-        if not 0.0 < self.freeze_fraction <= 1.0:
-            raise ConfigError("freeze_fraction must be in (0, 1]")
 
     @property
     def freeze_epoch(self) -> int:
-        return int(self.freeze_fraction * self.epochs)
+        """The autoencoder trains for the first two thirds of the epochs."""
+        return 2 * self.epochs // 3
 
 
 def train_extractor(samples, cfg: ExtractorConfig,
@@ -181,65 +180,48 @@ def train_extractor(samples, cfg: ExtractorConfig,
 
     ``samples`` is a list of (x0 (T,300), audio (T,audio_width), ssl (T,3),
     genre int) tuples. Mismatched pairs are built in-batch, one per positive,
-    by pairing each condition with the next item's motion.
+    by pairing each condition with the next item's motion. From the freeze
+    epoch on, the reconstruction is detached, so the autoencoder gets no
+    gradient and the optimizer leaves it as it is.
     """
     if len(samples) < 2:
         raise ContractError("extractor training needs at least 2 samples")
     rng = np.random.default_rng(train_cfg.seed)
     model = ExtractorModel(cfg, rng)
-    ae_params = set(id(p) for p in model.autoencoder.parameters())
-    enc_params = [p for p in model.parameters() if id(p) not in ae_params]
-    opt_enc = AdamW(enc_params, lr=train_cfg.lr)
-    opt_ae = AdamW(model.autoencoder.parameters(), lr=train_cfg.lr)
+    opt = AdamW(model.parameters(), lr=train_cfg.lr)
 
     x0 = np.stack([np.asarray(s[0], dtype=np.float64) for s in samples])
     audio = np.stack([np.asarray(s[1], dtype=np.float64) for s in samples])
     ssl = np.stack([np.asarray(s[2], dtype=np.float64) for s in samples])
     genre = np.array([int(s[3]) for s in samples], dtype=np.int64)
 
-    n = x0.shape[0]
-    bs = min(train_cfg.batch_size, n)
-    curves = {"contrastive": [], "reconstruction": []}
-    frozen = False
-    for epoch in range(train_cfg.epochs):
-        if not frozen and epoch >= train_cfg.freeze_epoch:
-            frozen = True
+    def step(epoch, idx):
+        recon = model.autoencoder(Tensor(x0[idx]))
+        if epoch >= train_cfg.freeze_epoch:
+            recon = Tensor(recon.data)
+        rec_loss = ad.mse(recon, Tensor(x0[idx]))
+        cond = model.encode_condition(audio[idx], ssl[idx], genre[idx])
+        mot = model.motion_gru(recon)
+        mot_shift = ad.concat([mot[1:, :], mot[0:1, :]], axis=0)
+        c_feats = ad.concat([cond, cond], axis=0)
+        m_feats = ad.concat([mot, mot_shift], axis=0)
+        y = np.concatenate([np.zeros(idx.size), np.ones(idx.size)])
+        ctr_loss = contrastive_loss(c_feats, m_feats, y)
+        return (ad.add(ctr_loss, rec_loss),
+                {"contrastive": ctr_loss, "reconstruction": rec_loss})
+
+    def end_epoch(epoch, means):
+        if epoch == train_cfg.freeze_epoch:
             msg = f"epoch={epoch} autoencoder_frozen=1"
             log.info(msg)
             if log_fn:
                 log_fn(epoch, msg)
-        order = rng.permutation(n)
-        c_sum = r_sum = 0.0
-        steps = 0
-        for start in range(0, n, bs):
-            idx = order[start:start + bs]
-            if idx.size < 2:
-                continue
-            with Tape() as tape:
-                recon = model.autoencoder(Tensor(x0[idx]))
-                rec_loss = ad.mse(recon, Tensor(x0[idx]))
-                cond = model.encode_condition(audio[idx], ssl[idx], genre[idx])
-                mot = model.motion_gru(recon)
-                mot_shift = ad.concat([mot[1:, :], mot[0:1, :]], axis=0)
-                c_feats = ad.concat([cond, cond], axis=0)
-                m_feats = ad.concat([mot, mot_shift], axis=0)
-                y = np.concatenate([np.zeros(idx.size), np.ones(idx.size)])
-                ctr_loss = contrastive_loss(c_feats, m_feats, y, cfg.margin)
-                loss = ad.add(ctr_loss, rec_loss)
-                if not np.isfinite(loss.data):
-                    raise NumericError(f"extractor loss non-finite at epoch {epoch}")
-                tape.backward(loss)
-            opt_enc.step()
-            if not frozen:
-                opt_ae.step()
-            c_sum += ctr_loss.item()
-            r_sum += rec_loss.item()
-            steps += 1
-        curves["contrastive"].append(c_sum / max(steps, 1))
-        curves["reconstruction"].append(r_sum / max(steps, 1))
         if log_fn:
-            log_fn(epoch, f"epoch={epoch} contrastive={curves['contrastive'][-1]:.6f} "
-                          f"reconstruction={curves['reconstruction'][-1]:.6f}")
+            log_fn(epoch, f"epoch={epoch} contrastive={means['contrastive']:.6f} "
+                          f"reconstruction={means['reconstruction']:.6f}")
+
+    curves = fit(opt, step, len(samples), train_cfg.batch_size, train_cfg.epochs,
+                 rng, end_epoch, min_batch=2)
     return model, curves
 
 

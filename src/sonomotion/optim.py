@@ -1,11 +1,12 @@
-"""Adam with decoupled weight decay, the only optimizer this package needs."""
+"""Adam with decoupled weight decay, the only optimizer this package needs,
+and the minibatch loop both trainers run it in."""
 
 from __future__ import annotations
 
 import numpy as np
 
-from .autodiff import Tensor
-from .errors import ContractError
+from .autodiff import Tape, Tensor
+from .errors import ContractError, NumericError
 
 
 class AdamW:
@@ -47,3 +48,40 @@ class AdamW:
             if self.weight_decay:
                 update = update + self.weight_decay * p.data
             p.data -= self.lr * update
+
+
+def fit(opt: AdamW, step, n: int, batch_size: int, epochs: int,
+        rng: np.random.Generator, end_epoch, min_batch: int = 1
+        ) -> dict[str, list[float]]:
+    """Minibatch training over ``n`` items; returns each term's per-epoch means.
+
+    Each epoch cuts a permutation from ``rng`` into batches, skipping any of
+    fewer than ``min_batch``. ``step(epoch, idx)`` runs under a tape and
+    returns ``(loss, {name: term})``; a non-finite term raises NumericError.
+    ``end_epoch(epoch, means)`` receives each epoch's means.
+    """
+    curves: dict[str, list[float]] = {}
+    for epoch in range(epochs):
+        order = rng.permutation(n)
+        sums: dict[str, float] = {}
+        steps = 0
+        for start in range(0, n, batch_size):
+            idx = order[start:start + batch_size]
+            if idx.size < min_batch:
+                continue
+            with Tape() as tape:
+                loss, terms = step(epoch, idx)
+                for name, term in terms.items():
+                    if not np.isfinite(term.data):
+                        raise NumericError(
+                            f"loss term '{name}' is non-finite at epoch {epoch}")
+                tape.backward(loss)
+            opt.step()
+            for name, term in terms.items():
+                sums[name] = sums.get(name, 0.0) + term.item()
+            steps += 1
+        means = {name: total / steps for name, total in sums.items()}
+        for name, mean in means.items():
+            curves.setdefault(name, []).append(mean)
+        end_epoch(epoch, means)
+    return curves

@@ -7,7 +7,7 @@ import shutil
 import numpy as np
 import pytest
 
-from sonomotion import cli
+from sonomotion import cli, denoiser
 from sonomotion.checkpoint import load_checkpoint, save_checkpoint
 from sonomotion.cli import (EXIT_DATA, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, RunConfig,
                             main)
@@ -196,6 +196,25 @@ class TestFeaturesTrainSample:
             assert (ckpt / "metrics.log").exists()
         finally:
             os.chdir(old)
+
+    def test_train_detects_contacts_at_motion_fps(self, workspace, tmp_path,
+                                                  monkeypatch):
+        ws, cfg_path, data_dir = workspace
+        cfg = tmp_path / "fps25.ini"
+        cfg.write_text(TINY_CFG + "\n[features]\nmotion_fps = 25\n")
+        seen = []
+        real = denoiser.detect_foot_contacts
+
+        def record(p, fps, *rest):
+            seen.append(fps)
+            return real(p, fps, *rest)
+
+        monkeypatch.setattr(denoiser, "detect_foot_contacts", record)
+        monkeypatch.chdir(tmp_path)     # no cache: features at 25 fps
+        rc = main(["--config", str(cfg), "train", "--manifest",
+                   str(data_dir / "manifest.json"), "--out", str(tmp_path / "ckpt")])
+        assert rc == EXIT_OK
+        assert seen and set(seen) == {25}
 
     @pytest.mark.parametrize("steps", [8, 2])
     def test_sample_steps(self, workspace, tmp_path, steps):
@@ -495,7 +514,7 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("section, line", [
         ("training", "epochs = abc"), ("model", "heads = 0"),
-        ("extractor", "ext_batch_size = 0")])
+        ("extractor", "ext_batch_size = 0"), ("extractor", "ext_batch_size = 1")])
     def test_bad_config_value_is_one_line(self, tmp_path, capsys, section, line):
         bad = tmp_path / "bad.ini"
         bad.write_text(f"[{section}]\n{line}\n")

@@ -9,7 +9,8 @@ import numpy as np
 import pytest
 
 from sonomotion import dataset as ds
-from sonomotion.audio import FeatureConfig, NormalizationStats, load_feature_cache
+from sonomotion.audio import (AudioClip, FeatureConfig, NormalizationStats,
+                              load_feature_cache, read_wav, write_wav)
 from sonomotion.cli import EXIT_DATA, EXIT_OK, main
 from sonomotion.errors import AlignmentError, ContractError, DataError
 from sonomotion.skeleton import (SkeletonSpec, assemble_vector,
@@ -361,6 +362,22 @@ class TestLoadSample:
         second = ds.load_sample(manifest, e, FeatureConfig(),
                                 cache_dir=tmp_path)
         np.testing.assert_array_equal(first[1], second[1])
+
+    def test_audio_past_the_motion_changes_no_feature(self, small_dataset,
+                                                      tmp_path):
+        """A WAV tiled to 30 s gives the features of the 2 s its motion spans."""
+        root, _ = small_dataset
+        shutil.copytree(root, tmp_path / "ds")
+        manifest = ds.DatasetManifest.load(tmp_path / "ds" / "manifest.json")
+        e = manifest.entries[0]
+        before = ds.load_sample(manifest, e, FeatureConfig())[1]
+        wav = manifest.resolve(e)[0]
+        clip = read_wav(wav)
+        write_wav(wav, AudioClip(clip.sample_rate, np.tile(clip.left, 15),
+                                 np.tile(clip.right, 15)))
+        assert read_wav(wav).duration > 29.0
+        after = ds.load_sample(manifest, e, FeatureConfig())[1]
+        np.testing.assert_array_equal(before, after)
 
     def test_stats_applied(self, small_dataset):
         _, manifest = small_dataset

@@ -342,6 +342,17 @@ class TestTraining:
         assert (tmp_path / "checkpoint_000002.snm").exists()
         assert (tmp_path / "checkpoint_000004.snm").exists()
 
+    def test_non_finite_term_names_itself(self, monkeypatch):
+        rng = np.random.default_rng(24)
+        samples, skel = self._samples(rng, n=2)
+        model = MotionDenoiser(TINY, np.random.default_rng(25))
+        monkeypatch.setattr("sonomotion.denoiser.l_foot",
+                            lambda *args: Tensor(np.array(np.nan)))
+        cfg = TrainConfig(epochs=2, batch_size=2, lr=1e-3, seed=0)
+        with pytest.raises(NumericError,
+                           match="loss term 'foot' is non-finite at epoch 0"):
+            train_denoiser(model, cosine_schedule(10), samples, skel, cfg)
+
     def test_model_card_written_atomically(self, tmp_path, monkeypatch):
         """A failed rename leaves the old card and no temporary file."""
         path = tmp_path / "model_card.txt"

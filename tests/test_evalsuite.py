@@ -5,7 +5,8 @@ import pytest
 from scipy.special import gammaln
 
 from sonomotion import evalsuite as ev
-from sonomotion.errors import ContractError, SamplingError
+from sonomotion.autodiff import Tensor
+from sonomotion.errors import ContractError, NumericError, SamplingError
 from sonomotion.gradcheck import check_scalar_fn
 
 
@@ -235,18 +236,49 @@ class TestExtractor:
         mism = np.linalg.norm(cond - np.roll(mot, 8, axis=0), axis=1)
         assert (matched < mism).mean() >= 0.95
 
-    def test_frozen_autoencoder_stops_moving(self):
+    def test_frozen_autoencoder_stops_moving(self, monkeypatch):
+        """The autoencoder moves in every epoch before the freeze epoch and in
+        none from it on, while both GRU encoders keep moving."""
         rng = np.random.default_rng(22)
         samples = separable_samples(rng, n_per_class=3)
-        cfg = ev.ExtractorTrainConfig(epochs=6, batch_size=4, lr=1e-3, seed=0,
-                                      freeze_fraction=0.5)
-        model, _ = ev.train_extractor(samples, TINY_EXT, cfg)
-        snap = {k: v.copy() for k, v in model.autoencoder.state().items()}
-        cfg2 = ev.ExtractorTrainConfig(epochs=6, batch_size=4, lr=1e-3, seed=0,
-                                       freeze_fraction=0.5)
-        model2, _ = ev.train_extractor(samples, TINY_EXT, cfg2)
-        for k, v in model2.autoencoder.state().items():
-            np.testing.assert_array_equal(snap[k], v)   # deterministic rerun
+        built, states = [], []
+        real_model = ev.ExtractorModel
+
+        def snapshot(model):
+            states.append({part: getattr(model, part).state() for part in
+                           ("autoencoder", "cond_gru", "motion_gru")})
+
+        def build(*args):
+            built.append(real_model(*args))
+            snapshot(built[0])
+            return built[0]
+
+        def log_fn(epoch, msg):
+            if "contrastive=" in msg:
+                snapshot(built[0])
+
+        monkeypatch.setattr(ev, "ExtractorModel", build)
+        cfg = ev.ExtractorTrainConfig(epochs=6, batch_size=4, lr=1e-3, seed=0)
+        ev.train_extractor(samples, TINY_EXT, cfg, log_fn=log_fn)
+        assert len(built) == 1 and len(states) == cfg.epochs + 1
+        assert cfg.freeze_epoch == 4
+
+        def moved(part, epoch):
+            before, after = states[epoch][part], states[epoch + 1][part]
+            return any(not np.array_equal(before[k], after[k]) for k in before)
+
+        for epoch in range(cfg.epochs):
+            assert moved("autoencoder", epoch) == (epoch < cfg.freeze_epoch)
+            assert moved("cond_gru", epoch) and moved("motion_gru", epoch)
+
+    def test_non_finite_term_names_itself(self, monkeypatch):
+        samples = separable_samples(np.random.default_rng(23), n_per_class=2)
+        monkeypatch.setattr(ev, "contrastive_loss",
+                            lambda *args: Tensor(np.array(np.nan)))
+        cfg = ev.ExtractorTrainConfig(epochs=2, batch_size=4, lr=1e-3, seed=0)
+        with pytest.raises(NumericError, match="loss term 'contrastive' is "
+                                               "non-finite at epoch 0"):
+            ev.train_extractor(samples, TINY_EXT, cfg)
 
     def test_metric_report_serialization(self):
         rep = ev.MetricReport(0.9, 0.01, 0.95, 0.01, 0.99, 0.005, 3.2,
