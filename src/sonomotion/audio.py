@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import functools
 import hashlib
+import io
 import json
 import struct
 import zipfile
@@ -436,10 +437,10 @@ def extract_ear(x: np.ndarray, config: FeatureConfig) -> np.ndarray:
     return out
 
 
-def extract_binaural(clip: AudioClip, config: FeatureConfig, t_target: int,
-                     stats: "NormalizationStats | None" = None) -> AudioFeatureMatrix:
-    """(T_target, 2272) features of only the audio the T_target motion frames
-    span, optionally z-scored with training statistics."""
+def extract_binaural(clip: AudioClip, config: FeatureConfig,
+                     t_target: int) -> AudioFeatureMatrix:
+    """Raw (T_target, 2272) features of only the audio the T_target motion
+    frames span."""
     covered = t_target * clip.sample_rate // config.motion_fps
     left, right = clip.left[:covered], clip.right[:covered]
     if clip.sample_rate != config.sample_rate:
@@ -455,10 +456,7 @@ def extract_binaural(clip: AudioClip, config: FeatureConfig, t_target: int,
     if feats.shape[0] < t_target:   # at most one frame short: replicate the edge
         pad = np.repeat(feats[-1:], t_target - feats.shape[0], axis=0)
         feats = np.concatenate([feats, pad], axis=0)
-    feats = feats[:t_target]
-    if stats is not None and config.normalize:
-        feats = stats.apply(feats)
-    return AudioFeatureMatrix(feats)
+    return AudioFeatureMatrix(feats[:t_target])
 
 
 def resample_channel(x: np.ndarray, sr_in: int, sr_out: int) -> np.ndarray:
@@ -502,23 +500,27 @@ class NormalizationStats:
             raise ShapeError("normalization stats must have width 2272")
 
     @classmethod
-    def fit(cls, feature_matrices) -> "NormalizationStats":
-        """Column mean and std over the rows of every matrix, in two passes
-        that each hold one matrix at a time: ``feature_matrices`` is iterated
-        twice, so it must be a list or another re-iterable object. The result
-        is bit-identical to ``np.concatenate(...).mean(0)`` and ``.std(0)``.
+    def fit(cls, items, read=lambda item: item) -> "NormalizationStats":
+        """Column mean and std over the rows of the feature matrix
+        ``read(item)`` of every item, in two passes that each hold one matrix
+        at a time: ``items`` is iterated twice, so it must be a list or
+        another re-iterable object. The result is bit-identical to
+        ``np.concatenate(...).mean(0)`` and ``.std(0)``.
         """
-        total, n = _column_sums(map(_as_rows, feature_matrices))
+        def rows(item):
+            return _as_rows(read(item))
+
+        total, n = _column_sums(map(rows, items))
         if n == 0:
             raise ShapeError("no feature rows to fit normalization stats on")
         mean = total / n
 
-        def squared_deviations(f):
-            d = _as_rows(f) - mean
+        def squared_deviations(item):
+            d = rows(item) - mean
             d *= d
             return d
 
-        squares, _ = _column_sums(map(squared_deviations, feature_matrices))
+        squares, _ = _column_sums(map(squared_deviations, items))
         std = np.sqrt(squares / n)
         std[std < 1e-8] = 1.0
         return cls(mean, std)
@@ -546,9 +548,11 @@ class NormalizationStats:
 # WAV I/O (RIFF PCM 16/24-bit and 32-bit float)
 
 
-def read_wav(path) -> AudioClip:
+def read_wav(path, blob: bytes | None = None) -> AudioClip:
+    """The clip in the WAV file ``path``. Given ``blob``, the file's bytes
+    already read, it parses those and ``path`` only names the file."""
     try:
-        rate, data = wavfile.read(path)
+        rate, data = wavfile.read(path if blob is None else io.BytesIO(blob))
     except (OSError, ValueError) as e:
         raise DataError(f"cannot read WAV {path}: {e}") from e
     if data.ndim == 1:

@@ -24,9 +24,8 @@ import numpy as np
 
 from .audio import FeatureConfig, NormalizationStats, extract_binaural, read_wav
 from .checkpoint import load_checkpoint, write_atomically
-from .dataset import (DatasetManifest, FeatureSource, feature_source,
-                      fit_feature_stats, generate_dataset, load_split,
-                      read_features)
+from .dataset import (DatasetManifest, clip_features, fit_feature_stats,
+                      generate_dataset, load_split)
 from .denoiser import (DenoiserConfig, MotionDenoiser, TrainConfig,
                        sample_motion, train_denoiser)
 from .diffusion import cosine_schedule, stride_subset
@@ -186,12 +185,11 @@ def cmd_synth_data(args, cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def _featurize(job) -> FeatureSource:
+def _featurize(job) -> Path:
+    """The cache file of one clip, filled on a miss."""
     audio_path, motion_path, feat_cfg, cache_dir = job
-    source = feature_source(audio_path, *read_motion_header(motion_path),
-                            feat_cfg, cache_dir)
-    read_features(source, feat_cfg)
-    return source
+    return clip_features(audio_path, *read_motion_header(motion_path), feat_cfg,
+                         cache_dir)[1]
 
 
 def cmd_features(args, cfg: RunConfig) -> int:
@@ -202,11 +200,11 @@ def cmd_features(args, cfg: RunConfig) -> int:
             for e in manifest.entries]
     if args.workers > 1:
         with ProcessPoolExecutor(max_workers=args.workers) as pool:
-            sources = list(pool.map(_featurize, jobs))
+            cache_files = list(pool.map(_featurize, jobs))
     else:
-        sources = list(map(_featurize, jobs))
-    train = [s for e, s in zip(manifest.entries, sources) if e.split == "train"]
-    stats = fit_feature_stats(manifest, cfg.features, cache_dir, train)
+        cache_files = list(map(_featurize, jobs))
+    stats = fit_feature_stats([f for e, f in zip(manifest.entries, cache_files)
+                               if e.split == "train"])
     stats.save(cache_dir / "norm_stats.npz")
     print(f"cached {len(jobs)} feature files in {cache_dir}")
     print(f"normalization statistics: {cache_dir / 'norm_stats.npz'}")
@@ -214,15 +212,25 @@ def cmd_features(args, cfg: RunConfig) -> int:
 
 
 def _norm_stats(cfg: RunConfig) -> NormalizationStats | None:
+    """The statistics every command z-scores its features with: those of the
+    cache dir, unless ``[features] normalize`` is off or there are none."""
     path = Path(cfg.cache_dir) / "norm_stats.npz"
-    return NormalizationStats.load(path) if path.exists() else None
+    if not cfg.features.normalize or not path.exists():
+        return None
+    return NormalizationStats.load(path)
 
 
 def _load_training_split(cfg: RunConfig, manifest_path, split="train"):
     cache_dir = Path(cfg.cache_dir)
-    return load_split(DatasetManifest.load(manifest_path), split, cfg.features,
-                      cache_dir=cache_dir if cache_dir.exists() else None,
-                      stats=_norm_stats(cfg))
+    samples = load_split(DatasetManifest.load(manifest_path), split, cfg.features,
+                         cache_dir=cache_dir if cache_dir.exists() else None,
+                         stats=_norm_stats(cfg))
+    counts = sorted({x0.shape[0] for x0, *_ in samples})
+    if len(counts) > 1:
+        raise DataError(f"the {split} split mixes frame counts "
+                        f"{', '.join(map(str, counts))}; its clips must all have "
+                        f"the same count")
+    return samples
 
 
 def cmd_train(args, cfg: RunConfig) -> int:
@@ -269,8 +277,12 @@ def cmd_sample(args, cfg: RunConfig) -> int:
     model = _restore_model(cfg, args.checkpoint)
     fps = cfg.features.motion_fps
     clip = read_wav(args.audio)
-    frames = args.frames or min(cfg.model.max_frames, int(clip.duration * fps))
-    feats = extract_binaural(clip, cfg.features, frames, stats=_norm_stats(cfg))
+    frames = args.frames or min(cfg.model.max_frames,
+                                clip.samples * fps // clip.sample_rate)
+    feats = extract_binaural(clip, cfg.features, frames).values
+    stats = _norm_stats(cfg)
+    if stats is not None:
+        feats = stats.apply(feats)
     ssl = _parse_ssl(args.ssl, frames)
     genre = Genre.parse(args.genre)
     schedule = cosine_schedule(cfg.diffusion_steps)
@@ -282,7 +294,7 @@ def cmd_sample(args, cfg: RunConfig) -> int:
     seed = cfg.training.seed
     rng = np.random.default_rng(seed)
     for i in range(args.count):
-        motion = sample_motion(model, schedule, feats.values, ssl, int(genre),
+        motion = sample_motion(model, schedule, feats, ssl, int(genre),
                                rng, step_subset=subset, fps=fps)
         path = out_dir / f"generated_{i:03d}.json"
         save_motion(path, motion, SslTrack(ssl, frame="local"), genre,

@@ -15,13 +15,12 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field, fields
 from pathlib import Path
-from typing import NamedTuple
 
 import numpy as np
 
-from .audio import (AudioClip, AudioFeatureMatrix, FeatureConfig,
-                    NormalizationStats, extract_binaural, feature_cache_key,
-                    load_feature_cache, read_wav, save_feature_cache, write_wav)
+from .audio import (AudioClip, FeatureConfig, NormalizationStats,
+                    extract_binaural, feature_cache_key, load_feature_cache,
+                    read_wav, save_feature_cache, write_wav)
 from .checkpoint import write_atomically
 from .errors import (AlignmentError, ContractError, DataError,
                      DurationError)
@@ -29,8 +28,8 @@ from .skeleton import (Genre, MotionSequence, SkeletonSpec, SslTrack,
                        assemble_vector, axis_angle_to_matrix,
                        compute_velocities, forward_kinematics, load_motion,
                        matrix_to_axis_angle, matrix_to_sixd, minimal_rotation,
-                       normalize_sequence, read_motion_header, rotation_z,
-                       save_motion, sixd_to_matrix)
+                       normalize_sequence, rotation_z, save_motion,
+                       sixd_to_matrix)
 
 SPEED_OF_SOUND = 343.0
 HEAD_RADIUS = 0.0875
@@ -698,19 +697,18 @@ def generate_dataset(out_dir, count: int, seed: int, duration: float = 10.0,
 # loading
 
 
-class FeatureSource(NamedTuple):
-    """Where one clip's raw features come from: its audio file, its frame
-    count at ``feat_config.motion_fps`` and its cache file (None: uncached)."""
-    audio_path: Path
-    frames: int
-    cache_path: Path | None
+def clip_features(audio_path, frames: int, fps: float, feat_config: FeatureConfig,
+                  cache_dir=None) -> tuple[np.ndarray, Path | None]:
+    """Raw (T, 2272) features of the audio file paired with a motion of
+    ``frames`` frames at ``fps``, T being that motion's frame count at
+    ``feat_config.motion_fps``, and the cache file they came from (None
+    without ``cache_dir``).
 
-
-def feature_source(audio_path, frames: int, fps: float,
-                   feat_config: FeatureConfig, cache_dir=None) -> FeatureSource:
-    """The source of the features of a motion's paired audio file, where the
-    motion has ``frames`` frames at ``fps``. With ``cache_dir`` the cache file
-    is ``<feature_cache_key>.feat`` there, which hashes the whole WAV."""
+    The WAV is read once. With ``cache_dir`` its bytes name the cache file,
+    ``<feature_cache_key>.feat`` there. A cache file serves only the frame
+    count it holds: any other count, like a missing file, is a miss, which
+    parses the same bytes, extracts and (re)writes the file. The rows of a
+    cached clip are the file's float32 values on a hit and on a miss alike."""
     frames = _resampled_frames(frames, fps, feat_config.motion_fps)
     try:
         audio_bytes = Path(audio_path).read_bytes()
@@ -720,36 +718,30 @@ def feature_source(audio_path, frames: int, fps: float,
     if cache_dir is not None:
         key = feature_cache_key(audio_bytes, feat_config)
         cache_path = Path(cache_dir) / f"{key}.feat"
-    return FeatureSource(Path(audio_path), frames, cache_path)
-
-
-def read_features(source: FeatureSource,
-                  feat_config: FeatureConfig) -> AudioFeatureMatrix:
-    """Raw (T, 2272) features of ``source``. A cached source reads its cache
-    file, which a miss extracts and writes first; the values returned are the
-    cached float32 rows either way."""
-    cache_path, frames = source.cache_path, source.frames
-    if cache_path is not None and cache_path.exists():
-        feats = load_feature_cache(cache_path)
-        if feats.frames < frames:
-            raise AlignmentError(f"{cache_path}: cached audio covers "
-                                 f"{feats.frames} frames, motion has {frames}")
-        return AudioFeatureMatrix(feats.values[:frames])
+        if cache_path.exists():
+            values = load_feature_cache(cache_path).values
+            if values.shape[0] == frames:
+                return values, cache_path
+    clip = read_wav(audio_path, audio_bytes)
+    # freed first: held through the extraction, the bytes made a cold
+    # `features` run ~10 % slower (2-core x86-64, one OpenBLAS thread)
+    del audio_bytes
     try:
-        feats = extract_binaural(read_wav(source.audio_path), feat_config, frames)
+        feats = extract_binaural(clip, feat_config, frames)
     except DurationError as e:
-        raise AlignmentError(f"{source.audio_path}: {e}") from e
-    if cache_path is not None:
-        save_feature_cache(cache_path, feats)
-        feats = AudioFeatureMatrix(feats.values.astype(np.float32))
-    return feats
+        raise AlignmentError(f"{audio_path}: {e}") from e
+    if cache_path is None:
+        return feats.values, None
+    save_feature_cache(cache_path, feats)
+    return feats.values.astype(np.float32).astype(np.float64), cache_path
 
 
 def load_sample(manifest: DatasetManifest, entry: ManifestEntry,
                 feat_config: FeatureConfig, cache_dir=None,
                 stats: NormalizationStats | None = None):
     """(x0 (T,300), audio (T,2272), ssl_local (T,3), genre int) for one entry,
-    on the ``feat_config.motion_fps`` frame grid."""
+    on the ``feat_config.motion_fps`` frame grid; ``stats``, when given,
+    z-score the audio rows."""
     audio_path, motion_path = manifest.resolve(entry)
     motion, ssl, genre, _ = load_motion(motion_path)
     if ssl is None:
@@ -762,10 +754,9 @@ def load_sample(manifest: DatasetManifest, entry: ManifestEntry,
     motion, ssl_pos = resample_motion(motion, feat_config.motion_fps, ssl.positions)
     normalized, ssl_local = normalize_sequence(motion, ssl_pos)
     x0 = assemble_vector(normalized)
-    values = read_features(feature_source(audio_path, motion.frames, motion.fps,
-                                          feat_config, cache_dir),
-                           feat_config).values
-    if stats is not None and feat_config.normalize:
+    values, _ = clip_features(audio_path, motion.frames, motion.fps,
+                              feat_config, cache_dir)
+    if stats is not None:
         values = stats.apply(values)
     return x0, values, ssl_local.positions, int(Genre.parse(entry.genre))
 
@@ -776,34 +767,10 @@ def load_split(manifest: DatasetManifest, split: str, feat_config: FeatureConfig
             for e in manifest.split_entries(split)]
 
 
-class _CachedFeatures:
-    """The raw features of FeatureSources, read anew on each iteration."""
-
-    def __init__(self, sources, feat_config: FeatureConfig):
-        self.sources, self.feat_config = sources, feat_config
-
-    def __iter__(self):
-        for source in self.sources:
-            yield read_features(source, self.feat_config)
-
-
-def fit_feature_stats(manifest: DatasetManifest, feat_config: FeatureConfig,
-                      cache_dir, sources=None) -> NormalizationStats:
-    """Per-column mean/std over the training split's raw features, exactly
-    the rows that ``load_split`` reads from ``cache_dir``. The fit takes two
-    passes that each hold one clip: the first fills or hits the cache, the
-    second reads it warm.
-
-    ``sources`` are the train entries' FeatureSources in manifest order, for
-    a caller that has resolved them already; without them each entry's
-    motion header is read and its WAV hashed here.
-    """
-    if sources is None:
-        sources = [feature_source(audio, *read_motion_header(motion),
-                                  feat_config, cache_dir)
-                   for audio, motion
-                   in map(manifest.resolve, manifest.split_entries("train"))]
-    if not sources:
+def fit_feature_stats(cache_paths) -> NormalizationStats:
+    """Per-column mean/std over the raw rows of the training clips' cache
+    files, exactly the rows that ``load_split`` reads from them. The fit
+    reads the files in two passes that each hold one clip."""
+    if not cache_paths:
         raise DataError("training split is empty; cannot fit feature statistics")
-    return NormalizationStats.fit(_CachedFeatures(sources, feat_config))
-
+    return NormalizationStats.fit(cache_paths, read=load_feature_cache)

@@ -7,14 +7,15 @@ import shutil
 import numpy as np
 import pytest
 
-from sonomotion import cli, denoiser
+from sonomotion import cli, dataset, denoiser
 from sonomotion.checkpoint import load_checkpoint, save_checkpoint
 from sonomotion.cli import (EXIT_DATA, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, RunConfig,
                             main)
-from sonomotion.audio import AudioClip, FeatureConfig, read_wav, write_wav
+from sonomotion.audio import (AudioClip, FeatureConfig, NormalizationStats,
+                              extract_binaural, read_wav, write_wav)
 from sonomotion.denoiser import DenoiserConfig, MotionDenoiser, TrainConfig
 from sonomotion.errors import ConfigError
-from sonomotion.skeleton import load_motion
+from sonomotion.skeleton import SkeletonSpec, load_motion, save_motion
 
 TINY_CFG = """
 [model]
@@ -295,6 +296,65 @@ class TestFeaturesTrainSample:
         assert outputs[0] == outputs[1]
         assert json.loads(outputs[0])["frames"] == cfg.model.max_frames
 
+    @pytest.mark.parametrize("samples, frames", [
+        (98_400, 123), (196_000, 245), (392_000, 490)])
+    def test_sample_frames_count_whole_samples(self, workspace, tmp_path,
+                                               samples, frames):
+        """A clip of ``samples`` samples at 24 kHz spans samples * 30 // 24000
+        motion frames: the float duration times the fps truncates these to
+        one frame fewer."""
+        ws, cfg_path, data_dir = workspace
+        cfg_path = tmp_path / "long.ini"
+        cfg_path.write_text(TINY_CFG.replace("max_frames = 60", "max_frames = 490"))
+        ckpt = tmp_path / "model.snm"
+        save_checkpoint(ckpt, MotionDenoiser(RunConfig.load(cfg_path).model,
+                                             np.random.default_rng(0))
+                        .named_parameters())
+        clip = read_wav(next((data_dir / "audio").glob("*.wav")))
+        reps = -(-samples // clip.samples)
+        write_wav(tmp_path / "clip.wav", AudioClip(
+            clip.sample_rate, np.tile(clip.left, reps)[:samples],
+            np.tile(clip.right, reps)[:samples]))
+        rc = main(["--config", str(cfg_path), "sample", "--checkpoint", str(ckpt),
+                   "--audio", str(tmp_path / "clip.wav"), "--ssl", "0,1,0",
+                   "--steps", "1", "--out", str(tmp_path / "o")])
+        assert rc == EXIT_OK
+        assert load_motion(tmp_path / "o" / "generated_000.json")[0].frames == frames
+
+    @pytest.mark.parametrize("normalize", [False, True])
+    def test_sample_normalizes_only_when_configured(self, workspace, tmp_path,
+                                                    monkeypatch, normalize):
+        """``[features] normalize = false`` conditions ``sample`` on the raw
+        features even when the cache dir holds statistics."""
+        ws, _, data_dir = workspace
+        cache = tmp_path / "cache"
+        cache.mkdir()
+        NormalizationStats(np.full(2272, 1.0), np.full(2272, 2.0)).save(
+            cache / "norm_stats.npz")
+        cfg_path = tmp_path / "run.ini"
+        cfg_path.write_text(TINY_CFG + f"\n[paths]\ncache_dir = {cache}\n"
+                            f"\n[features]\nnormalize = {str(normalize).lower()}\n")
+        ckpt = tmp_path / "model.snm"
+        save_checkpoint(ckpt, MotionDenoiser(RunConfig.load(cfg_path).model,
+                                             np.random.default_rng(0))
+                        .named_parameters())
+        seen = []
+        real = cli.sample_motion
+
+        def record(model, schedule, audio, *rest, **kw):
+            seen.append(audio)
+            return real(model, schedule, audio, *rest, **kw)
+
+        monkeypatch.setattr(cli, "sample_motion", record)
+        wav = next((data_dir / "audio").glob("*.wav"))
+        rc = main(["--config", str(cfg_path), "sample", "--checkpoint", str(ckpt),
+                   "--audio", str(wav), "--ssl", "0,1,0", "--steps", "1",
+                   "--frames", "30", "--out", str(tmp_path / "o")])
+        assert rc == EXIT_OK
+        raw = extract_binaural(read_wav(wav), FeatureConfig(), 30).values
+        np.testing.assert_array_equal(seen[0], (raw - 1.0) / 2.0 if normalize
+                                      else raw)
+
     def test_sample_with_ssl_track_file(self, workspace, tmp_path):
         ws, cfg_path, data_dir = workspace
         ckpt = ws / "ckpt" / "checkpoint_final.snm"
@@ -428,6 +488,28 @@ class TestExitCodes:
         assert rc == EXIT_DATA
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and motion.name in err
+
+    @pytest.mark.parametrize("command", ["train", "eval"])
+    def test_mixed_frame_counts_are_data_error(self, workspace, tmp_path,
+                                               monkeypatch, capsys, command):
+        """One 3 s clip in a split of 2 s clips: exit 2 with one line that
+        names both frame counts."""
+        ws, cfg_path, data_dir = workspace
+        data = tmp_path / "data"
+        shutil.copytree(data_dir, data)
+        manifest = dataset.DatasetManifest.load(data / "manifest.json")
+        entry = manifest.split_entries("train")[0]
+        scene = dataset.synthesize_pair(dataset.SyntheticSceneSpec(duration=3.0,
+                                                                   seed=1))
+        write_wav(data / entry.audio, scene.clip)
+        save_motion(data / entry.motion, scene.motion, scene.ssl, scene.genre,
+                    SkeletonSpec.default().names, extras=scene.meta)
+        monkeypatch.chdir(tmp_path)         # no feature cache under the cwd
+        rc = main(["--config", str(cfg_path), command, "--manifest",
+                   str(data / "manifest.json"), "--out", str(tmp_path / "out")])
+        assert rc == EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "60, 90" in err
 
     def test_non_numeric_static_ssl_is_usage_error(self, workspace, tmp_path,
                                                    capsys):

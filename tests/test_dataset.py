@@ -10,13 +10,15 @@ import pytest
 
 from sonomotion import dataset as ds
 from sonomotion.audio import (AudioClip, FeatureConfig, NormalizationStats,
-                              load_feature_cache, read_wav, write_wav)
+                              extract_binaural, load_feature_cache, read_wav,
+                              write_wav)
 from sonomotion.cli import EXIT_DATA, EXIT_OK, main
 from sonomotion.errors import AlignmentError, ContractError, DataError
 from sonomotion.skeleton import (SkeletonSpec, assemble_vector,
                                  compute_velocities, detect_foot_contacts,
                                  forward_kinematics, matrix_to_sixd,
-                                 rotation_z, save_motion, sixd_to_matrix)
+                                 read_motion_header, rotation_z, save_motion,
+                                 sixd_to_matrix)
 
 SKEL = SkeletonSpec.default()
 
@@ -334,6 +336,15 @@ def small_dataset(tmp_path_factory):
     return root, manifest
 
 
+def train_cache_files(manifest, cache_dir):
+    """The train clips' cache files in manifest order, filled on a miss, as
+    ``features`` gets them for the fit."""
+    return [ds.clip_features(audio, *read_motion_header(motion), FeatureConfig(),
+                             cache_dir)[1]
+            for audio, motion in map(manifest.resolve,
+                                     manifest.split_entries("train"))]
+
+
 class TestLoadSample:
     def test_widths(self, small_dataset):
         _, manifest = small_dataset
@@ -390,28 +401,26 @@ class TestLoadSample:
 
     def test_fit_feature_stats(self, small_dataset, tmp_path):
         _, manifest = small_dataset
-        stats = ds.fit_feature_stats(manifest, FeatureConfig(), tmp_path)
+        stats = ds.fit_feature_stats(train_cache_files(manifest, tmp_path))
         assert stats.mean.shape == (2272,)
         assert (stats.std > 0).all()
+        with pytest.raises(DataError, match="training split is empty"):
+            ds.fit_feature_stats([])
 
     def test_fit_feature_stats_holds_under_three_clips(self, small_dataset,
                                                        tmp_path):
-        """On a warm cache the fit's peak traced memory stays below three
-        clips' float64 rows, whatever the number of train clips."""
-        root, manifest = small_dataset
-        six = ds.DatasetManifest(str(root), manifest.fps,
-                                 manifest.split_entries("train")[:6],
-                                 manifest.seed)
-        cfg = FeatureConfig()
-        ds.fit_feature_stats(six, cfg, tmp_path)
+        """The fit's peak traced memory stays below three clips' float64
+        rows, whatever the number of train clips."""
+        _, manifest = small_dataset
+        six = train_cache_files(manifest, tmp_path)[:6]
         tracemalloc.start()
         try:
-            ds.fit_feature_stats(six, cfg, tmp_path)
+            ds.fit_feature_stats(six)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        clips = [load_feature_cache(p).values for p in tmp_path.glob("*.feat")]
-        assert len(clips) == 6
+        clips = [load_feature_cache(p).values for p in six]
+        assert len(set(six)) == 6
         assert peak < 3 * max(c.nbytes for c in clips)
 
     def test_short_audio_alignment_error(self, small_dataset, tmp_path):
@@ -495,19 +504,17 @@ class TestFeaturePipeline:
         assert {load_feature_cache(p).frames for p in cache.glob("*.feat")} == {want}
         x0, a, _, _ = ds.load_sample(manifest, manifest.entries[0], FeatureConfig())
         assert x0.shape[0] == a.shape[0] == want
-        ds.fit_feature_stats(manifest, FeatureConfig(), tmp_path / "fresh")
         assert set(asked) == {want}
-        assert len(asked) == len(manifest.entries) + 1 \
-            + len(manifest.split_entries("train"))
+        assert len(asked) == len(manifest.entries) + 1
 
     def test_features_hashes_each_clip_once(self, small_dataset, tmp_path,
                                             monkeypatch):
-        """``features`` hashes each WAV and reads each motion header once, and
-        hands the train entries' sources to the fit; the statistics equal
-        those of a fit that resolves the entries itself."""
+        """``features`` reads each WAV, hashes it and reads its motion header
+        once per run. A cold run parses the bytes it read, a warm one parses
+        nothing; the fit reads only the cache files."""
         from sonomotion import cli
         root, manifest = small_dataset
-        calls = {"key": 0, "header": 0}
+        calls = {"wav": 0, "parse": 0, "key": 0, "header": 0}
 
         def counted(name, fn):
             def wrapper(*args):
@@ -515,20 +522,45 @@ class TestFeaturePipeline:
                 return fn(*args)
             return wrapper
 
+        def parse(path, blob=None):
+            assert blob is not None, "the WAV was read twice"
+            calls["parse"] += 1
+            return read_wav(path, blob)
+
+        read_bytes = ds.Path.read_bytes
+
+        def read(path):
+            calls["wav"] += path.suffix == ".wav"
+            return read_bytes(path)
+
+        monkeypatch.setattr(ds.Path, "read_bytes", read)
+        monkeypatch.setattr(ds, "read_wav", parse)
         monkeypatch.setattr(ds, "feature_cache_key",
                             counted("key", ds.feature_cache_key))
-        for module in (ds, cli):
-            monkeypatch.setattr(module, "read_motion_header",
-                                counted("header", module.read_motion_header))
-        assert main(["features", "--manifest", str(root / "manifest.json"),
-                     "--cache", str(tmp_path)]) == EXIT_OK
+        monkeypatch.setattr(cli, "read_motion_header",
+                            counted("header", cli.read_motion_header))
+        argv = ["features", "--manifest", str(root / "manifest.json"),
+                "--cache", str(tmp_path)]
         n = len(manifest.entries)
-        assert calls == {"key": n, "header": n}
-        saved = NormalizationStats.load(tmp_path / "norm_stats.npz")
-        fitted = ds.fit_feature_stats(manifest, FeatureConfig(), tmp_path)
-        assert calls["key"] == n + len(manifest.split_entries("train"))
-        assert saved.mean.tobytes() == fitted.mean.tobytes()
-        assert saved.std.tobytes() == fitted.std.tobytes()
+        assert main(argv) == EXIT_OK
+        assert calls == {"wav": n, "parse": n, "key": n, "header": n}
+        assert main(argv) == EXIT_OK
+        assert calls == {"wav": 2 * n, "parse": n, "key": 2 * n, "header": 2 * n}
+
+    @pytest.mark.parametrize("first, then", [(60, 90), (90, 60)])
+    def test_cache_file_serves_only_its_frame_count(self, tmp_path, first, then):
+        """A cache file filled for one frame count is a miss for any other:
+        the clip is extracted again and its file rewritten."""
+        wav = tmp_path / "clip.wav"
+        write_wav(wav, ds.synthesize_pair(
+            ds.SyntheticSceneSpec(duration=3.0, seed=5)).clip)
+        cfg = FeatureConfig()
+        _, path = ds.clip_features(wav, first, 30.0, cfg, tmp_path)
+        values, again = ds.clip_features(wav, then, 30.0, cfg, tmp_path)
+        fresh = extract_binaural(read_wav(wav), cfg, then).values
+        np.testing.assert_array_equal(values, fresh.astype(np.float32))
+        assert again == path
+        np.testing.assert_array_equal(load_feature_cache(path).values, values)
 
     def test_warm_cache_extracts_nothing(self, small_dataset, tmp_path,
                                          monkeypatch):
@@ -541,7 +573,7 @@ class TestFeaturePipeline:
             raise AssertionError("extract_binaural called on a warm cache")
 
         monkeypatch.setattr(ds, "extract_binaural", fail)
-        stats = ds.fit_feature_stats(manifest, FeatureConfig(), tmp_path)
+        stats = ds.fit_feature_stats(train_cache_files(manifest, tmp_path))
         assert main(argv) == EXIT_OK
         # the statistics are the exact moments of the rows train loads
         rows = np.concatenate([
