@@ -171,6 +171,11 @@ def _parse_ssl(raw: str, frames: int) -> np.ndarray:
 
 
 def cmd_synth_data(args, cfg: RunConfig) -> int:
+    if args.count < 10:
+        raise ConfigError(f"--count must be >= 10 for an 8:1:1 split, "
+                          f"got {args.count}")
+    if not args.duration >= 2.0:    # also rejects nan
+        raise ConfigError(f"--duration must be >= 2 s, got {args.duration:g}")
     manifest = generate_dataset(args.out, count=args.count,
                                 seed=cfg.training.seed, duration=args.duration,
                                 fps=cfg.features.motion_fps,
@@ -185,14 +190,17 @@ def cmd_synth_data(args, cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def _featurize(job) -> Path:
-    """The cache file of one clip, filled on a miss."""
+def _featurize(job) -> tuple[Path, int]:
+    """The cache file of one clip, filled on a miss, and its frame count."""
     audio_path, motion_path, feat_cfg, cache_dir = job
-    return clip_features(audio_path, *read_motion_header(motion_path), feat_cfg,
-                         cache_dir)[1]
+    values, path = clip_features(audio_path, *read_motion_header(motion_path),
+                                 feat_cfg, cache_dir)
+    return path, values.shape[0]
 
 
 def cmd_features(args, cfg: RunConfig) -> int:
+    if args.workers < 1:
+        raise ConfigError(f"--workers must be >= 1, got {args.workers}")
     manifest = DatasetManifest.load(args.manifest)
     cache_dir = Path(args.cache or cfg.cache_dir)
     cache_dir.mkdir(parents=True, exist_ok=True)
@@ -200,10 +208,16 @@ def cmd_features(args, cfg: RunConfig) -> int:
             for e in manifest.entries]
     if args.workers > 1:
         with ProcessPoolExecutor(max_workers=args.workers) as pool:
-            cache_files = list(pool.map(_featurize, jobs))
+            cached = list(pool.map(_featurize, jobs))
     else:
-        cache_files = list(map(_featurize, jobs))
-    stats = fit_feature_stats([f for e, f in zip(manifest.entries, cache_files)
+        cached = list(map(_featurize, jobs))
+    first: dict[Path, tuple[str, int]] = {}     # a cache file holds one count
+    for e, (path, frames) in zip(manifest.entries, cached):
+        other, n = first.setdefault(path, (e.sample_id, frames))
+        if n != frames:
+            raise DataError(f"{other} ({n} frames) and {e.sample_id} ({frames} "
+                            f"frames) share one WAV and so one feature cache file")
+    stats = fit_feature_stats([path for e, (path, _) in zip(manifest.entries, cached)
                                if e.split == "train"])
     stats.save(cache_dir / "norm_stats.npz")
     print(f"cached {len(jobs)} feature files in {cache_dir}")
@@ -225,7 +239,7 @@ def _load_training_split(cfg: RunConfig, manifest_path, split="train"):
     samples = load_split(DatasetManifest.load(manifest_path), split, cfg.features,
                          cache_dir=cache_dir if cache_dir.exists() else None,
                          stats=_norm_stats(cfg))
-    counts = sorted({x0.shape[0] for x0, *_ in samples})
+    counts = sorted({s.x0.shape[0] for s in samples})
     if len(counts) > 1:
         raise DataError(f"the {split} split mixes frame counts "
                         f"{', '.join(map(str, counts))}; its clips must all have "
@@ -237,7 +251,7 @@ def cmd_train(args, cfg: RunConfig) -> int:
     samples = _load_training_split(cfg, args.manifest)
     if not samples:
         raise DataError("training split is empty")
-    frames = samples[0][0].shape[0]
+    frames = samples[0].x0.shape[0]
     if frames > cfg.model.max_frames:
         raise ConfigError(f"sequences have {frames} frames > model max_frames "
                           f"{cfg.model.max_frames}")
@@ -317,11 +331,11 @@ def cmd_eval(args, cfg: RunConfig) -> int:
         schedule = cosine_schedule(cfg.diffusion_steps)
         rng = np.random.default_rng(cfg.training.seed)
         gen_samples = []
-        for x0, audio, ssl, genre in test_samples:
-            motion = sample_motion(model, schedule, audio, ssl, genre, rng,
+        for s in test_samples:
+            motion = sample_motion(model, schedule, s.audio, s.ssl, s.genre, rng,
                                    fps=cfg.features.motion_fps,
                                    recompute_velocity=False)
-            gen_samples.append((assemble_vector(motion), audio, ssl, genre))
+            gen_samples.append(s._replace(x0=assemble_vector(motion)))
     else:
         gen_samples = test_samples    # ground truth against itself
 
@@ -334,8 +348,7 @@ def cmd_eval(args, cfg: RunConfig) -> int:
     fid_val = fid(mot_real, mot_gen)
     div, div_ci = diversity(mot_gen, subset_size=min(64, len(gen_samples) // 2),
                             rng=rng)
-    motions = np.stack([s[0] for s in gen_samples])
-    apd_val = apd(motions)
+    apd_val = apd(np.stack([s.x0 for s in gen_samples]))
     report = MetricReport(rp["top1"], rp["top1_ci"], rp["top2"], rp["top2_ci"],
                           rp["top3"], rp["top3_ci"], fid_val, div, div_ci,
                           apd_val)

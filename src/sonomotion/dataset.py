@@ -15,6 +15,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field, fields
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -736,12 +737,27 @@ def clip_features(audio_path, frames: int, fps: float, feat_config: FeatureConfi
     return feats.values.astype(np.float32).astype(np.float64), cache_path
 
 
+class TrainSample(NamedTuple):
+    """One motion and its conditions on one frame grid."""
+
+    x0: np.ndarray        # (T, 300) normalized motion vector
+    audio: np.ndarray     # (T, 2272) binaural features
+    ssl: np.ndarray       # (T, 3) character-local source position
+    genre: int
+
+
+def stack_samples(samples) -> TrainSample:
+    """Same-length samples as one batch: (B, T, .) arrays and (B,) genres."""
+    x0, audio, ssl, genre = zip(*samples)
+    return TrainSample(np.stack(x0), np.stack(audio), np.stack(ssl),
+                       np.array(genre, dtype=np.int64))
+
+
 def load_sample(manifest: DatasetManifest, entry: ManifestEntry,
                 feat_config: FeatureConfig, cache_dir=None,
-                stats: NormalizationStats | None = None):
-    """(x0 (T,300), audio (T,2272), ssl_local (T,3), genre int) for one entry,
-    on the ``feat_config.motion_fps`` frame grid; ``stats``, when given,
-    z-score the audio rows."""
+                stats: NormalizationStats | None = None) -> TrainSample:
+    """One entry's sample on the ``feat_config.motion_fps`` frame grid;
+    ``stats``, when given, z-score the audio rows."""
     audio_path, motion_path = manifest.resolve(entry)
     motion, ssl, genre, _ = load_motion(motion_path)
     if ssl is None:
@@ -758,11 +774,13 @@ def load_sample(manifest: DatasetManifest, entry: ManifestEntry,
                               feat_config, cache_dir)
     if stats is not None:
         values = stats.apply(values)
-    return x0, values, ssl_local.positions, int(Genre.parse(entry.genre))
+    return TrainSample(x0, values, ssl_local.positions,
+                       int(Genre.parse(entry.genre)))
 
 
 def load_split(manifest: DatasetManifest, split: str, feat_config: FeatureConfig,
-               cache_dir=None, stats: NormalizationStats | None = None) -> list[tuple]:
+               cache_dir=None, stats: NormalizationStats | None = None
+               ) -> list[TrainSample]:
     return [load_sample(manifest, e, feat_config, cache_dir, stats)
             for e in manifest.split_entries(split)]
 

@@ -6,6 +6,11 @@ so the sequence length is 2T + 2 and the prediction is read from the last T
 output tokens. Each frame token projects that frame's audio features and
 sound-source location together. The last block computes only those T motion
 rows; their queries still attend over all 2T + 2 tokens.
+
+Every model entry point takes batched (B, T, width) arrays, with one timestep
+and one genre per item; only ``sample_motion`` takes one clip and adds the
+batch axis itself. Training reads ``dataset.TrainSample`` records, stacked
+once by ``dataset.stack_samples``.
 """
 
 from __future__ import annotations
@@ -21,6 +26,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .checkpoint import save_checkpoint, write_atomically
+from .dataset import TrainSample, stack_samples
 from .diffusion import NoiseSchedule, q_sample, sample_array
 from .errors import ConfigError, ContractError, NumericError
 from .losses import LossWeights, l_data, l_foot, l_geo, l_rot, l_traj, total_loss
@@ -83,14 +89,13 @@ class MotionDenoiser(Module):
 
     # -- condition handling -------------------------------------------------
 
-    def _coerce(self, x_t, t, a, s, g):
-        """Normalize inputs to batched ndarrays; returns (arrays..., squeeze)."""
-        x = np.asarray(getattr(x_t, "data", x_t), dtype=np.float64)
-        a = np.asarray(getattr(a, "data", a), dtype=np.float64)
-        s = np.asarray(getattr(s, "data", s), dtype=np.float64)
-        squeeze = x.ndim == 2
-        if squeeze:
-            x, a, s = x[None], a[None], s[None]
+    def _coerce(self, x, t, a, s, g):
+        """Check batched (B, T, .) motion, audio and SSL arrays against the
+        config; returns t and g as (B,) int arrays."""
+        if not np.ndim(x) == np.ndim(a) == np.ndim(s) == 3:
+            raise ContractError(
+                f"inputs must be batched (B, T, width): motion {np.shape(x)}, "
+                f"audio {np.shape(a)}, ssl {np.shape(s)}")
         t_arr = np.atleast_1d(np.asarray(t, dtype=np.int64))
         g_arr = np.atleast_1d(np.asarray(g, dtype=np.int64))
         b, frames, w = x.shape
@@ -109,15 +114,14 @@ class MotionDenoiser(Module):
             raise ContractError("t and g must supply one value per batch item")
         if g_arr.min() < 0 or g_arr.max() >= self.config.genre_vocab:
             raise ContractError(f"genre ids must lie in 0..{self.config.genre_vocab - 1}")
-        return x, t_arr, a, s, g_arr, squeeze
+        return t_arr, g_arr
 
     def embed_conditions(self, t, a, s, g) -> Tensor:
         """Condition token sequence: timestep, genre, then per-frame tokens."""
-        x = np.zeros(np.shape(getattr(a, "data", a))[:-1] + (self.config.motion_width,))
-        x, t_arr, a, s, g_arr, squeeze = self._coerce(x, t, a, s, g)
-        tokens = ad.concat([self._time_token(t_arr), self.encode_conditions(a, s, g_arr)],
-                           axis=1)
-        return tokens[0] if squeeze else tokens
+        x = np.zeros(np.shape(a)[:-1] + (self.config.motion_width,))
+        t_arr, g_arr = self._coerce(x, t, a, s, g)
+        return ad.concat([self._time_token(t_arr), self.encode_conditions(a, s, g_arr)],
+                         axis=1)
 
     def _time_token(self, t_arr) -> Tensor:
         return self.time_proj(
@@ -126,8 +130,7 @@ class MotionDenoiser(Module):
     def encode_conditions(self, a, s, g) -> Tensor:
         """Genre and per-frame tokens of batched (B, T, .) audio and SSL: they do
         not depend on the timestep, so a sampler encodes them once per sequence."""
-        g_arr = np.atleast_1d(np.asarray(g, dtype=np.int64))
-        g_tok = self.genre_emb(g_arr[:, None])
+        g_tok = self.genre_emb(np.asarray(g)[:, None])
         frame_tok = self.cond_proj(Tensor(np.concatenate([a, s], axis=2)))
         return ad.concat([g_tok, frame_tok], axis=1)
 
@@ -135,11 +138,11 @@ class MotionDenoiser(Module):
 
     def predict_x0(self, x_t, t, a, s, g, *, cond: Tensor | None = None) -> Tensor:
         """x0_hat; ``cond`` may hold ``encode_conditions(a, s, g)`` to reuse."""
-        x, t_arr, a, s, g_arr, squeeze = self._coerce(x_t, t, a, s, g)
-        b, frames, _ = x.shape
+        t_arr, g_arr = self._coerce(x_t, t, a, s, g)
+        frames = x_t.shape[1]
         if cond is None:
             cond = self.encode_conditions(a, s, g_arr)
-        motion_tok = self.motion_proj(Tensor(x))
+        motion_tok = self.motion_proj(Tensor(x_t))
         tokens = ad.concat([self._time_token(t_arr), cond, motion_tok], axis=1)
         tokens = ad.add(tokens, self.pos_emb[:tokens.shape[1], :])
         last = len(self.blocks) - 1
@@ -149,9 +152,7 @@ class MotionDenoiser(Module):
             ad.check_finite(tokens.data, f"transformer layer {i}")
         out = self.head(self.final_norm(tokens))
         ad.check_finite(out.data, "the output head")
-        return out[0] if squeeze else out
-
-    __call__ = predict_x0
+        return out
 
 
 # ---------------------------------------------------------------------------
@@ -176,22 +177,11 @@ class TrainConfig:
             raise ConfigError("learning rate must be positive")
 
 
-@dataclass
-class TrainSample:
-    """One conditioning/motion pair prepared for training."""
-
-    x0: np.ndarray        # (T, 300)
-    audio: np.ndarray     # (T, 2272)
-    ssl: np.ndarray       # (T, 3)
-    genre: int
-
-
 def dataset_fingerprint(samples: list[TrainSample]) -> str:
     h = hashlib.sha256()
     for s in samples:
-        h.update(np.ascontiguousarray(s.x0).tobytes())
-        h.update(np.ascontiguousarray(s.audio).tobytes())
-        h.update(np.ascontiguousarray(s.ssl).tobytes())
+        for arr in (s.x0, s.audio, s.ssl):
+            h.update(np.ascontiguousarray(arr).tobytes())
         h.update(bytes([s.genre]))
     return h.hexdigest()[:16]
 
@@ -219,8 +209,6 @@ def train_denoiser(model: MotionDenoiser, schedule: NoiseSchedule, samples,
     1..steps, noise the clean motion, predict x0, apply the weighted loss,
     and take one AdamW step. Returns per-epoch curves for every term.
     """
-    samples = [s if isinstance(s, TrainSample) else TrainSample(*s)
-               for s in samples]
     if not samples:
         raise ContractError("empty training set")
     if weights is None:
@@ -229,12 +217,9 @@ def train_denoiser(model: MotionDenoiser, schedule: NoiseSchedule, samples,
     opt = AdamW(model.parameters(), lr=train_cfg.lr,
                 weight_decay=train_cfg.weight_decay)
 
-    x0_all = np.stack([s.x0 for s in samples])
-    audio_all = np.stack([s.audio for s in samples])
-    ssl_all = np.stack([s.ssl for s in samples])
-    genre_all = np.array([s.genre for s in samples], dtype=np.int64)
-    contact_all = np.stack([detect_foot_contacts(s.x0[:, :75], fps, skel)
-                            for s in samples])
+    x0_all, audio_all, ssl_all, genre_all = stack_samples(samples)
+    contact_all = np.stack([detect_foot_contacts(x0[:, :75], fps, skel)
+                            for x0 in x0_all])
 
     out_dir = Path(train_cfg.out_dir) if train_cfg.out_dir else None
     if out_dir:
@@ -300,16 +285,17 @@ def sample_motion(model: MotionDenoiser, schedule: NoiseSchedule,
                   audio: np.ndarray, ssl: np.ndarray, genre: int,
                   rng: np.random.Generator, step_subset=None, fps: float = 30.0,
                   recompute_velocity: bool = True) -> MotionSequence:
-    """Draw one motion conditioned on (audio, ssl, genre)."""
-    frames = audio.shape[0]
-    cond = model.encode_conditions(audio[None], ssl[None], genre)
+    """Draw one motion conditioned on one clip's (T, .) audio and SSL and its
+    genre, as a batch of one."""
+    audio, ssl, genre = audio[None], ssl[None], np.array([genre])
+    cond = model.encode_conditions(audio, ssl, genre)
 
     def model_fn(x, t):
-        return model.predict_x0(x, t, audio, ssl, genre, cond=cond).data
+        return model.predict_x0(x, [t], audio, ssl, genre, cond=cond).data
 
-    x = sample_array(model_fn, (frames, model.config.motion_width), schedule,
-                     rng, step_subset)
-    m = disassemble_vector(x, fps)
+    x = sample_array(model_fn, (1, audio.shape[1], model.config.motion_width),
+                     schedule, rng, step_subset)
+    m = disassemble_vector(x[0], fps)
     if recompute_velocity:
         m.v = compute_velocities(m.p, fps)
     return m

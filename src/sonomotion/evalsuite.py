@@ -7,6 +7,11 @@ reconstruction of the motion. Matched condition/motion pairs are pulled
 together and in-batch mismatches pushed apart by a margin contrastive loss;
 the autoencoder trains on reconstruction and freezes for the final third of
 the schedule.
+
+The extractors take batched (B, T, width) arrays. Training and
+``extract_features`` read lists of ``dataset.TrainSample`` records and stack
+them once with ``dataset.stack_samples``; ``extract_features`` then encodes
+all of them in one batched pass.
 """
 
 from __future__ import annotations
@@ -19,6 +24,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
+from .dataset import stack_samples
 from .errors import ConfigError, ContractError, NumericError, SamplingError, ShapeError
 from .nn import (BiGRUEncoder, DecoderBlock, EncoderBlock, LayerNorm, Linear,
                  Module)
@@ -33,7 +39,8 @@ log = logging.getLogger(__name__)
 
 
 def contrastive_loss(c: Tensor, m: Tensor, y, margin: float = 10.0) -> Tensor:
-    """(1-y) D^2 + y max(0, margin - D)^2 with D = ||c - m||_2, mean over rows.
+    """(1-y) D^2 + y max(0, margin - D)^2 with D = ||c - m||_2, mean over the
+    rows of (B, width) features.
 
     y = 0 marks a matched pair, y = 1 a mismatched one.
     """
@@ -42,9 +49,6 @@ def contrastive_loss(c: Tensor, m: Tensor, y, margin: float = 10.0) -> Tensor:
     if c.shape != m.shape:
         raise ShapeError(f"feature shapes differ: {c.shape} vs {m.shape}")
     y_arr = np.atleast_1d(np.asarray(y, dtype=np.float64))
-    if c.ndim == 1:
-        c = ad.reshape(c, (1,) + c.shape)
-        m = ad.reshape(m, (1,) + m.shape)
     if y_arr.shape != (c.shape[0],):
         raise ShapeError(f"labels {y_arr.shape} != batch ({c.shape[0]},)")
     diff = ad.sub(c, m)
@@ -131,14 +135,11 @@ class ExtractorModel(Module):
         self.autoencoder = MotionAutoencoder(cfg, rng)
 
     def condition_input(self, audio, ssl, genre) -> Tensor:
-        """Per-frame [projected audio | ssl | genre scalar] of width ``hidden``."""
-        audio = np.asarray(audio, dtype=np.float64)
-        ssl = np.asarray(ssl, dtype=np.float64)
-        if audio.ndim == 2:
-            audio, ssl = audio[None], ssl[None]
-        g = np.atleast_1d(np.asarray(genre, dtype=np.float64))
+        """Per-frame [projected audio | ssl | genre scalar] of width ``hidden``
+        for (B, T, .) audio and SSL and (B,) genres."""
         b, t, _ = audio.shape
         proj = self.audio_proj(Tensor(audio))
+        g = np.asarray(genre, dtype=np.float64)
         g_col = np.broadcast_to(g[:, None, None], (b, t, 1))
         return ad.concat([proj, Tensor(ssl), Tensor(g_col)], axis=-1)
 
@@ -146,9 +147,6 @@ class ExtractorModel(Module):
         return self.cond_gru(self.condition_input(audio, ssl, genre))
 
     def encode_motion(self, motion) -> Tensor:
-        motion = np.asarray(getattr(motion, "data", motion), dtype=np.float64)
-        if motion.ndim == 2:
-            motion = motion[None]
         return self.motion_gru(self.autoencoder(Tensor(motion)))
 
 
@@ -178,8 +176,8 @@ def train_extractor(samples, cfg: ExtractorConfig,
                     log_fn=None) -> tuple[ExtractorModel, dict[str, list[float]]]:
     """Joint contrastive + reconstruction training.
 
-    ``samples`` is a list of (x0 (T,300), audio (T,audio_width), ssl (T,3),
-    genre int) tuples. Mismatched pairs are built in-batch, one per positive,
+    ``samples`` is a list of ``TrainSample`` records (or tuples in their
+    field order) of one length. Mismatched pairs are built in-batch, one per positive,
     by pairing each condition with the next item's motion. From the freeze
     epoch on, the reconstruction is detached, so the autoencoder gets no
     gradient and the optimizer leaves it as it is.
@@ -190,10 +188,7 @@ def train_extractor(samples, cfg: ExtractorConfig,
     model = ExtractorModel(cfg, rng)
     opt = AdamW(model.parameters(), lr=train_cfg.lr)
 
-    x0 = np.stack([np.asarray(s[0], dtype=np.float64) for s in samples])
-    audio = np.stack([np.asarray(s[1], dtype=np.float64) for s in samples])
-    ssl = np.stack([np.asarray(s[2], dtype=np.float64) for s in samples])
-    genre = np.array([int(s[3]) for s in samples], dtype=np.int64)
+    x0, audio, ssl, genre = stack_samples(samples)
 
     def step(epoch, idx):
         recon = model.autoencoder(Tensor(x0[idx]))
@@ -226,12 +221,11 @@ def train_extractor(samples, cfg: ExtractorConfig,
 
 
 def extract_features(model: ExtractorModel, samples) -> tuple[np.ndarray, np.ndarray]:
-    """Condition and motion features (N, feature_width) for paired samples."""
-    conds, mots = [], []
-    for x0, audio, ssl, genre in samples:
-        conds.append(model.encode_condition(audio, ssl, genre).data[0])
-        mots.append(model.encode_motion(x0).data[0])
-    return np.stack(conds), np.stack(mots)
+    """Condition and motion features (N, feature_width) of N same-length
+    samples, in one batched pass."""
+    x0, audio, ssl, genre = stack_samples(samples)
+    return (model.encode_condition(audio, ssl, genre).data,
+            model.encode_motion(x0).data)
 
 
 # ---------------------------------------------------------------------------

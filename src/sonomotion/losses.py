@@ -36,9 +36,7 @@ def degenerate_rotation_count() -> int:
 
 def _frame_diff(x: Tensor) -> Tensor:
     """Forward difference along the frame axis (second-to-last axis)."""
-    if x.ndim == 2:
-        return ad.sub(x[1:, :], x[:-1, :])
-    return ad.sub(x[:, 1:, :], x[:, :-1, :])
+    return ad.sub(x[..., 1:, :], x[..., :-1, :])
 
 
 def _check_pair(pred: Tensor, target: Tensor) -> None:
@@ -153,33 +151,19 @@ def l_foot(pred: Tensor, target: Tensor, contacts: np.ndarray,
 
 @dataclass
 class LossWeights:
-    """Per-term weights; trajectory/rotation are bumped late in training."""
+    """Unit weight on every term; from ``bump_epoch`` on, the trajectory and
+    rotation terms weigh 3."""
 
-    data: float = 1.0
-    geo: float = 1.0
-    foot: float = 1.0
-    traj: float = 1.0
-    rot: float = 1.0
     bump_epoch: int | None = None
-    bump_value: float = 3.0
-
-    def __post_init__(self):
-        for name in ("data", "geo", "foot", "traj", "rot"):
-            if getattr(self, name) < 0:
-                raise ConfigError(f"loss weight {name} must be non-negative")
 
     @classmethod
-    def with_schedule(cls, total_epochs: int, **kw) -> "LossWeights":
+    def with_schedule(cls, total_epochs: int) -> "LossWeights":
         """Default schedule: traj/rot weights triple at floor(5/6 * epochs)."""
-        return cls(bump_epoch=(5 * total_epochs) // 6, **kw)
+        return cls(bump_epoch=(5 * total_epochs) // 6)
 
     def at_epoch(self, epoch: int) -> dict[str, float]:
-        w = {"data": self.data, "geo": self.geo, "foot": self.foot,
-             "traj": self.traj, "rot": self.rot}
-        if self.bump_epoch is not None and epoch >= self.bump_epoch:
-            w["traj"] = self.bump_value
-            w["rot"] = self.bump_value
-        return w
+        late = 3.0 if self.bump_epoch is not None and epoch >= self.bump_epoch else 1.0
+        return {"data": 1.0, "geo": 1.0, "foot": 1.0, "traj": late, "rot": late}
 
 
 def total_loss(terms: dict[str, Tensor], weights: LossWeights,

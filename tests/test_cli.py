@@ -411,6 +411,46 @@ class TestFeaturesTrainSample:
         assert np.isfinite(doc["fid"]) and doc["fid"] >= 0.0
 
 
+class TestDeterminism:
+    def test_pipeline_twice_gives_the_same_bytes(self, workspace, tmp_path,
+                                                 monkeypatch):
+        """features, train, sample and eval on the tiny workspace, run twice,
+        each in its own directory, write the same files with the same bytes;
+        only the ``created:`` line of ``model_card.txt`` may differ. Outputs
+        are named relative to the run directory (the cache is the default
+        ``cache``), because the model card records the output dir."""
+        ws, cfg_path, data_dir = workspace
+        manifest = str(data_dir / "manifest.json")
+        ckpt = "ckpt/checkpoint_final.snm"
+        runs = [tmp_path / "a", tmp_path / "b"]
+        for run in runs:
+            run.mkdir()
+            monkeypatch.chdir(run)
+            for argv in (
+                    ["features", "--manifest", manifest],
+                    ["train", "--manifest", manifest, "--out", "ckpt"],
+                    ["sample", "--checkpoint", ckpt, "--count", "2",
+                     "--audio", str(data_dir / "audio" / "sample_0000.wav"),
+                     "--ssl", "0.5,-2.0,1.2", "--out", "gen"],
+                    ["eval", "--manifest", manifest, "--checkpoint", ckpt,
+                     "--out", "report.json"]):
+                assert main(["--config", str(cfg_path), *argv]) == EXIT_OK, argv
+
+        def listing(run):
+            return sorted(p.relative_to(run) for p in run.rglob("*") if p.is_file())
+
+        files = listing(runs[0])
+        assert files == listing(runs[1])
+        assert {"report.json", "norm_stats.npz", "checkpoint_final.snm",
+                "metrics.log", "generated_001.json"} <= {p.name for p in files}
+        for rel in files:
+            a, b = ([line for line in (run / rel).read_bytes().splitlines(True)
+                     if not (rel.name == "model_card.txt"
+                             and line.startswith(b"created: "))]
+                    for run in runs)
+            assert a == b, f"{rel} differs between runs"
+
+
 class TestGradcheckCommand:
     def test_passes(self, capsys):
         assert main(["gradcheck", "--seed", "1"]) == EXIT_OK
@@ -529,26 +569,66 @@ class TestExitCodes:
     @pytest.mark.parametrize("flag, value", [
         ("--frames", "-5"), ("--frames", "0"), ("--steps", "0"), ("--steps", "-3"),
         ("--steps", "50"), ("--count", "0"), ("--count", "-2"),
-        ("--frames", "61")])
+        ("--frames", "61"), ("synth-data --count", "5"),
+        ("synth-data --duration", "1"), ("features --workers", "0"),
+        ("features --workers", "-3")])
     def test_sample_flag_out_of_range_is_usage_error(self, workspace, tmp_path,
                                                      capsys, flag, value):
-        """--steps, --frames and --count must be >= 1, --steps at most
-        diffusion_steps (8 here) and --frames at most max_frames (60): exit 1
-        with one line naming the flag."""
+        """A flag named alone is a ``sample`` flag, else "command flag".
+        ``sample``: --steps, --frames and --count must be >= 1, --steps at most
+        diffusion_steps (8 here) and --frames at most max_frames (60).
+        ``synth-data``: --count at least 10 (an 8:1:1 split) and --duration at
+        least 2 s. ``features``: --workers at least 1. Each exits 1 with one
+        line naming the flag, before it writes its output dir."""
         ws, cfg_path, data_dir = workspace
-        ckpt = tmp_path / "model.snm"
-        save_checkpoint(ckpt, MotionDenoiser(RunConfig.load(cfg_path).model,
-                                             np.random.default_rng(0))
-                        .named_parameters())
-        flags = {"--steps": "2", "--frames": "30", "--count": "1", flag: value}
-        rc = main(["--config", str(cfg_path), "sample", "--checkpoint", str(ckpt),
-                   "--audio", str(next((data_dir / "audio").glob("*.wav"))),
-                   "--ssl", "0,1,0", "--out", str(tmp_path / "o"),
-                   *(tok for item in flags.items() for tok in item)])
+        command, _, flag = flag.rpartition(" ")
+        out = tmp_path / "o"
+        if command == "synth-data":
+            argv = ["synth-data", "--count", "10", "--duration", "2", "--out", str(out)]
+        elif command == "features":
+            argv = ["features", "--manifest", str(data_dir / "manifest.json"),
+                    "--cache", str(out)]
+        else:
+            ckpt = tmp_path / "model.snm"
+            save_checkpoint(ckpt, MotionDenoiser(RunConfig.load(cfg_path).model,
+                                                 np.random.default_rng(0))
+                            .named_parameters())
+            argv = ["sample", "--checkpoint", str(ckpt),
+                    "--audio", str(next((data_dir / "audio").glob("*.wav"))),
+                    "--ssl", "0,1,0", "--out", str(out),
+                    "--steps", "2", "--frames", "30", "--count", "1"]
+        # the flag comes last, so its value wins over the valid one above
+        rc = main(["--config", str(cfg_path), *argv, flag, value])
         assert rc == EXIT_USAGE
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and flag in err
-        assert not (tmp_path / "o").exists()
+        assert not out.exists()
+
+    def test_entries_sharing_a_wav_are_data_error(self, workspace, tmp_path,
+                                                  capsys):
+        """A 3 s WAV shared by a 60-frame and a 90-frame entry: its one cache
+        file cannot hold both counts, so ``features`` exits 2 with one line
+        naming both entries and counts, and fits no statistics."""
+        ws, cfg_path, data_dir = workspace
+        data = tmp_path / "data"
+        shutil.copytree(data_dir, data)
+        manifest = dataset.DatasetManifest.load(data / "manifest.json")
+        short, long = manifest.split_entries("train")[:2]
+        scene = dataset.synthesize_pair(dataset.SyntheticSceneSpec(duration=3.0,
+                                                                   seed=1))
+        for e in (short, long):
+            write_wav(data / e.audio, scene.clip)
+        save_motion(data / long.motion, scene.motion, scene.ssl, scene.genre,
+                    SkeletonSpec.default().names, extras=scene.meta)
+        cache = tmp_path / "cache"
+        rc = main(["features", "--manifest", str(data / "manifest.json"),
+                   "--cache", str(cache)])
+        assert rc == EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        for part in (short.sample_id, "(60 frames)", long.sample_id, "(90 frames)"):
+            assert part in err
+        assert not (cache / "norm_stats.npz").exists()
 
     def test_restore_model_matches_load_state(self, workspace, tmp_path):
         """The restore target is allocated, not drawn: every parameter is

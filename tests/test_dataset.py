@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from sonomotion import dataset as ds
+from sonomotion import denoiser
 from sonomotion.audio import (AudioClip, FeatureConfig, NormalizationStats,
                               extract_binaural, load_feature_cache, read_wav,
                               write_wav)
@@ -355,6 +356,26 @@ class TestLoadSample:
         assert a.shape == (frames, 2272)
         assert s.shape == (frames, 3)
         assert g in (0, 1, 2)
+
+    def test_split_items_are_train_samples(self, small_dataset):
+        """``load_split`` items are TrainSample records that index as (x0,
+        audio, ssl, genre); ``stack_samples`` stacks each field."""
+        _, manifest = small_dataset
+        items = ds.load_split(manifest, "train", FeatureConfig())
+        assert len(items) == 8
+        for s in items:
+            assert isinstance(s, ds.TrainSample)
+            assert s[0] is s.x0 and s[1] is s.audio and s[2] is s.ssl
+            assert s[3] == s.genre
+        batch = ds.stack_samples(items)
+        frames = items[0].x0.shape[0]
+        assert batch.x0.shape == (8, frames, 300)
+        assert batch.audio.shape == (8, frames, 2272)
+        assert batch.ssl.shape == (8, frames, 3)
+        assert batch.genre.dtype == np.int64
+        for k in range(4):
+            np.testing.assert_array_equal(batch[k], [s[k] for s in items])
+        assert denoiser.TrainSample is ds.TrainSample
 
     def test_normalized_start_pose(self, small_dataset):
         _, manifest = small_dataset

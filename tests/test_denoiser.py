@@ -64,11 +64,11 @@ class TestPredictX0:
         rng = np.random.default_rng(4)
         model = MotionDenoiser(cfg, rng)
         t_frames = 240
-        x = rng.standard_normal((t_frames, 300))
-        a = rng.standard_normal((t_frames, 2272))
-        s = rng.standard_normal((t_frames, 3))
-        out = model.predict_x0(x, 17, a, s, 1)
-        assert out.shape == (240, 300)
+        x = rng.standard_normal((1, t_frames, 300))
+        a = rng.standard_normal((1, t_frames, 2272))
+        s = rng.standard_normal((1, t_frames, 3))
+        out = model.predict_x0(x, [17], a, s, [1])
+        assert out.shape == (1, 240, 300)
 
     def test_deterministic(self):
         rng = np.random.default_rng(5)
@@ -98,6 +98,11 @@ class TestPredictX0:
             model.predict_x0(x, ts, a[..., :5], s, g)
         with pytest.raises(ContractError):
             model.predict_x0(x, ts, a, s, np.array([0, 5]))
+        # one clip without its batch axis is a rank error, not a traceback
+        with pytest.raises(ContractError, match="batched"):
+            model.predict_x0(x[0], ts[:1], a[0], s[0], g[:1])
+        with pytest.raises(ContractError, match="batched"):
+            model.embed_conditions(ts[:1], a[0], s[0], g[:1])
 
     def test_gradcheck_through_model(self):
         rng = np.random.default_rng(11)
@@ -159,7 +164,7 @@ class TestPredictX0:
     def _full_rows_x0(model, x, t, a, s, g) -> Tensor:
         """Reference for predict_x0: every block computes all 2T + 2 rows, and
         the motion rows are sliced off before the head."""
-        x, t, a, s, g, _ = model._coerce(x, t, a, s, g)
+        t, g = model._coerce(x, t, a, s, g)
         tokens = ad.concat([model._time_token(t), model.encode_conditions(a, s, g),
                             model.motion_proj(Tensor(x))], axis=1)
         tokens = ad.add(tokens, model.pos_emb[:tokens.shape[1], :])
@@ -379,10 +384,10 @@ class TestSampling:
         steps = [20, 14, 9, 4, 1]
 
         def model_fn(x, t):
-            return model.predict_x0(x, t, a, s, 2).data
+            return model.predict_x0(x, [t], a[None], s[None], [2]).data
 
-        want = sample_array(model_fn, (5, 300), schedule,
-                            np.random.default_rng(32), steps)
+        want = sample_array(model_fn, (1, 5, 300), schedule,
+                            np.random.default_rng(32), steps)[0]
         calls = []
         cond_proj = model.cond_proj
         model.cond_proj = lambda x: calls.append(1) or cond_proj(x)

@@ -271,6 +271,18 @@ class TestExtractor:
             assert moved("autoencoder", epoch) == (epoch < cfg.freeze_epoch)
             assert moved("cond_gru", epoch) and moved("motion_gru", epoch)
 
+    def test_extract_features_batch_matches_single_items(self):
+        """One batched pass over N items gives the features of N one-item
+        batches, up to the summation order of the batched products."""
+        samples = separable_samples(np.random.default_rng(24), n_per_class=2)
+        model = ev.ExtractorModel(TINY_EXT, np.random.default_rng(25))
+        cond, mot = ev.extract_features(model, samples)
+        assert cond.shape == mot.shape == (len(samples), TINY_EXT.feature_width)
+        for i, s in enumerate(samples):
+            one_cond, one_mot = ev.extract_features(model, [s])
+            np.testing.assert_allclose(cond[i], one_cond[0], rtol=0, atol=1e-12)
+            np.testing.assert_allclose(mot[i], one_mot[0], rtol=0, atol=1e-12)
+
     def test_non_finite_term_names_itself(self, monkeypatch):
         samples = separable_samples(np.random.default_rng(23), n_per_class=2)
         monkeypatch.setattr(ev, "contrastive_loss",

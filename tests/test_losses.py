@@ -1,12 +1,10 @@
 """The five loss terms: values on worked examples, gradients, weighting."""
 
 import numpy as np
-import pytest
 
 from sonomotion import losses as L
 from sonomotion import skeleton as sk
 from sonomotion.autodiff import Tensor
-from sonomotion.errors import ConfigError
 from sonomotion.gradcheck import check_scalar_fn
 
 SKEL = sk.SkeletonSpec.default()
@@ -214,7 +212,3 @@ class TestTotalLoss:
         terms["geo"] = Tensor(3.0)
         bumped, _ = L.total_loss(terms, w, 0)
         assert bumped.item() - base.item() == 2.0
-
-    def test_negative_weight_rejected(self):
-        with pytest.raises(ConfigError):
-            L.LossWeights(traj=-1.0)
