@@ -6,16 +6,17 @@ on double precision. Operations record themselves on the innermost active
 :class:`Tape`; replaying the tape backward visits each recorded node exactly
 once in reverse execution (= reverse topological) order.
 
-The fused :func:`linear`, :func:`attention` and :func:`fk` are one node each
-with a hand-written backward; a backward returns ``None`` for an input that
-needs no gradient. Only ``div``, ``sqrt`` and ``mse`` check their outputs;
-callers check whole blocks with :func:`check_finite` (raises NumericError).
+The four fused ops :func:`linear`, :func:`attention`, :func:`fk` and
+:func:`gru` are one node each with a hand-written backward; a backward
+returns ``None`` for an input that needs no gradient. Only ``div``,
+``sqrt`` and ``mse`` check their outputs; callers check whole blocks with
+:func:`check_finite` (raises NumericError).
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy.special import erf
+from scipy.special import erf, expit
 
 from .errors import ContractError, NumericError, ShapeError
 
@@ -471,6 +472,82 @@ def attention(q, k, v, heads: int) -> Tensor:
                 merge(e.transpose(0, 1, 3, 2) @ gci, tm) if v.requires_grad else None)
 
     return _record(out, (q, k, v), bwd)
+
+
+def gru(x, wx, bx, wh, bh, reverse: bool = False) -> Tensor:
+    """Gated recurrent unit (Cho et al. 2014) over (B, T, in) inputs from a
+    zero state, frames taken last to first when ``reverse``; (B, T, h) states.
+
+    Gates are ordered [z | r | n] in the (in, 3h) input weight ``wx``, the
+    (h, 3h) recurrent weight ``wh`` and their biases:
+    z = sigmoid(x wz + h uz), r = sigmoid(x wr + h ur),
+    n = tanh(x wn + r (h un)), h' = (1 - z) n + z h, each product with its
+    bias. All frames' input products are one GEMM; the backward pass is one
+    reverse sweep (BPTT) over the stored gates.
+    """
+    x, wx, bx, wh, bh = (_as_tensor(a) for a in (x, wx, bx, wh, bh))
+    hd = wh.shape[0]
+    if (x.ndim != 3 or wx.shape != (x.shape[2], 3 * hd) or bx.shape != (3 * hd,)
+            or wh.shape != (hd, 3 * hd) or bh.shape != (3 * hd,)):
+        raise ShapeError(f"gru shapes x {x.shape}, wx {wx.shape}, bx {bx.shape}, "
+                         f"wh {wh.shape}, bh {bh.shape} do not fit")
+    b, t, d = x.shape
+    x2 = x.data.reshape(b * t, d)
+    px = x2 @ wx.data
+    px += bx.data
+    px = px.reshape(b, t, 3 * hd).transpose(1, 0, 2)     # step-major (T, B, 3h)
+    if reverse:
+        px = px[::-1]
+    hs = np.zeros((t + 1, b, hd))       # hs[k] is the state entering step k
+    ph = np.empty((t, b, 3 * hd))       # recurrent products hs[k] wh + bh
+    zr, n = np.empty((t, b, 2 * hd)), np.empty((t, b, hd))
+    z, r, hn = zr[..., :hd], zr[..., hd:], ph[..., 2 * hd:]
+    for k in range(t):
+        np.matmul(hs[k], wh.data, out=ph[k])
+        ph[k] += bh.data
+        np.add(px[k, :, :2 * hd], ph[k, :, :2 * hd], out=zr[k])
+        expit(zr[k], out=zr[k])
+        np.multiply(r[k], hn[k], out=n[k])
+        n[k] += px[k, :, 2 * hd:]
+        np.tanh(n[k], out=n[k])
+        hs[k + 1] = (1.0 - z[k]) * n[k] + z[k] * hs[k]
+    seq = hs[:0:-1] if reverse else hs[1:]
+    out = Tensor(seq.transpose(1, 0, 2))
+
+    def bwd(g):
+        gs = g.transpose(1, 0, 2)
+        if reverse:
+            gs = gs[::-1]
+        # the local derivatives of every frame at once
+        dzr, dtanh, omz, hmn = zr * (1.0 - zr), 1.0 - n * n, 1.0 - z, hs[:t] - n
+        # d(loss)/d(pre-activations): gph of the recurrent products and gn of
+        # n's input product, which the input side takes in place of gph's n block
+        gph, gn = np.empty((t, b, 3 * hd)), np.empty((t, b, hd))
+        dh = np.zeros((b, hd))
+        wht = wh.data.T
+        for k in range(t - 1, -1, -1):
+            dh += gs[k]
+            np.multiply(dh, omz[k], out=gn[k])
+            gn[k] *= dtanh[k]
+            np.multiply(dh, hmn[k], out=gph[k, :, :hd])
+            np.multiply(gn[k], hn[k], out=gph[k, :, hd:2 * hd])
+            gph[k, :, :2 * hd] *= dzr[k]
+            np.multiply(gn[k], r[k], out=gph[k, :, 2 * hd:])
+            dh *= z[k]
+            dh += gph[k] @ wht
+        gph2 = gph.reshape(t * b, 3 * hd)
+        gwh = hs[:t].reshape(t * b, hd).T @ gph2 if wh.requires_grad else None
+        gbh = gph2.sum(axis=0) if bh.requires_grad else None
+        gpx = np.concatenate([gph[..., :2 * hd], gn], axis=2)
+        if reverse:
+            gpx = gpx[::-1]
+        gpx2 = gpx.transpose(1, 0, 2).reshape(b * t, 3 * hd)
+        gx = (gpx2 @ wx.data.T).reshape(x.shape) if x.requires_grad else None
+        gwx = x2.T @ gpx2 if wx.requires_grad else None
+        gbx = gpx2.sum(axis=0) if bx.requires_grad else None
+        return gx, gwx, gbx, gwh, gbh
+
+    return _record(out, (x, wx, bx, wh, bh), bwd)
 
 
 # ---------------------------------------------------------------------------

@@ -24,8 +24,8 @@ import numpy as np
 
 from .audio import FeatureConfig, NormalizationStats, extract_binaural, read_wav
 from .checkpoint import load_checkpoint, write_atomically
-from .dataset import (DatasetManifest, clip_features, fit_feature_stats,
-                      generate_dataset, load_split)
+from .dataset import (MIN_SPLIT_ITEMS, DatasetManifest, clip_features,
+                      fit_feature_stats, generate_dataset, load_split)
 from .denoiser import (DenoiserConfig, MotionDenoiser, TrainConfig,
                        sample_motion, train_denoiser)
 from .diffusion import cosine_schedule, stride_subset
@@ -171,9 +171,9 @@ def _parse_ssl(raw: str, frames: int) -> np.ndarray:
 
 
 def cmd_synth_data(args, cfg: RunConfig) -> int:
-    if args.count < 10:
-        raise ConfigError(f"--count must be >= 10 for an 8:1:1 split, "
-                          f"got {args.count}")
+    if args.count < MIN_SPLIT_ITEMS:
+        raise ConfigError(f"--count must be >= {MIN_SPLIT_ITEMS} for an 8:1:1 "
+                          f"split, got {args.count}")
     if not args.duration >= 2.0:    # also rejects nan
         raise ConfigError(f"--duration must be >= 2 s, got {args.duration:g}")
     manifest = generate_dataset(args.out, count=args.count,
@@ -325,30 +325,29 @@ def cmd_eval(args, cfg: RunConfig) -> int:
         raise DataError("test split too small for evaluation")
     extractor, _ = train_extractor(train_samples, cfg.extractor,
                                    cfg.extractor_training)
+    # the generated motions share the test items' conditions
+    cond, mot_real = extract_features(extractor, test_samples)
 
     if args.checkpoint:
         model = _restore_model(cfg, args.checkpoint)
         schedule = cosine_schedule(cfg.diffusion_steps)
         rng = np.random.default_rng(cfg.training.seed)
-        gen_samples = []
-        for s in test_samples:
-            motion = sample_motion(model, schedule, s.audio, s.ssl, s.genre, rng,
-                                   fps=cfg.features.motion_fps,
-                                   recompute_velocity=False)
-            gen_samples.append(s._replace(x0=assemble_vector(motion)))
-    else:
-        gen_samples = test_samples    # ground truth against itself
+        gen_x0 = np.stack([assemble_vector(sample_motion(
+            model, schedule, s.audio, s.ssl, s.genre, rng,
+            fps=cfg.features.motion_fps, recompute_velocity=False))
+            for s in test_samples])
+        mot_gen = extractor.encode_motion(gen_x0).data
+    else:    # ground truth against itself
+        gen_x0, mot_gen = np.stack([s.x0 for s in test_samples]), mot_real
 
-    cond_real, mot_real = extract_features(extractor, test_samples)
-    cond_gen, mot_gen = extract_features(extractor, gen_samples)
     rng = np.random.default_rng(cfg.training.seed)
     # two or more test items: the pool and the diversity subset are >= 2 and 1
-    rp = r_precision(cond_gen, mot_gen, pool_size=min(32, len(test_samples)),
+    rp = r_precision(cond, mot_gen, pool_size=min(32, len(test_samples)),
                      rng=rng)
     fid_val = fid(mot_real, mot_gen)
-    div, div_ci = diversity(mot_gen, subset_size=min(64, len(gen_samples) // 2),
+    div, div_ci = diversity(mot_gen, subset_size=min(64, len(test_samples) // 2),
                             rng=rng)
-    apd_val = apd(np.stack([s.x0 for s in gen_samples]))
+    apd_val = apd(gen_x0)
     report = MetricReport(rp["top1"], rp["top1_ci"], rp["top2"], rp["top2_ci"],
                           rp["top3"], rp["top3_ci"], fid_val, div, div_ci,
                           apd_val)

@@ -594,6 +594,16 @@ def _largest_remainder(n: int, ratios) -> list[int]:
     return counts
 
 
+# the smallest dataset an 8:1:1 split leaves a val and a test item
+MIN_SPLIT_ITEMS = 10
+
+
+def _check_split_size(count: int) -> None:
+    if count < MIN_SPLIT_ITEMS:
+        raise ContractError(f"need at least {MIN_SPLIT_ITEMS} samples for an "
+                            f"8:1:1 split, got {count}")
+
+
 def assign_splits(entries: list[ManifestEntry], seed: int,
                   ratios: tuple[float, float, float] = (0.8, 0.1, 0.1)) -> None:
     """Deterministic stratified split with exact global counts.
@@ -602,8 +612,7 @@ def assign_splits(entries: list[ManifestEntry], seed: int,
     then moves shuffled items between splits until the global counts match
     the largest-remainder allocation of the full set.
     """
-    if len(entries) < 10:
-        raise ContractError("need at least 10 samples for an 8:1:1 split")
+    _check_split_size(len(entries))
     if abs(sum(ratios) - 1.0) > 1e-9:
         raise ContractError("split ratios must sum to 1")
     rng = np.random.default_rng(seed)
@@ -653,6 +662,7 @@ def generate_dataset(out_dir, count: int, seed: int, duration: float = 10.0,
                      fps: int = 30, sample_rate: int = 24000,
                      skel: SkeletonSpec | None = None) -> DatasetManifest:
     """Write ``count`` synthetic paired samples plus a split manifest."""
+    _check_split_size(count)
     out = Path(out_dir)
     (out / "audio").mkdir(parents=True, exist_ok=True)
     (out / "motion").mkdir(parents=True, exist_ok=True)

@@ -148,6 +148,11 @@ def run_primitive_suite(seed: int = 0, tol: float = DEFAULT_TOL) -> list[GradChe
     wk = rng.standard_normal((2, 5, 3))
     add_case("fk", lambda r, q: ad.sum_(ad.mul(ad.fk(parents, offsets, r, q), wk)),
              [rng.standard_normal((2, 3)), rng.standard_normal((2, 5, 3, 3))])
+    wg = rng.standard_normal((2, 4, 3))
+    for name, reverse in (("gru", False), ("gru_reverse", True)):
+        add_case(name, lambda x, wx, bx, wh, bh: ad.sum_(
+                     ad.mul(ad.gru(x, wx, bx, wh, bh, reverse), wg)),
+                 [rng.standard_normal(s) for s in ((2, 4, 3), (3, 9), (9,), (3, 9), (9,))])
     return rows
 
 

@@ -157,31 +157,25 @@ class DecoderBlock(Module):
 
 
 class GRULayer(Module):
-    """Single-direction gated recurrent layer over (B, T, in) sequences."""
+    """Single-direction gated recurrent layer over (B, T, in) sequences: one
+    (in, 3h) input and one (h, 3h) recurrent weight, gates [z | r | n]."""
 
     def __init__(self, in_dim: int, hidden: int, rng: np.random.Generator):
         self.hidden = hidden
-        self.wz = Linear(in_dim, hidden, rng)
-        self.uz = Linear(hidden, hidden, rng)
-        self.wr = Linear(in_dim, hidden, rng)
-        self.ur = Linear(hidden, hidden, rng)
-        self.wn = Linear(in_dim, hidden, rng)
-        self.un = Linear(hidden, hidden, rng)
+        # blocks drawn wz, uz, wr, ur, wn, un: a seed gives the weights of six
+        # separate per-gate maps
+        blocks = [uniform_init(rng, (d, hidden), d).data
+                  for _ in range(3) for d in (in_dim, hidden)]
+        self.wx = Tensor(np.concatenate(blocks[0::2], axis=1), requires_grad=True)
+        self.bx = Tensor(np.zeros(3 * hidden), requires_grad=True)
+        self.wh = Tensor(np.concatenate(blocks[1::2], axis=1), requires_grad=True)
+        self.bh = Tensor(np.zeros(3 * hidden), requires_grad=True)
 
     def __call__(self, x: Tensor, reverse: bool = False):
-        """Returns (outputs (B, T, h), final hidden (B, h))."""
-        b, t, _ = x.shape
-        h = Tensor(np.zeros((b, self.hidden)))
-        outs: list[Tensor] = [None] * t
-        steps = range(t - 1, -1, -1) if reverse else range(t)
-        for i in steps:
-            xt = x[:, i, :]
-            z = ad.sigmoid(ad.add(self.wz(xt), self.uz(h)))
-            r = ad.sigmoid(ad.add(self.wr(xt), self.ur(h)))
-            n = ad.tanh_(ad.add(self.wn(xt), ad.mul(r, self.un(h))))
-            h = ad.add(ad.mul(ad.sub(1.0, z), n), ad.mul(z, h))
-            outs[i] = ad.reshape(h, (b, 1, self.hidden))
-        return ad.concat(outs, axis=1), h
+        """Returns (outputs (B, T, h), final hidden (B, h)); the final hidden
+        is frame 0's state when ``reverse``."""
+        seq = ad.gru(x, self.wx, self.bx, self.wh, self.bh, reverse)
+        return seq, seq[:, 0 if reverse else -1]
 
 
 class BiGRUEncoder(Module):

@@ -12,7 +12,7 @@ from sonomotion.checkpoint import load_checkpoint, save_checkpoint
 from sonomotion.errors import ContractError, DataError, NumericError, ShapeError
 from sonomotion.gradcheck import (check_scalar_fn, numeric_gradient,
                                   run_primitive_suite)
-from sonomotion.nn import Linear, Module
+from sonomotion.nn import GRULayer, Linear, Module
 from sonomotion.optim import AdamW
 from sonomotion.skeleton import SkeletonSpec
 
@@ -174,9 +174,78 @@ class TestFusedOps:
             ad.fk(skel.parents, skel.offsets, Tensor(np.zeros((2, 3))), rot)
             ad.matmul(const, w)
             ad.mse(h, Tensor(np.zeros((2, 3, 8))))
+            ad.gru(const, *GRULayer(4, 3, rng).parameters())
         for out, inputs, bwd in tape._nodes:
             for t, g in zip(inputs, bwd(np.ones(out.shape))):
                 assert (g is None) == (not t.requires_grad)
+
+
+def _per_frame_gru(layer, x, reverse):
+    """The GRU one frame at a time from the taped elementwise primitives,
+    with the per-gate blocks cut from the layer's fused weights."""
+    hd = layer.hidden
+    wz, wr, wn = (layer.wx[:, i * hd:(i + 1) * hd] for i in range(3))
+    bz, br, bn = (layer.bx[i * hd:(i + 1) * hd] for i in range(3))
+    uz, ur, un = (layer.wh[:, i * hd:(i + 1) * hd] for i in range(3))
+    cz, cr, cn = (layer.bh[i * hd:(i + 1) * hd] for i in range(3))
+    b, t, _ = x.shape
+    h = Tensor(np.zeros((b, hd)))
+    outs = [None] * t
+    for i in (range(t - 1, -1, -1) if reverse else range(t)):
+        xt = x[:, i, :]
+        z = ad.sigmoid(ad.add(ad.linear(xt, wz, bz), ad.linear(h, uz, cz)))
+        r = ad.sigmoid(ad.add(ad.linear(xt, wr, br), ad.linear(h, ur, cr)))
+        n = ad.tanh_(ad.add(ad.linear(xt, wn, bn), ad.mul(r, ad.linear(h, un, cn))))
+        h = ad.add(ad.mul(ad.sub(1.0, z), n), ad.mul(z, h))
+        outs[i] = ad.reshape(h, (b, 1, hd))
+    return ad.concat(outs, axis=1), h
+
+
+class TestGRU:
+    @pytest.mark.parametrize("reverse", [False, True])
+    @pytest.mark.parametrize("frames", [1, 5])
+    def test_fused_layer_matches_per_frame_formula(self, frames, reverse):
+        rng = np.random.default_rng(24)
+        layer = GRULayer(4, 3, rng)
+        for p in (layer.bx, layer.bh):
+            p.data = rng.standard_normal(p.shape)
+        x_data = rng.standard_normal((2, frames, 4))
+        w_seq, w_last = rng.standard_normal((2, frames, 3)), rng.standard_normal((2, 3))
+
+        def run(fn):
+            x = Tensor(x_data, requires_grad=True)
+            with Tape() as tape:
+                seq, last = fn(layer, x, reverse)
+                tape.backward(ad.add(ad.sum_(ad.mul(seq, w_seq)),
+                                     ad.sum_(ad.mul(last, w_last))))
+            return [seq.data, last.data, x.grad] + [p.grad for p in layer.parameters()]
+
+        got = run(lambda layer, x, reverse: layer(x, reverse))
+        want = run(_per_frame_gru)
+        for g, w in zip(got, want):
+            np.testing.assert_allclose(g, w, rtol=0, atol=1e-12)
+
+    def test_init_draws_the_former_per_gate_order(self):
+        layer = GRULayer(5, 3, np.random.default_rng(25))
+        rng = np.random.default_rng(25)
+        wz, uz, wr, ur, wn, un = (Linear(d, 3, rng).w.data for d in (5, 3) * 3)
+        np.testing.assert_array_equal(layer.wx.data, np.hstack([wz, wr, wn]))
+        np.testing.assert_array_equal(layer.wh.data, np.hstack([uz, ur, un]))
+
+    def test_one_call_records_two_tape_nodes(self):
+        layer = GRULayer(4, 3, np.random.default_rng(26))
+        x = Tensor(np.ones((2, 6, 4)), requires_grad=True)
+        with Tape() as tape:
+            layer(x, reverse=True)
+        assert len(tape) <= 2
+
+    def test_large_gate_inputs_stay_finite(self):
+        layer = GRULayer(2, 3, np.random.default_rng(27))
+        x = Tensor(np.array([[[1e4, -1e4], [-1e4, 1e4]]]), requires_grad=True)
+        with np.errstate(all="raise"), Tape() as tape:
+            seq, _ = layer(x)
+            tape.backward(ad.sum_(seq))
+        assert np.all(np.isfinite(seq.data)) and np.all(np.isfinite(layer.wx.grad))
 
 
 class TestGradcheckSuite:

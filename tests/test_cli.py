@@ -7,7 +7,7 @@ import shutil
 import numpy as np
 import pytest
 
-from sonomotion import cli, dataset, denoiser
+from sonomotion import cli, dataset, denoiser, evalsuite
 from sonomotion.checkpoint import load_checkpoint, save_checkpoint
 from sonomotion.cli import (EXIT_DATA, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, RunConfig,
                             main)
@@ -375,10 +375,12 @@ class TestFeaturesTrainSample:
         assert rc == EXIT_OK
         assert len(list(out.glob("generated_*.json"))) == 1
 
-    def test_eval_ground_truth_fid_near_zero(self, workspace, tmp_path):
+    def test_eval_ground_truth_fid_near_zero(self, workspace, tmp_path,
+                                             monkeypatch):
         ws, cfg_path, data_dir = workspace
         manifest = str(data_dir / "manifest.json")
         report_path = tmp_path / "report.json"
+        encoded = _record_extractor_encodings(monkeypatch)
         import os
         old = os.getcwd()
         os.chdir(ws)
@@ -391,12 +393,17 @@ class TestFeaturesTrainSample:
         doc = json.loads(report_path.read_text())
         assert doc["fid"] < 1e-6        # ground truth against itself
         assert doc["apd"] >= 0.0
+        # one pass encodes the test items for both sides of the comparison
+        assert (len(encoded["encode_condition"]),
+                len(encoded["encode_motion"])) == (1, 1)
 
-    def test_eval_with_checkpoint_generates(self, workspace, tmp_path):
+    def test_eval_with_checkpoint_generates(self, workspace, tmp_path,
+                                            monkeypatch):
         ws, cfg_path, data_dir = workspace
         manifest = str(data_dir / "manifest.json")
         ckpt = ws / "ckpt" / "checkpoint_final.snm"
         report_path = tmp_path / "report_gen.json"
+        encoded = _record_extractor_encodings(monkeypatch)
         import os
         old = os.getcwd()
         os.chdir(ws)
@@ -409,6 +416,38 @@ class TestFeaturesTrainSample:
         assert rc == EXIT_OK
         doc = json.loads(report_path.read_text())
         assert np.isfinite(doc["fid"]) and doc["fid"] >= 0.0
+        # the test conditions are encoded once, the generated motions apart
+        assert (len(encoded["encode_condition"]),
+                len(encoded["encode_motion"])) == (1, 2)
+        model = encoded["model"]
+        (audio, ssl, genre), cond = encoded["encode_condition"][0]
+        (gen_x0,), mot_gen = encoded["encode_motion"][1]
+        # a full pass over the generated samples gives the same bytes
+        full_cond, full_mot = evalsuite.extract_features(
+            model, list(zip(gen_x0, audio, ssl, genre)))
+        assert np.array_equal(full_cond, cond) and np.array_equal(full_mot, mot_gen)
+
+
+def _record_extractor_encodings(monkeypatch) -> dict:
+    """Record the arguments and output of each ``encode_condition`` and
+    ``encode_motion`` call on the extractor that ``eval`` trains, from the
+    end of its training on; the model is stored under ``"model"``."""
+    encoded = {"encode_condition": [], "encode_motion": []}
+    train = cli.train_extractor
+
+    def recording_train(*args, **kwargs):
+        model, curves = train(*args, **kwargs)
+        for name in ("encode_condition", "encode_motion"):
+            def call(*a, _fn=getattr(model, name), _calls=encoded[name]):
+                out = _fn(*a)
+                _calls.append((a, out.data))
+                return out
+            setattr(model, name, call)
+        encoded["model"] = model
+        return model, curves
+
+    monkeypatch.setattr(cli, "train_extractor", recording_train)
+    return encoded
 
 
 class TestDeterminism:

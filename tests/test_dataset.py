@@ -329,6 +329,12 @@ class TestManifest:
         with pytest.raises(ContractError):
             ds.assign_splits(entries, seed=0)
 
+    def test_too_few_samples_writes_nothing(self, tmp_path):
+        out = tmp_path / "ds"
+        with pytest.raises(ContractError):
+            ds.generate_dataset(out, count=5, seed=0, duration=2.0)
+        assert not out.exists() or not any(p.is_file() for p in out.rglob("*"))
+
 
 @pytest.fixture(scope="module")
 def small_dataset(tmp_path_factory):
