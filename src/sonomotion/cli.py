@@ -24,8 +24,9 @@ import numpy as np
 
 from .audio import FeatureConfig, NormalizationStats, extract_binaural, read_wav
 from .checkpoint import load_checkpoint, write_atomically
-from .dataset import (MIN_SPLIT_ITEMS, DatasetManifest, clip_features,
-                      fit_feature_stats, generate_dataset, load_split)
+from .dataset import (MIN_SPLIT_ITEMS, DatasetManifest, TrainSample,
+                      clip_features, fit_feature_stats, generate_dataset,
+                      load_split)
 from .denoiser import (DenoiserConfig, MotionDenoiser, TrainConfig,
                        sample_motion, train_denoiser)
 from .diffusion import cosine_schedule, stride_subset
@@ -234,27 +235,33 @@ def _norm_stats(cfg: RunConfig) -> NormalizationStats | None:
     return NormalizationStats.load(path)
 
 
-def _load_training_split(cfg: RunConfig, manifest_path, split="train"):
+def _frame_count(counts, max_frames: int) -> int:
+    """W = min(max_frames, every count): a command uses the first W frames of
+    each clip it reads. Prints one line when W cuts a clip."""
+    w, longest = min([max_frames, *counts]), max(counts, default=0)
+    if w < longest:
+        print(f"using the first {w} frames of each clip; the longest has {longest}")
+    return w
+
+
+def _load_splits(cfg: RunConfig, manifest_path, *splits) -> list[list[TrainSample]]:
+    """The samples of each split, all cut to the one ``_frame_count`` of every
+    sample loaded."""
     cache_dir = Path(cfg.cache_dir)
-    samples = load_split(DatasetManifest.load(manifest_path), split, cfg.features,
+    manifest, stats = DatasetManifest.load(manifest_path), _norm_stats(cfg)
+    loaded = [load_split(manifest, split, cfg.features,
                          cache_dir=cache_dir if cache_dir.exists() else None,
-                         stats=_norm_stats(cfg))
-    counts = sorted({s.x0.shape[0] for s in samples})
-    if len(counts) > 1:
-        raise DataError(f"the {split} split mixes frame counts "
-                        f"{', '.join(map(str, counts))}; its clips must all have "
-                        f"the same count")
-    return samples
+                         stats=stats) for split in splits]
+    w = _frame_count([s.x0.shape[0] for samples in loaded for s in samples],
+                     cfg.model.max_frames)
+    return [[TrainSample(s.x0[:w], s.audio[:w], s.ssl[:w], s.genre)
+             for s in samples] for samples in loaded]
 
 
 def cmd_train(args, cfg: RunConfig) -> int:
-    samples = _load_training_split(cfg, args.manifest)
+    samples, = _load_splits(cfg, args.manifest, "train")
     if not samples:
         raise DataError("training split is empty")
-    frames = samples[0].x0.shape[0]
-    if frames > cfg.model.max_frames:
-        raise ConfigError(f"sequences have {frames} frames > model max_frames "
-                          f"{cfg.model.max_frames}")
     train_cfg = replace(cfg.training, out_dir=args.out or cfg.checkpoint_dir)
     model = MotionDenoiser(cfg.model, np.random.default_rng(train_cfg.seed))
     schedule = cosine_schedule(cfg.diffusion_steps)
@@ -291,8 +298,8 @@ def cmd_sample(args, cfg: RunConfig) -> int:
     model = _restore_model(cfg, args.checkpoint)
     fps = cfg.features.motion_fps
     clip = read_wav(args.audio)
-    frames = args.frames or min(cfg.model.max_frames,
-                                clip.samples * fps // clip.sample_rate)
+    frames = args.frames or _frame_count([clip.samples * fps // clip.sample_rate],
+                                         cfg.model.max_frames)
     feats = extract_binaural(clip, cfg.features, frames).values
     stats = _norm_stats(cfg)
     if stats is not None:
@@ -319,8 +326,7 @@ def cmd_sample(args, cfg: RunConfig) -> int:
 
 
 def cmd_eval(args, cfg: RunConfig) -> int:
-    train_samples = _load_training_split(cfg, args.manifest)
-    test_samples = _load_training_split(cfg, args.manifest, split="test")
+    train_samples, test_samples = _load_splits(cfg, args.manifest, "train", "test")
     if len(test_samples) < 2:
         raise DataError("test split too small for evaluation")
     extractor, _ = train_extractor(train_samples, cfg.extractor,

@@ -24,21 +24,20 @@ from pathlib import Path
 import numpy as np
 
 from . import autodiff as ad
+from .audio import FEATURE_WIDTH
 from .autodiff import Tensor
 from .checkpoint import save_checkpoint, write_atomically
 from .dataset import TrainSample, stack_samples
 from .diffusion import NoiseSchedule, q_sample, sample_array
 from .errors import ConfigError, ContractError, NumericError
-from .losses import LossWeights, l_data, l_foot, l_geo, l_rot, l_traj, total_loss
+from .losses import (FOOT_MODES, LossWeights, l_data, l_foot, l_geo, l_rot,
+                     l_traj, total_loss)
 from .nn import (EncoderBlock, Embedding, LayerNorm, Linear, Module,
                  sinusoidal_embedding)
 from .optim import AdamW, fit
-from .skeleton import (FRAME_WIDTH, MotionSequence, SkeletonSpec,
-                       compute_velocities, detect_foot_contacts,
+from .skeleton import (FRAME_WIDTH, POS_SLICE, SSL_WIDTH, MotionSequence,
+                       SkeletonSpec, compute_velocities, detect_foot_contacts,
                        disassemble_vector)
-
-AUDIO_WIDTH = 2272
-SSL_WIDTH = 3
 
 
 @dataclass
@@ -48,7 +47,7 @@ class DenoiserConfig:
     layers: int = 4
     ff_mult: int = 4
     motion_width: int = FRAME_WIDTH
-    audio_width: int = AUDIO_WIDTH
+    audio_width: int = FEATURE_WIDTH
     ssl_width: int = SSL_WIDTH
     genre_vocab: int = 3
     max_frames: int = 240
@@ -173,8 +172,15 @@ class TrainConfig:
     def __post_init__(self):
         if self.epochs < 1 or self.batch_size < 1:
             raise ConfigError("epochs and batch_size must be >= 1")
-        if not self.lr > 0:     # also rejects nan
-            raise ConfigError("learning rate must be positive")
+        if not 0 < self.lr < np.inf:     # also rejects nan
+            raise ConfigError("learning rate must be positive and finite")
+        if not 0 <= self.weight_decay < np.inf:
+            raise ConfigError("weight_decay must be >= 0 and finite")
+        if self.seed < 0 or self.checkpoint_every < 0:
+            raise ConfigError("seed and checkpoint_every must be >= 0")
+        if self.foot_mode not in FOOT_MODES:
+            raise ConfigError(f"foot_mode must be one of {', '.join(FOOT_MODES)}, "
+                              f"got {self.foot_mode!r}")
 
 
 def dataset_fingerprint(samples: list[TrainSample]) -> str:
@@ -218,7 +224,7 @@ def train_denoiser(model: MotionDenoiser, schedule: NoiseSchedule, samples,
                 weight_decay=train_cfg.weight_decay)
 
     x0_all, audio_all, ssl_all, genre_all = stack_samples(samples)
-    contact_all = np.stack([detect_foot_contacts(x0[:, :75], fps, skel)
+    contact_all = np.stack([detect_foot_contacts(x0[:, POS_SLICE], fps, skel)
                             for x0 in x0_all])
 
     out_dir = Path(train_cfg.out_dir) if train_cfg.out_dir else None

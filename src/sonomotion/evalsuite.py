@@ -23,13 +23,14 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import autodiff as ad
+from .audio import FEATURE_WIDTH
 from .autodiff import Tensor
 from .dataset import stack_samples
 from .errors import ConfigError, ContractError, NumericError, SamplingError, ShapeError
 from .nn import (BiGRUEncoder, DecoderBlock, EncoderBlock, LayerNorm, Linear,
                  Module)
 from .optim import AdamW, fit
-from .skeleton import FRAME_WIDTH
+from .skeleton import FRAME_WIDTH, SSL_WIDTH
 
 log = logging.getLogger(__name__)
 
@@ -67,8 +68,8 @@ def contrastive_loss(c: Tensor, m: Tensor, y, margin: float = 10.0) -> Tensor:
 class ExtractorConfig:
     """Defaults are the desk-scale extractor that ``eval`` trains."""
 
-    audio_width: int = 2272
-    ssl_width: int = 3
+    audio_width: int = FEATURE_WIDTH
+    ssl_width: int = SSL_WIDTH
     motion_width: int = FRAME_WIDTH
     hidden: int = 64
     gru_layers: int = 1
@@ -80,6 +81,13 @@ class ExtractorConfig:
     def __post_init__(self):
         if self.hidden <= self.ssl_width + 1:
             raise ConfigError("hidden width too small for the condition layout")
+        for name in ("gru_layers", "ae_latent", "ae_layers", "ae_heads",
+                     "max_frames"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"extractor {name} must be >= 1")
+        if self.ae_latent % self.ae_heads:
+            raise ConfigError(f"extractor ae_latent {self.ae_latent} not "
+                              f"divisible by {self.ae_heads} ae_heads")
 
     @property
     def audio_proj_width(self) -> int:
@@ -112,6 +120,9 @@ class MotionAutoencoder(Module):
 
     def __call__(self, x: Tensor) -> Tensor:
         b, t, _ = x.shape
+        if t > self.cfg.max_frames:
+            raise ContractError(
+                f"{t} frames exceed configured max {self.cfg.max_frames}")
         h = ad.add(self.in_proj(x), self.enc_pos[:t, :])
         for block in self.encoder:
             h = block(h)
@@ -162,8 +173,10 @@ class ExtractorTrainConfig:
             raise ConfigError("extractor epochs must be >= 1")
         if self.batch_size < 2:     # each contrastive pair needs two items
             raise ConfigError("extractor batch_size must be >= 2")
-        if not self.lr > 0:     # also rejects nan
-            raise ConfigError("extractor learning rate must be positive")
+        if not 0 < self.lr < np.inf:     # also rejects nan
+            raise ConfigError("extractor learning rate must be positive and finite")
+        if self.seed < 0:
+            raise ConfigError("extractor seed must be >= 0")
 
     @property
     def freeze_epoch(self) -> int:

@@ -17,16 +17,18 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .errors import ConfigError, ShapeError
-from .skeleton import (JOINT_COUNT, ROT_SLICE, SkeletonSpec,
+from .skeleton import (JOINT_COUNT, ROT_SLICE, VEL_SLICE, SkeletonSpec,
                        forward_kinematics, sixd_to_matrix)
 
 log = logging.getLogger(__name__)
 
 _degenerate_rotation_count = 0
 
-FOOT_JOINTS = (10, 11)
-# velocity-block columns of the two foot joints (contiguous: joints 10, 11)
-FOOT_VEL_SLICE = slice(225 + FOOT_JOINTS[0] * 3, 225 + (FOOT_JOINTS[1] + 1) * 3)
+FOOT_MODES = ("magnitude", "zero")
+# velocity-block columns of the default skeleton's two foot joints, which
+# are adjacent (left, then right)
+FOOT_VEL_SLICE = slice(VEL_SLICE.start + SkeletonSpec.left_foot * 3,
+                       VEL_SLICE.start + (SkeletonSpec.right_foot + 1) * 3)
 
 
 def degenerate_rotation_count() -> int:
@@ -124,7 +126,7 @@ def l_foot(pred: Tensor, target: Tensor, contacts: np.ndarray,
     pinning planted feet to the ground.
     """
     _check_pair(pred, target)
-    if mode not in ("magnitude", "zero"):
+    if mode not in FOOT_MODES:
         raise ConfigError(f"unknown l_foot mode {mode!r}")
     contacts = np.asarray(contacts, dtype=bool)
     batch = pred.shape[:-1]

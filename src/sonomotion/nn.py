@@ -37,9 +37,6 @@ class Module:
     def parameters(self) -> list[Tensor]:
         return [t for _, t in self.named_parameters()]
 
-    def state(self) -> dict[str, np.ndarray]:
-        return {name: t.data.copy() for name, t in self.named_parameters()}
-
     def load_state(self, mapping: dict[str, np.ndarray]) -> None:
         """Replace every parameter from ``mapping``; a missing name or wrong
         shape raises ShapeError before any parameter changes."""

@@ -26,6 +26,7 @@ POS_WIDTH = JOINT_COUNT * 3        # 75
 ROT_WIDTH = JOINT_COUNT * 6        # 150
 VEL_WIDTH = JOINT_COUNT * 3        # 75
 FRAME_WIDTH = POS_WIDTH + ROT_WIDTH + VEL_WIDTH  # 300
+SSL_WIDTH = 3                      # one sound-source position per frame
 
 POS_SLICE = slice(0, POS_WIDTH)
 ROT_SLICE = slice(POS_WIDTH, POS_WIDTH + ROT_WIDTH)
@@ -319,12 +320,6 @@ class MotionSequence:
     def root_positions(self) -> np.ndarray:
         return self.p[:, ROOT_POS_SLICE]
 
-    def validate_rotations(self, tol: float = 1e-6) -> None:
-        rot = self.rotation_matrices()
-        err = np.max(np.abs(np.swapaxes(rot, -1, -2) @ rot - np.eye(3)))
-        if err > tol:
-            raise ContractError(f"rotation blocks not orthonormal (err={err:.2e})")
-
     def copy(self) -> "MotionSequence":
         return MotionSequence(self.fps, self.p.copy(), self.r.copy(), self.v.copy())
 
@@ -466,7 +461,7 @@ def save_motion(path, m: MotionSequence, ssl: SslTrack | None = None,
     write_atomically(path, lambda f: f.write(blob))
 
 
-_BLOCK_WIDTHS = {"p": POS_WIDTH, "r": ROT_WIDTH, "v": VEL_WIDTH, "ssl": 3}
+_BLOCK_WIDTHS = {"p": POS_WIDTH, "r": ROT_WIDTH, "v": VEL_WIDTH, "ssl": SSL_WIDTH}
 
 
 def _read_checked(path) -> tuple[dict, int, float]:

@@ -2,7 +2,9 @@
 
 import json
 import os
+import shlex
 import shutil
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -141,14 +143,38 @@ class TestRunConfig:
         cfg = RunConfig.load(None, env={"SONOMOTION_TRAINING_EPOCHS": "7"})
         assert cfg.training.epochs == 7
 
-    def test_range_validation(self):
+    def test_range_validation(self, workspace, tmp_path, monkeypatch, capsys):
+        """Each out-of-range value is a ConfigError from its component config:
+        ``train`` exits 1 with one line and writes nothing."""
+        ws, cfg_path, data_dir = workspace
+        monkeypatch.chdir(tmp_path)
         for var, value in (("TRAINING_EPOCHS", "0"), ("TRAINING_LR", "-1.0"),
-                           ("TRAINING_LR", "nan"), ("EXTRACTOR_EXT_EPOCHS", "0"),
+                           ("TRAINING_LR", "nan"), ("TRAINING_LR", "inf"),
+                           ("TRAINING_WEIGHT_DECAY", "nan"),
+                           ("TRAINING_WEIGHT_DECAY", "-0.1"),
+                           ("TRAINING_SEED", "-1"),
+                           ("TRAINING_CHECKPOINT_EVERY", "-2"),
+                           ("TRAINING_FOOT_MODE", "bogus"),
+                           ("EXTRACTOR_EXT_EPOCHS", "0"),
                            ("EXTRACTOR_EXT_LR", "0"),
+                           ("EXTRACTOR_EXT_GRU_LAYERS", "0"),
+                           ("EXTRACTOR_EXT_AE_LAYERS", "0"),
+                           ("EXTRACTOR_EXT_AE_HEADS", "0"),
+                           ("EXTRACTOR_EXT_AE_HEADS", "3"),
+                           ("EXTRACTOR_EXT_AE_LATENT", "0"),
                            ("SCHEDULE_DIFFUSION_STEPS", "0"),
                            ("FEATURES_MOTION_FPS", "0")):
+            env = {f"SONOMOTION_{var}": value}
             with pytest.raises(ConfigError):
-                RunConfig.load(None, env={f"SONOMOTION_{var}": value})
+                RunConfig.load(None, env=env)
+            with monkeypatch.context() as m:
+                m.setenv(*env.popitem())
+                rc = main(["--config", str(cfg_path), "train", "--manifest",
+                           str(data_dir / "manifest.json"), "--out", "out"])
+            err = capsys.readouterr().err
+            assert rc == EXIT_USAGE, (var, value)
+            assert err.startswith("config error: ") and err.count("\n") == 1
+            assert not list(tmp_path.iterdir()), (var, value)
 
 
 class TestSynthData:
@@ -490,6 +516,119 @@ class TestDeterminism:
             assert a == b, f"{rel} differs between runs"
 
 
+def _cut_lines(out: str) -> list[str]:
+    return [line for line in out.splitlines() if line.startswith("using the first")]
+
+
+def _readme_cli_steps() -> list[list[str]]:
+    """The argv of each ``sonomotion`` command in the README's CLI block."""
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    block = readme.split("## CLI", 1)[1].split("```bash\n", 1)[1].split("```", 1)[0]
+    lines = [line for line in block.replace("\\\n", " ").splitlines()
+             if line.startswith("sonomotion ")]
+    return [shlex.split(line)[1:] for line in lines]
+
+
+class TestFrameCountRule:
+    """``train``, ``eval`` and ``sample`` use the first W frames of every clip
+    they read, W = min(max_frames, every clip's frame count), and print one
+    line naming W and the longest count when W cuts a clip."""
+
+    @pytest.mark.parametrize("command", ["train", "eval"])
+    def test_mixed_frame_counts_use_the_shortest(self, workspace, tmp_path,
+                                                 monkeypatch, capsys, command):
+        """One 3 s (90-frame) clip in a split of 2 s (60-frame) clips, under a
+        max_frames of 120: every item of every split is used at W = 60."""
+        ws, _, data_dir = workspace
+        cfg_path = tmp_path / "run.ini"
+        cfg_path.write_text(TINY_CFG.replace("max_frames = 60", "max_frames = 120"))
+        data = tmp_path / "data"
+        shutil.copytree(data_dir, data)
+        manifest = dataset.DatasetManifest.load(data / "manifest.json")
+        entry = manifest.split_entries("train")[0]
+        scene = dataset.synthesize_pair(dataset.SyntheticSceneSpec(duration=3.0,
+                                                                   seed=1))
+        write_wav(data / entry.audio, scene.clip)
+        save_motion(data / entry.motion, scene.motion, scene.ssl, scene.genre,
+                    SkeletonSpec.default().names, extras=scene.meta)
+        seen = {}
+
+        def record(name, position):     # the frame count of each sample passed
+            fn = getattr(cli, name)
+
+            def call(*args, **kwargs):
+                seen[name] = [s.x0.shape[0] for s in args[position]]
+                return fn(*args, **kwargs)
+            monkeypatch.setattr(cli, name, call)
+
+        record("train_denoiser", 2)
+        record("train_extractor", 0)
+        record("extract_features", 1)
+        monkeypatch.chdir(tmp_path)         # no feature cache under the cwd
+        rc = main(["--config", str(cfg_path), command, "--manifest",
+                   str(data / "manifest.json"), "--out", str(tmp_path / "out")])
+        assert rc == EXIT_OK
+        assert _cut_lines(capsys.readouterr().out) == [
+            "using the first 60 frames of each clip; the longest has 90"]
+        train_items = len(manifest.split_entries("train"))
+        if command == "train":
+            assert seen["train_denoiser"] == [60] * train_items
+        else:
+            assert seen["train_extractor"] == [60] * train_items
+            assert seen["extract_features"] == [60] * len(
+                manifest.split_entries("test"))
+
+    def test_clips_longer_than_max_frames(self, workspace, tmp_path,
+                                          monkeypatch, capsys):
+        """2 s (60-frame) clips under max_frames = 30: train, sample and eval,
+        with and without a checkpoint, exit 0 on 30-frame items and each
+        prints the one cut line."""
+        ws, _, data_dir = workspace
+        cfg_path = tmp_path / "run.ini"
+        cfg_path.write_text(TINY_CFG.replace("max_frames = 60", "max_frames = 30"))
+        manifest = str(data_dir / "manifest.json")
+        monkeypatch.chdir(tmp_path)
+        assert main(["features", "--manifest", manifest]) == EXIT_OK
+        capsys.readouterr()
+        ckpt = "ckpt/checkpoint_final.snm"
+        for argv in (["train", "--manifest", manifest, "--out", "ckpt"],
+                     ["sample", "--checkpoint", ckpt, "--ssl", "0,1,0",
+                      "--audio", str(data_dir / "audio" / "sample_0000.wav"),
+                      "--out", "gen"],
+                     ["eval", "--manifest", manifest, "--out", "truth.json"],
+                     ["eval", "--manifest", manifest, "--checkpoint", ckpt,
+                      "--out", "report.json"]):
+            assert main(["--config", str(cfg_path), *argv]) == EXIT_OK, argv
+            assert _cut_lines(capsys.readouterr().out) == [
+                "using the first 30 frames of each clip; the longest has 60"], argv
+        assert load_motion(tmp_path / "gen" / "generated_000.json")[0].frames == 30
+        for name in ("truth.json", "report.json"):
+            assert np.isfinite(json.loads((tmp_path / name).read_text())["fid"])
+
+    def test_readme_quick_start_runs(self, tmp_path, monkeypatch, capsys):
+        """The README's CLI steps 1-5, in order, with ``--count 20`` (2 test
+        items), 10 s clips (300 frames) and a desk-scale config that leaves
+        max_frames at 240."""
+        steps = _readme_cli_steps()
+        commands = [argv[2] if argv[0] == "--config" else argv[0]
+                    for argv in steps]
+        assert commands == ["synth-data", "features", "train", "sample", "eval",
+                            "gradcheck"]
+        (tmp_path / "run.ini").write_text(TINY_CFG.replace("max_frames = 60\n", ""))
+        monkeypatch.chdir(tmp_path)
+        for command, argv in zip(commands[:5], steps):
+            if command == "synth-data":
+                argv[argv.index("--count") + 1] = "20"
+            assert main(argv) == EXIT_OK, argv
+            cut = _cut_lines(capsys.readouterr().out)
+            assert cut == (["using the first 240 frames of each clip; the "
+                            "longest has 300"]
+                           if command in ("train", "sample", "eval") else []), argv
+        generated = load_motion(tmp_path / "generated" / "generated_000.json")[0]
+        assert generated.frames == 240
+        assert np.isfinite(json.loads((tmp_path / "report.json").read_text())["fid"])
+
+
 class TestGradcheckCommand:
     def test_passes(self, capsys):
         assert main(["gradcheck", "--seed", "1"]) == EXIT_OK
@@ -567,28 +706,6 @@ class TestExitCodes:
         assert rc == EXIT_DATA
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and motion.name in err
-
-    @pytest.mark.parametrize("command", ["train", "eval"])
-    def test_mixed_frame_counts_are_data_error(self, workspace, tmp_path,
-                                               monkeypatch, capsys, command):
-        """One 3 s clip in a split of 2 s clips: exit 2 with one line that
-        names both frame counts."""
-        ws, cfg_path, data_dir = workspace
-        data = tmp_path / "data"
-        shutil.copytree(data_dir, data)
-        manifest = dataset.DatasetManifest.load(data / "manifest.json")
-        entry = manifest.split_entries("train")[0]
-        scene = dataset.synthesize_pair(dataset.SyntheticSceneSpec(duration=3.0,
-                                                                   seed=1))
-        write_wav(data / entry.audio, scene.clip)
-        save_motion(data / entry.motion, scene.motion, scene.ssl, scene.genre,
-                    SkeletonSpec.default().names, extras=scene.meta)
-        monkeypatch.chdir(tmp_path)         # no feature cache under the cwd
-        rc = main(["--config", str(cfg_path), command, "--manifest",
-                   str(data / "manifest.json"), "--out", str(tmp_path / "out")])
-        assert rc == EXIT_DATA
-        err = capsys.readouterr().err
-        assert err.count("\n") == 1 and "60, 90" in err
 
     def test_non_numeric_static_ssl_is_usage_error(self, workspace, tmp_path,
                                                    capsys):

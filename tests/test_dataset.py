@@ -43,9 +43,11 @@ class TestGeneratorMotion:
                                          duration=3.0, seed=1)
             scene = ds.synthesize_pair(spec, SKEL)
             m = scene.motion
-            m.validate_rotations()
-            fk = forward_kinematics(SKEL, m.root_positions(),
-                                    m.rotation_matrices())
+            rot = m.rotation_matrices()
+            np.testing.assert_allclose(np.swapaxes(rot, -1, -2) @ rot,
+                                       np.broadcast_to(np.eye(3), rot.shape),
+                                       rtol=0, atol=1e-6)
+            fk = forward_kinematics(SKEL, m.root_positions(), rot)
             assert np.abs(fk.reshape(m.frames, -1) - m.p).max() < 1e-9
             np.testing.assert_allclose(
                 m.v, compute_velocities(m.p, m.fps), atol=1e-12)

@@ -245,8 +245,9 @@ class TestExtractor:
         real_model = ev.ExtractorModel
 
         def snapshot(model):
-            states.append({part: getattr(model, part).state() for part in
-                           ("autoencoder", "cond_gru", "motion_gru")})
+            states.append({part: {name: t.data.copy() for name, t in
+                                  getattr(model, part).named_parameters()}
+                           for part in ("autoencoder", "cond_gru", "motion_gru")})
 
         def build(*args):
             built.append(real_model(*args))
@@ -282,6 +283,15 @@ class TestExtractor:
             one_cond, one_mot = ev.extract_features(model, [s])
             np.testing.assert_allclose(cond[i], one_cond[0], rtol=0, atol=1e-12)
             np.testing.assert_allclose(mot[i], one_mot[0], rtol=0, atol=1e-12)
+
+    def test_autoencoder_rejects_more_frames_than_max(self):
+        """More frames than ``max_frames`` is a ContractError that names both
+        counts, not a broadcast failure against the positional table."""
+        model = ev.ExtractorModel(TINY_EXT, np.random.default_rng(26))
+        x = Tensor(np.zeros((2, TINY_EXT.max_frames + 1, 300)))
+        with pytest.raises(ContractError, match="11 frames exceed configured "
+                                                "max 10"):
+            model.autoencoder(x)
 
     def test_non_finite_term_names_itself(self, monkeypatch):
         samples = separable_samples(np.random.default_rng(23), n_per_class=2)
