@@ -23,6 +23,7 @@ from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
+from scipy import sparse
 from scipy.fft import dct
 from scipy.io import wavfile
 from scipy.signal import resample_poly
@@ -149,15 +150,15 @@ def frame_count(samples: int, hop: int) -> int:
 
 
 def frame_signal(x: np.ndarray, fft_size: int, hop: int) -> np.ndarray:
-    """(n_frames, fft_size) frames starting at k*hop, zero-padded at the end."""
+    """(n_frames, fft_size) frames starting at k*hop, zero-padded at the end:
+    a read-only strided view of one padded copy of ``x``."""
     x = np.asarray(x, dtype=np.float64).reshape(-1)
     n = frame_count(x.size, hop)
     if n == 0:
         return np.zeros((0, fft_size))
     padded = np.zeros(max((n - 1) * hop + fft_size, x.size))
     padded[:x.size] = x
-    idx = np.arange(fft_size)[None, :] + hop * np.arange(n)[:, None]
-    return padded[idx]
+    return np.lib.stride_tricks.sliding_window_view(padded, fft_size)[::hop][:n]
 
 
 def stft(x: np.ndarray, config: FeatureConfig) -> np.ndarray:
@@ -166,10 +167,6 @@ def stft(x: np.ndarray, config: FeatureConfig) -> np.ndarray:
     if frames.shape[0] == 0:
         return np.zeros((0, config.fft_size // 2 + 1), dtype=np.complex128)
     return np.fft.rfft(frames * hann_window(config.fft_size), axis=1)
-
-
-def fft_bin_frequencies(config: FeatureConfig) -> np.ndarray:
-    return np.arange(config.fft_size // 2 + 1) * config.sample_rate / config.fft_size
 
 
 # ---------------------------------------------------------------------------
@@ -205,9 +202,18 @@ def _mel_filterbank(sample_rate: int, fft_size: int, mel_bands: int) -> np.ndarr
     return bank
 
 
+@functools.lru_cache(maxsize=8)
+def _mel_filterbank_csr(sample_rate: int, fft_size: int, mel_bands: int):
+    return sparse.csr_matrix(_mel_filterbank(sample_rate, fft_size, mel_bands))
+
+
 def log_mel_spectrogram(spec: np.ndarray, config: FeatureConfig) -> np.ndarray:
+    """(T, mel_bands) log mel power. The filterbank (1.5 % dense) is applied
+    as a sparse product, whose sums run in one order under any BLAS thread
+    count, as a dense product's do not."""
     power = np.abs(spec) ** 2
-    mel = power @ mel_filterbank(config).T
+    bank = _mel_filterbank_csr(config.sample_rate, config.fft_size, config.mel_bands)
+    mel = np.ascontiguousarray((bank @ power.T).T)
     return np.log(np.maximum(mel, 1e-10))
 
 
@@ -250,6 +256,17 @@ def _pitch_classes(freqs: np.ndarray, tuning_hz: float) -> np.ndarray:
     return np.mod(np.round(semis), 12).astype(np.int64)
 
 
+@functools.lru_cache(maxsize=8)
+def _bin_pitch_classes(sample_rate: int, fft_size: int, tuning_hz: float) -> np.ndarray:
+    """Pitch class of each STFT bin's own frequency, -1 at or below 25 Hz;
+    built once per (sample_rate, fft_size, tuning_hz) and shared read-only."""
+    freqs = np.arange(fft_size // 2 + 1) * sample_rate / fft_size
+    classes = np.full(freqs.size, -1, dtype=np.int8)
+    classes[freqs > 25.0] = _pitch_classes(freqs[freqs > 25.0], tuning_hz)
+    classes.flags.writeable = False
+    return classes
+
+
 def stft_chroma(spec: np.ndarray, config: FeatureConfig) -> np.ndarray:
     """Fold STFT bin power into 12 pitch classes; rows L2-normalized.
 
@@ -261,37 +278,49 @@ def stft_chroma(spec: np.ndarray, config: FeatureConfig) -> np.ndarray:
     if spec.shape[0] == 0:
         return np.zeros((0, CHROMA_BINS))
     t, nbins = power.shape
-    freqs = fft_bin_frequencies(config)
 
-    inner = power[:, 1:-1]
-    peak = np.zeros_like(power, dtype=bool)
-    peak[:, 1:-1] = (inner > power[:, :-2]) & (inner >= power[:, 2:]) & (inner > 1e-14)
-    denom = power[:, :-2] - 2.0 * inner + power[:, 2:]
-    delta = np.zeros_like(power)
+    left, inner, right = power[:, :-2], power[:, 1:-1], power[:, 2:]
+    rows, cols = np.nonzero((inner > left) & (inner >= right) & (inner > 1e-14))
+    lo, mid, hi = left[rows, cols], inner[rows, cols], right[rows, cols]
+    denom = lo - 2.0 * mid + hi
     with np.errstate(divide="ignore", invalid="ignore"):
-        delta[:, 1:-1] = np.where(np.abs(denom) > 1e-14,
-                                  0.5 * (power[:, :-2] - power[:, 2:]) / denom, 0.0)
-    delta = np.clip(delta, -0.5, 0.5)
-    bin_hz = config.sample_rate / config.fft_size
-    peak_freq = (np.arange(nbins)[None, :] + delta) * bin_hz
+        delta = np.where(np.abs(denom) > 1e-14, 0.5 * (lo - hi) / denom, 0.0)
+    cols += 1                                  # peak bins
+    peak_hz = (cols + np.clip(delta, -0.5, 0.5)) * (config.sample_rate / config.fft_size)
+    peak_class = np.full(cols.size, -1, dtype=np.int8)   # -1: no class
+    valid = peak_hz > 25.0
+    peak_class[valid] = _pitch_classes(peak_hz[valid], config.tuning_hz)
 
-    assigned = np.broadcast_to(freqs, (t, nbins)).copy()
+    # a bin keeps its own frequency's class unless a peak within two bins
+    # reassigns it; of two such peaks the one further left wins
+    classes = np.broadcast_to(
+        _bin_pitch_classes(config.sample_rate, config.fft_size, config.tuning_hz),
+        (t, nbins)).copy()
     for shift in (-2, -1, 0, 1, 2):
-        mask = np.roll(peak, shift, axis=1)
-        src = np.roll(peak_freq, shift, axis=1)
-        if shift > 0:
-            mask[:, :shift] = False
-        elif shift < 0:
-            mask[:, shift:] = False
-        assigned = np.where(mask, src, assigned)
-
-    valid = assigned > 25.0
-    classes = np.zeros((t, nbins), dtype=np.int64)
-    classes[valid] = _pitch_classes(assigned[valid], config.tuning_hz)
+        dst = cols + shift
+        keep = (dst >= 0) & (dst < nbins)
+        classes[rows[keep], dst[keep]] = peak_class[keep]
     chroma = np.zeros((t, CHROMA_BINS))
     for c in range(CHROMA_BINS):
-        chroma[:, c] = np.where(valid & (classes == c), power, 0.0).sum(axis=1)
+        chroma[:, c] = np.where(classes == c, power, 0.0).sum(axis=1)
     return _l2_normalize_rows(chroma)
+
+
+@functools.lru_cache(maxsize=8)
+def _cq_filters(sample_rate: int, fft_size: int, tuning_hz: float) -> np.ndarray:
+    """(n_semitones, fft/2+1) Gaussian semitone filters, C2 (midi 36) up to
+    just below Nyquist; built once per (sample_rate, fft_size, tuning_hz)
+    and shared read-only."""
+    freqs = np.arange(fft_size // 2 + 1) * sample_rate / fft_size
+    midi_hi = int(np.floor(69 + 12 * np.log2((sample_rate / 2.0) / tuning_hz))) - 1
+    logf = np.zeros(freqs.size)
+    pos = freqs > 0
+    logf[pos] = 69.0 + 12.0 * np.log2(freqs[pos] / tuning_hz)
+    sigma = 0.3   # semitones; narrow enough that window leakage stays in-class
+    bank = np.exp(-0.5 * ((logf - np.arange(36, midi_hi + 1)[:, None]) / sigma) ** 2)
+    bank[:, ~pos] = 0.0
+    bank.flags.writeable = False
+    return bank
 
 
 def cq_chroma(spec: np.ndarray, config: FeatureConfig) -> np.ndarray:
@@ -299,18 +328,9 @@ def cq_chroma(spec: np.ndarray, config: FeatureConfig) -> np.ndarray:
     STFT (one filter per semitone, constant width in log frequency), folded
     into 12 classes."""
     power = np.abs(spec) ** 2
-    freqs = fft_bin_frequencies(config)
-    # semitone centers from C2 (midi 36) up to just below Nyquist
-    midi_lo, midi_hi = 36, int(np.floor(69 + 12 * np.log2(
-        (config.sample_rate / 2.0) / config.tuning_hz))) - 1
-    logf = np.zeros(freqs.size)
-    pos = freqs > 0
-    logf[pos] = 69.0 + 12.0 * np.log2(freqs[pos] / config.tuning_hz)
-    sigma = 0.3   # semitones; narrow enough that window leakage stays in-class
     chroma = np.zeros((spec.shape[0], CHROMA_BINS))
-    for midi in range(midi_lo, midi_hi + 1):
-        weight = np.exp(-0.5 * ((logf - midi) / sigma) ** 2)
-        weight[~pos] = 0.0
+    for midi, weight in enumerate(
+            _cq_filters(config.sample_rate, config.fft_size, config.tuning_hz), 36):
         chroma[:, midi % 12] += power @ weight
     return _l2_normalize_rows(chroma)
 
@@ -334,6 +354,14 @@ def tempogram(onset: np.ndarray, config: FeatureConfig) -> np.ndarray:
     Each frame autocorrelates a window of ``tempogram_bins`` onset frames
     centered on it (zero-padded at the edges), yielding one column per lag
     0 .. tempogram_bins-1.
+
+    Frames whose windows cover the same span of onset frames share one
+    autocorrelation: linear autocorrelation is shift-invariant, so each
+    distinct span is transformed once, at the first frame that covers it,
+    and every frame of the group gets that row bit for bit. A clip of at
+    most ``tempogram_bins - tempogram_bins // 2`` frames (534) has one span,
+    so all its rows are equal; a clip of at least ``tempogram_bins`` frames
+    has no shared span and one transform per frame.
     """
     t = onset.shape[0]
     win = config.tempogram_bins
@@ -342,12 +370,15 @@ def tempogram(onset: np.ndarray, config: FeatureConfig) -> np.ndarray:
     half = win // 2
     padded = np.pad(onset, (half, win - half))
     windows = np.lib.stride_tricks.sliding_window_view(padded, win)[:t]
+    start = np.arange(t) - half
+    cover = np.stack([np.maximum(start, 0), np.minimum(start + win, t)], axis=1)
+    _, first, inv = np.unique(cover, axis=0, return_index=True, return_inverse=True)
     nfft = 1
     while nfft < 2 * win:
         nfft *= 2
-    spec = np.abs(np.fft.rfft(windows, n=nfft, axis=1)) ** 2
+    spec = np.abs(np.fft.rfft(windows[first], n=nfft, axis=1)) ** 2
     acorr = np.fft.irfft(spec, n=nfft, axis=1)[:, :win]
-    return acorr
+    return acorr[inv.reshape(-1)]
 
 
 def _dominant_lag(onset: np.ndarray) -> int:
@@ -582,10 +613,16 @@ def write_wav(path, clip: AudioClip) -> None:
 # feature cache
 
 CACHE_MAGIC = b"SNMFEAT1"
+# Bumped whenever the features, and so the `.feat` bytes, of the same WAV and
+# config change: a cache file written by an older version is then never found.
+FEATURE_VERSION = 2
 
 
 def feature_cache_key(audio_bytes: bytes, config: FeatureConfig) -> str:
+    """The cache file name of the WAV bytes ``audio_bytes``: a hash of them,
+    of ``config`` and of ``FEATURE_VERSION``."""
     h = hashlib.sha256()
+    h.update(b"v%d\0" % FEATURE_VERSION)
     h.update(audio_bytes)
     h.update(config.content_key().encode())
     return h.hexdigest()[:32]

@@ -1,7 +1,9 @@
 """DSP front-end against naive direct-DFT references and closed forms."""
 
-import hashlib
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -133,6 +135,23 @@ class TestChroma:
         norms = np.linalg.norm(ch, axis=1)
         np.testing.assert_allclose(norms[norms > 0], 1.0, atol=1e-9)
 
+    def test_stft_chroma_matches_reference(self):
+        """Classing only the peaks, with a per-config table for the other
+        bins, leaves the chroma bit-identical to classing every bin from
+        the frequency it is folded at."""
+        rng = np.random.default_rng(3)
+        specs = [rng.standard_normal((40, 513)) + 1j * rng.standard_normal((40, 513)),
+                 rng.standard_normal((40, 513)) ** 5,
+                 au.stft(sine(440.0) + sine(97.0, amp=0.1), CFG),
+                 au.stft(click_train(2, duration=1.0) + rng.uniform(-.1, .1, SR), CFG)]
+        for spec in specs:
+            np.testing.assert_array_equal(au.stft_chroma(spec, CFG),
+                                          reference_stft_chroma(spec, CFG))
+        tuned = au.FeatureConfig(tuning_hz=431.5, fft_size=2048)
+        spec = au.stft(rng.uniform(-.5, .5, SR), tuned)
+        np.testing.assert_array_equal(au.stft_chroma(spec, tuned),
+                                      reference_stft_chroma(spec, tuned))
+
     def test_extract_ear_chroma_blocks(self):
         x = sine(440.0)
         out = au.extract_ear(x, CFG)
@@ -141,6 +160,50 @@ class TestChroma:
         assert out[:, cq].shape == out[:, st].shape == (30, 12)
         np.testing.assert_array_equal(out[:, cq], au.cq_chroma(spec, CFG))
         np.testing.assert_array_equal(out[:, st], au.stft_chroma(spec, CFG))
+
+
+def reference_stft_chroma(spec, cfg):
+    """``stft_chroma`` with every bin's pitch class computed from the
+    frequency it is folded at (its own, or its peak's)."""
+    power = np.abs(spec) ** 2
+    t, nbins = power.shape
+    inner = power[:, 1:-1]
+    peak = np.zeros_like(power, dtype=bool)
+    peak[:, 1:-1] = (inner > power[:, :-2]) & (inner >= power[:, 2:]) & (inner > 1e-14)
+    denom = power[:, :-2] - 2.0 * inner + power[:, 2:]
+    delta = np.zeros_like(power)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        delta[:, 1:-1] = np.where(np.abs(denom) > 1e-14,
+                                  0.5 * (power[:, :-2] - power[:, 2:]) / denom, 0.0)
+    peak_freq = (np.arange(nbins) + np.clip(delta, -0.5, 0.5)) * cfg.sample_rate / cfg.fft_size
+    assigned = np.broadcast_to(np.arange(nbins) * cfg.sample_rate / cfg.fft_size,
+                               (t, nbins)).copy()
+    for shift in (-2, -1, 0, 1, 2):
+        mask = np.roll(peak, shift, axis=1)
+        if shift > 0:
+            mask[:, :shift] = False
+        elif shift < 0:
+            mask[:, shift:] = False
+        assigned = np.where(mask, np.roll(peak_freq, shift, axis=1), assigned)
+    valid = assigned > 25.0
+    classes = np.zeros((t, nbins), dtype=np.int64)
+    semis = 12.0 * np.log2(assigned[valid] / cfg.tuning_hz) + 69.0
+    classes[valid] = np.mod(np.round(semis), 12)
+    chroma = np.zeros((t, 12))
+    for c in range(12):
+        chroma[:, c] = np.where(valid & (classes == c), power, 0.0).sum(axis=1)
+    norms = np.linalg.norm(chroma, axis=1, keepdims=True)
+    return np.where(norms > 0, chroma / np.maximum(norms, 1e-300), 0.0)
+
+
+def per_frame_tempogram(onset, win=CFG.tempogram_bins):
+    """One FFT autocorrelation of each frame's own centered window."""
+    half = win // 2
+    padded = np.concatenate([np.zeros(half), onset, np.zeros(win - half)])
+    nfft = 1 << (2 * win - 1).bit_length()
+    return np.array([
+        np.fft.irfft(np.abs(np.fft.rfft(padded[k:k + win], n=nfft)) ** 2, n=nfft)[:win]
+        for k in range(onset.size)])
 
 
 def click_train(n_clicks, rate_hz=2.0, duration=10.0, sr=SR):
@@ -168,6 +231,19 @@ class TestRhythm:
         mid = tg[len(tg) // 2]
         lag = 1 + np.argmax(mid[1:])
         assert lag == 15                      # 0.5 s at 30 feature FPS
+
+    @pytest.mark.parametrize("t", [2, 60, 300, 534, 600, 1200])
+    def test_tempogram_matches_per_frame_reference(self, t):
+        """Frames whose windows cover the same onset frames share one row.
+        Up to 534 frames that is every frame; from 1068 frames no two
+        windows cover the same span, and the rows are the reference's."""
+        onset = np.random.default_rng(t).random(t)
+        tg, ref = au.tempogram(onset, CFG), per_frame_tempogram(onset)
+        if t <= CFG.tempogram_bins - CFG.tempogram_bins // 2:
+            assert (tg == tg[0]).all()
+        if t >= CFG.tempogram_bins:
+            np.testing.assert_array_equal(tg, ref)
+        assert (np.abs(tg - ref) <= 1e-12 * ref[:, :1]).all()
 
     def test_beat_count_ten_clicks(self):
         x = click_train(10, rate_hz=2.0, duration=10.0)
@@ -431,19 +507,40 @@ class TestFeatureCache:
                 au.load_feature_cache(path)
 
     def test_bytes_fixed_for_fixed_wav_and_config(self, tmp_path):
-        from scipy.io import wavfile
+        """One WAV and config give one `.feat` file under one BLAS thread and
+        under two. The pinned digest changes only with FEATURE_VERSION."""
         rng = np.random.default_rng(11)
         wav = tmp_path / "noise.wav"
         wavfile.write(wav, SR, rng.integers(-8000, 8000, (36000, 2),
                                             dtype=np.int16))
-        path = tmp_path / "noise.feat"
-        au.save_feature_cache(path, au.extract_binaural(au.read_wav(wav), CFG, 45))
-        digest = hashlib.sha256(path.read_bytes()).hexdigest()
-        assert digest == ("399a5d3c4959ccce0f7bcb2b19f6baf1"
-                          "9504cbc01d793c4388deb2dbd3953883")
+        script = ("import hashlib, sys\n"
+                  "from sonomotion import audio as au\n"
+                  "wav, feat = sys.argv[1:]\n"
+                  "au.save_feature_cache(feat, au.extract_binaural(\n"
+                  "    au.read_wav(wav), au.FeatureConfig(), 45))\n"
+                  "print(hashlib.sha256(open(feat, 'rb').read()).hexdigest())\n")
+        src = str(Path(au.__file__).resolve().parents[1])
+        digests = set()
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                       OMP_NUM_THREADS=threads,
+                       PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+            run = subprocess.run(
+                [sys.executable, "-c", script, str(wav), str(tmp_path / f"{threads}.feat")],
+                env=env, capture_output=True, text=True, timeout=120)
+            assert run.returncode == 0, run.stderr
+            digests.add(run.stdout.strip())
+        assert au.FEATURE_VERSION == 2
+        assert digests == {"9efbbc67df77391d9974f290264efa96"
+                           "be727457cb8d499d16768610b2345e67"}
 
     def test_cache_key_sensitive_to_audio_and_config(self):
         k1 = au.feature_cache_key(b"abc", CFG)
         k2 = au.feature_cache_key(b"abd", CFG)
         k3 = au.feature_cache_key(b"abc", au.FeatureConfig(mel_bands=64))
         assert k1 != k2 and k1 != k3
+
+    def test_cache_key_changes_with_feature_version(self, monkeypatch):
+        key = au.feature_cache_key(b"abc", CFG)
+        monkeypatch.setattr(au, "FEATURE_VERSION", au.FEATURE_VERSION - 1)
+        assert au.feature_cache_key(b"abc", CFG) != key

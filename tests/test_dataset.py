@@ -8,10 +8,12 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from sonomotion import audio as au
 from sonomotion import dataset as ds
 from sonomotion import denoiser
-from sonomotion.audio import (AudioClip, FeatureConfig, NormalizationStats,
-                              extract_binaural, load_feature_cache, read_wav,
+from sonomotion.audio import (AudioClip, AudioFeatureMatrix, FeatureConfig,
+                              NormalizationStats, extract_binaural,
+                              load_feature_cache, read_wav, save_feature_cache,
                               write_wav)
 from sonomotion.cli import EXIT_DATA, EXIT_OK, main
 from sonomotion.errors import AlignmentError, ContractError, DataError
@@ -590,6 +592,24 @@ class TestFeaturePipeline:
         np.testing.assert_array_equal(values, fresh.astype(np.float32))
         assert again == path
         np.testing.assert_array_equal(load_feature_cache(path).values, values)
+
+    def test_cache_of_older_feature_version_is_never_read(self, tmp_path,
+                                                          monkeypatch):
+        """A file stored under the key of an older FEATURE_VERSION is a miss:
+        the clip is extracted again and cached under the current key."""
+        wav = tmp_path / "clip.wav"
+        write_wav(wav, ds.synthesize_pair(
+            ds.SyntheticSceneSpec(duration=3.0, seed=5)).clip)
+        cfg = FeatureConfig()
+        with monkeypatch.context() as m:
+            m.setattr(au, "FEATURE_VERSION", au.FEATURE_VERSION - 1)
+            stale = tmp_path / f"{au.feature_cache_key(wav.read_bytes(), cfg)}.feat"
+        save_feature_cache(stale, AudioFeatureMatrix(np.zeros((90, 2272))))
+        values, path = ds.clip_features(wav, 90, 30.0, cfg, tmp_path)
+        fresh = extract_binaural(read_wav(wav), cfg, 90).values
+        np.testing.assert_array_equal(values, fresh.astype(np.float32))
+        assert path != stale
+        assert not load_feature_cache(stale).values.any()
 
     def test_warm_cache_extracts_nothing(self, small_dataset, tmp_path,
                                          monkeypatch):
