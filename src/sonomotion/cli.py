@@ -29,7 +29,7 @@ from .dataset import (MIN_SPLIT_ITEMS, DatasetManifest, TrainSample,
                       load_split)
 from .denoiser import (DenoiserConfig, MotionDenoiser, TrainConfig,
                        sample_motion, train_denoiser)
-from .diffusion import cosine_schedule, stride_subset
+from .diffusion import cosine_schedule
 from .errors import (ConfigError, ContractError, DataError, NumericError,
                      ShapeError, SonomotionError)
 from .evalsuite import (ExtractorConfig, ExtractorTrainConfig, MetricReport,
@@ -153,8 +153,9 @@ def _parse_ssl(raw: str, frames: int) -> np.ndarray:
             parts = [float(v) for v in raw.split(",")]
         except ValueError:
             parts = []
-        if len(parts) != 3:
-            raise ConfigError(f"--ssl expects 'x,y,z', got {raw!r}")
+        if len(parts) != 3 or not np.isfinite(parts).all():
+            raise ConfigError(f"--ssl expects three finite numbers 'x,y,z', "
+                              f"got {raw!r}")
         return np.tile(parts, (frames, 1))
     try:
         track = np.asarray(json.loads(Path(raw).read_text()), dtype=np.float64)
@@ -164,6 +165,8 @@ def _parse_ssl(raw: str, frames: int) -> np.ndarray:
         raise DataError(f"SSL track must be (T, 3), got {track.shape}")
     if track.shape[0] < frames:
         raise DataError(f"SSL track has {track.shape[0]} frames, need {frames}")
+    if not np.isfinite(track).all():
+        raise DataError(f"SSL track {raw} holds non-finite positions")
     return track[:frames]
 
 
@@ -295,28 +298,28 @@ def cmd_sample(args, cfg: RunConfig) -> int:
     if args.frames is not None and args.frames > cfg.model.max_frames:
         raise ConfigError(f"--frames {args.frames} exceeds max_frames "
                           f"{cfg.model.max_frames}")
-    model = _restore_model(cfg, args.checkpoint)
     fps = cfg.features.motion_fps
     clip = read_wav(args.audio)
-    frames = args.frames or _frame_count([clip.samples * fps // clip.sample_rate],
-                                         cfg.model.max_frames)
+    clip_frames = clip.samples * fps // clip.sample_rate
+    if clip_frames < 2:     # velocities need two frames
+        raise DataError(f"{args.audio} spans {clip_frames} motion frames at "
+                        f"{fps} fps; sampling needs at least 2")
+    frames = args.frames or _frame_count([clip_frames], cfg.model.max_frames)
+    ssl = _parse_ssl(args.ssl, frames)
+    model = _restore_model(cfg, args.checkpoint)
     feats = extract_binaural(clip, cfg.features, frames).values
     stats = _norm_stats(cfg)
     if stats is not None:
         feats = stats.apply(feats)
-    ssl = _parse_ssl(args.ssl, frames)
     genre = Genre.parse(args.genre)
     schedule = cosine_schedule(cfg.diffusion_steps)
-    subset = None
-    if args.steps and args.steps != cfg.diffusion_steps:
-        subset = stride_subset(cfg.diffusion_steps, args.steps)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     seed = cfg.training.seed
     rng = np.random.default_rng(seed)
     for i in range(args.count):
         motion = sample_motion(model, schedule, feats, ssl, int(genre),
-                               rng, step_subset=subset, fps=fps)
+                               rng, steps=args.steps, fps=fps)
         path = out_dir / f"generated_{i:03d}.json"
         save_motion(path, motion, SslTrack(ssl, frame="local"), genre,
                     extras={"steps": args.steps or cfg.diffusion_steps,

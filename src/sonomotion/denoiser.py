@@ -289,10 +289,10 @@ def train_denoiser(model: MotionDenoiser, schedule: NoiseSchedule, samples,
 
 def sample_motion(model: MotionDenoiser, schedule: NoiseSchedule,
                   audio: np.ndarray, ssl: np.ndarray, genre: int,
-                  rng: np.random.Generator, step_subset=None, fps: float = 30.0,
+                  rng: np.random.Generator, steps=None, fps: float = 30.0,
                   recompute_velocity: bool = True) -> MotionSequence:
     """Draw one motion conditioned on one clip's (T, .) audio and SSL and its
-    genre, as a batch of one."""
+    genre, as a batch of one, in ``steps`` reverse steps (``sample_array``)."""
     audio, ssl, genre = audio[None], ssl[None], np.array([genre])
     cond = model.encode_conditions(audio, ssl, genre)
 
@@ -300,7 +300,7 @@ def sample_motion(model: MotionDenoiser, schedule: NoiseSchedule,
         return model.predict_x0(x, [t], audio, ssl, genre, cond=cond).data
 
     x = sample_array(model_fn, (1, audio.shape[1], model.config.motion_width),
-                     schedule, rng, step_subset)
+                     schedule, rng, steps)
     m = disassemble_vector(x[0], fps)
     if recompute_velocity:
         m.v = compute_velocities(m.p, fps)

@@ -466,9 +466,9 @@ _BLOCK_WIDTHS = {"p": POS_WIDTH, "r": ROT_WIDTH, "v": VEL_WIDTH, "ssl": SSL_WIDT
 
 def _read_checked(path) -> tuple[dict, int, float]:
     """A motion file's parsed document, frame count and fps. DataError unless
-    it is a motion file with ``fps``, ``frames`` >= 1 and ``p``/``r``/``v``,
-    and every block present is a base64 string of the length its
-    (frames, width) shape implies."""
+    it is a motion file with a finite ``fps`` > 0, ``frames`` >= 1 and
+    ``p``/``r``/``v``, and every block present is a base64 string of the
+    length its (frames, width) shape implies."""
     try:
         doc = json.loads(Path(path).read_text())
     except (OSError, UnicodeDecodeError, json.JSONDecodeError) as e:
@@ -482,8 +482,9 @@ def _read_checked(path) -> tuple[dict, int, float]:
         t, fps = int(doc["frames"]), float(doc["fps"])
     except (TypeError, ValueError) as e:
         raise DataError(f"motion file {path}: bad header ({e})") from e
-    if t < 1:
-        raise DataError(f"motion file {path}: bad header (frames = {t})")
+    if t < 1 or not 0 < fps < np.inf:      # also rejects a nan fps
+        raise DataError(f"motion file {path}: bad header (frames = {t}, "
+                        f"fps = {fps})")
     for name, width in _BLOCK_WIDTHS.items():
         blob = doc.get(name)
         if name == "ssl" and blob is None:

@@ -278,6 +278,21 @@ class TestFeaturesTrainSample:
         assert rc == EXIT_OK
         return (out / "generated_000.json").read_bytes()
 
+    def test_sample_every_step_is_the_default(self, workspace, tmp_path):
+        """``--steps`` equal to diffusion_steps (8 here) runs the same chain as
+        no ``--steps``, so it writes the same bytes."""
+        ws, cfg_path, data_dir = workspace
+        audio = next((data_dir / "audio").glob("*.wav"))
+        outputs = []
+        for name, flags in (("all", ["--steps", "8"]), ("default", [])):
+            rc = main(["--config", str(cfg_path), "sample", "--checkpoint",
+                       str(ws / "ckpt" / "checkpoint_final.snm"),
+                       "--audio", str(audio), "--ssl", "0,1,0", "--frames", "30",
+                       "--out", str(tmp_path / name), *flags])
+            assert rc == EXIT_OK
+            outputs.append((tmp_path / name / "generated_000.json").read_bytes())
+        assert outputs[0] == outputs[1]
+
     def test_sample_negative_ssl_coordinate(self, workspace, tmp_path):
         # a source on the character's right has a negative first coordinate
         spaced = self._sample(workspace, tmp_path / "a", "--ssl", "-0.5,2,1.2")
@@ -686,7 +701,8 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and motion.name in err
 
-    @pytest.mark.parametrize("damage", ["drop-frames", "frames-0", "cut-p"])
+    @pytest.mark.parametrize("damage", ["drop-frames", "frames-0", "cut-p",
+                                        "fps-0", "fps-nan", "fps-neg", "fps-inf"])
     def test_damaged_motion_header_fails_features(self, workspace, tmp_path,
                                                   capsys, damage):
         ws, cfg_path, data_dir = workspace
@@ -698,6 +714,9 @@ class TestExitCodes:
             del doc["frames"]
         elif damage == "frames-0":
             doc["frames"] = 0
+        elif damage.startswith("fps-"):
+            doc["fps"] = {"fps-0": 0, "fps-nan": np.nan, "fps-neg": -30,
+                          "fps-inf": np.inf}[damage]
         else:
             doc["p"] = doc["p"][:len(doc["p"]) // 2 // 4 * 4]
         motion.write_text(json.dumps(doc))
@@ -707,8 +726,11 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and motion.name in err
 
+    @pytest.mark.parametrize("raw", ["a,b,c", "nan,0,1", "inf,0,1"])
     def test_non_numeric_static_ssl_is_usage_error(self, workspace, tmp_path,
-                                                   capsys):
+                                                   capsys, raw):
+        """A static source that is not three finite numbers exits 1: the
+        model never sees it."""
         ws, cfg_path, data_dir = workspace
         ckpt = tmp_path / "model.snm"
         save_checkpoint(ckpt, MotionDenoiser(RunConfig.load(cfg_path).model,
@@ -716,11 +738,46 @@ class TestExitCodes:
                         .named_parameters())
         rc = main(["--config", str(cfg_path), "sample", "--checkpoint", str(ckpt),
                    "--audio", str(next((data_dir / "audio").glob("*.wav"))),
-                   "--ssl", "a,b,c", "--steps", "2", "--frames", "30",
+                   "--ssl", raw, "--steps", "2", "--frames", "30",
                    "--out", str(tmp_path / "o")])
         assert rc == EXIT_USAGE
         err = capsys.readouterr().err
-        assert err.count("\n") == 1 and "'a,b,c'" in err
+        assert err.count("\n") == 1 and f"'{raw}'" in err
+
+    def test_non_finite_ssl_track_is_data_error(self, workspace, tmp_path, capsys):
+        ws, cfg_path, data_dir = workspace
+        track = tmp_path / "track.json"
+        track.write_text(json.dumps([[0.1, -2.0, 1.2]] * 29 + [[np.nan, 0, 1]]))
+        ckpt = tmp_path / "model.snm"
+        save_checkpoint(ckpt, MotionDenoiser(RunConfig.load(cfg_path).model,
+                                             np.random.default_rng(0))
+                        .named_parameters())
+        rc = main(["--config", str(cfg_path), "sample", "--checkpoint", str(ckpt),
+                   "--audio", str(next((data_dir / "audio").glob("*.wav"))),
+                   "--ssl", str(track), "--steps", "2", "--frames", "30",
+                   "--out", str(tmp_path / "o")])
+        assert rc == EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "track.json" in err and "non-finite" in err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("samples", [0, 500, 800])
+    def test_audio_under_two_frames_is_data_error(self, workspace, tmp_path,
+                                                  capsys, samples):
+        """A WAV of under 2 motion frames (800 samples at 24 kHz is 1 frame at
+        30 fps) exits 2 with one line naming it. The checkpoint does not
+        exist: the clip is checked before the model is restored, and before
+        the output dir is made."""
+        ws, cfg_path, data_dir = workspace
+        wav = tmp_path / "short.wav"
+        write_wav(wav, AudioClip(24000, np.zeros(samples), np.zeros(samples)))
+        rc = main(["--config", str(cfg_path), "sample", "--checkpoint",
+                   str(tmp_path / "none.snm"), "--audio", str(wav),
+                   "--ssl", "0,1,0", "--out", str(tmp_path / "o")])
+        assert rc == EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "short.wav" in err and "at least 2" in err
+        assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("flag, value", [
         ("--frames", "-5"), ("--frames", "0"), ("--steps", "0"), ("--steps", "-3"),

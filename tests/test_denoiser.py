@@ -381,17 +381,16 @@ class TestSampling:
         irng = np.random.default_rng(31)
         a, s = irng.standard_normal((5, 12)), irng.standard_normal((5, 3))
         schedule = cosine_schedule(20)
-        steps = [20, 14, 9, 4, 1]
 
         def model_fn(x, t):
             return model.predict_x0(x, [t], a[None], s[None], [2]).data
 
         want = sample_array(model_fn, (1, 5, 300), schedule,
-                            np.random.default_rng(32), steps)[0]
+                            np.random.default_rng(32), steps=5)[0]
         calls = []
         cond_proj = model.cond_proj
         model.cond_proj = lambda x: calls.append(1) or cond_proj(x)
         got = sample_motion(model, schedule, a, s, 2, np.random.default_rng(32),
-                            steps, recompute_velocity=False)
+                            steps=5, recompute_velocity=False)
         assert len(calls) == 1
         np.testing.assert_array_equal(got.p.reshape(5, -1), want[:, :75])

@@ -23,19 +23,41 @@ class TestCosineSchedule:
         assert SCHED_1000.alpha_bars[1000] < 1e-3
 
     def test_alphas_in_unit_interval(self):
-        inner = SCHED_1000.alphas[1:]
+        ab = SCHED_1000.alpha_bars
+        inner = ab[1:] / ab[:-1]
         assert np.all(inner > 0) and np.all(inner < 1)
 
     def test_betas_clipped(self):
-        assert SCHED_1000.betas.max() <= df.MAX_BETA + 1e-15
+        ab = SCHED_1000.alpha_bars
+        assert (1.0 - ab[1:] / ab[:-1]).max() <= df.MAX_BETA + 1e-15
 
-    def test_posterior_variance_zero_at_first_step(self):
-        assert SCHED_1000.posterior_var[1] == 0.0
+    def test_alpha_bars_match_beta_formula(self):
+        """The table is the cumulative product of alpha = 1 - beta, with beta
+        the clipped ratio of the squared cosine, bit for bit."""
+        steps, s = 1000, df.COSINE_OFFSET
+        t = np.arange(steps + 1, dtype=np.float64)
+        f = np.cos((t / steps + s) / (1.0 + s) * np.pi / 2.0) ** 2
+        raw = f / f[0]
+        betas = np.zeros(steps + 1)
+        betas[1:] = np.clip(1.0 - raw[1:] / raw[:-1], 1e-12, df.MAX_BETA)
+        alphas = 1.0 - betas
+        alphas[0] = 1.0
+        assert np.array_equal(SCHED_1000.alpha_bars, np.cumprod(alphas))
 
     def test_short_schedules_valid(self):
         for steps in (1, 4, 50):
             s = df.cosine_schedule(steps)
             assert s.alpha_bars.shape == (steps + 1,)
+
+    @pytest.mark.parametrize("table, error", [
+        ([1.0, 0.5], ShapeError), ([0.9, 0.5, 0.1], ContractError),
+        ([1.0, 0.5, 0.5], ContractError), ([1.0, 0.5, 0.0], ContractError),
+        ([1.0, np.nan, 0.1], ContractError)])
+    def test_bad_table_rejected(self, table, error):
+        """alpha_bars needs steps + 1 entries, starts at 1, falls strictly and
+        stays above 0: each step's alpha then lies in (0, 1)."""
+        with pytest.raises(error):
+            df.NoiseSchedule(2, np.array(table))
 
 
 class TestQSample:
@@ -88,9 +110,9 @@ class TestPSampleStep:
         rng = np.random.default_rng(4)
         x1 = rng.standard_normal((3, 4))
         x0h = rng.standard_normal((3, 4))
-        a = df.p_sample_step(x1, 1, x0h, SCHED_1000,
+        a = df.p_sample_step(x1, 1, 0, x0h, SCHED_1000,
                              rng.standard_normal(x1.shape))
-        b = df.p_sample_step(x1, 1, x0h, SCHED_1000,
+        b = df.p_sample_step(x1, 1, 0, x0h, SCHED_1000,
                              rng.standard_normal(x1.shape))
         np.testing.assert_array_equal(a, b)
         np.testing.assert_allclose(a, x0h)      # posterior collapses onto x0_hat
@@ -102,7 +124,7 @@ class TestPSampleStep:
         x0 = rng.standard_normal((2, 3))
         t = 700
         xt = df.q_sample(x0, t, np.zeros_like(x0), SCHED_1000)
-        out = df.p_sample_step(xt, t, x0, SCHED_1000, noise=None)
+        out = df.p_sample_step(xt, t, t - 1, x0, SCHED_1000, noise=None)
         np.testing.assert_allclose(
             out, np.sqrt(SCHED_1000.alpha_bars[t - 1]) * x0, atol=1e-12)
 
@@ -111,10 +133,11 @@ class TestPSampleStep:
         t = 500
         xt = np.zeros((200_000, 1))
         x0h = np.zeros_like(xt)
-        out = df.p_sample_step(xt, t, x0h, SCHED_1000,
+        out = df.p_sample_step(xt, t, t - 1, x0h, SCHED_1000,
                                rng.standard_normal(xt.shape))
         var = out.var()
-        want = SCHED_1000.posterior_var[t]
+        ab, ab_prev = SCHED_1000.alpha_bars[t], SCHED_1000.alpha_bars[t - 1]
+        want = (1.0 - ab_prev) / (1.0 - ab) * (1.0 - ab / ab_prev)
         assert abs(var - want) / want < 0.02
 
     def test_strided_step_matches_closed_form(self):
@@ -128,18 +151,19 @@ class TestPSampleStep:
         mean = (np.sqrt(ab_prev) * (1.0 - alpha) * x0h
                 + np.sqrt(alpha) * (1.0 - ab_prev) * xt) / (1.0 - ab)
         std = np.sqrt((1.0 - ab_prev) / (1.0 - ab) * (1.0 - alpha))
-        assert std > 2.0 * np.sqrt(SCHED_1000.posterior_var[t])
-        quiet = df.p_sample_step(xt, t, x0h, SCHED_1000, t_prev=t_prev)
+        ab_one = SCHED_1000.alpha_bars[t - 1]
+        one_step_var = (1.0 - ab_one) / (1.0 - ab) * (1.0 - ab / ab_one)
+        assert std > 2.0 * np.sqrt(one_step_var)
+        quiet = df.p_sample_step(xt, t, t_prev, x0h, SCHED_1000)
         np.testing.assert_allclose(quiet, mean, rtol=1e-12, atol=1e-12)
-        noisy = df.p_sample_step(xt, t, x0h, SCHED_1000, noise, t_prev=t_prev)
+        noisy = df.p_sample_step(xt, t, t_prev, x0h, SCHED_1000, noise)
         np.testing.assert_allclose(noisy - quiet, std * noise, rtol=1e-12,
                                    atol=1e-12)
 
     @pytest.mark.parametrize("t_prev", [5, 6])
     def test_step_that_does_not_go_down_is_contract_error(self, t_prev):
         with pytest.raises(ContractError):
-            df.p_sample_step(np.zeros(2), 5, np.zeros(2), SCHED_1000,
-                             t_prev=t_prev)
+            df.p_sample_step(np.zeros(2), 5, t_prev, np.zeros(2), SCHED_1000)
 
 
 class TestSampling:
@@ -166,20 +190,30 @@ class TestSampling:
 
     @pytest.mark.parametrize("count", [1000, 100, 4])
     def test_step_subsets_execute(self, count):
+        """``steps=count`` visits ``count`` strictly falling steps from 1000
+        down to 1."""
         rng = np.random.default_rng(11)
         x_true = rng.standard_normal((3, 12))
-        subset = df.stride_subset(1000, count)
-        assert len(subset) == count
-        assert subset[0] == 1000 and subset[-1] == 1
-        out = df.sample_array(lambda x, t: x_true, x_true.shape, SCHED_1000,
-                              np.random.default_rng(12), subset)
+        seen = []
+
+        def model_fn(x, t):
+            seen.append(t)
+            return x_true
+
+        out = df.sample_array(model_fn, x_true.shape, SCHED_1000,
+                              np.random.default_rng(12), steps=count)
+        assert len(seen) == count
+        assert seen[0] == 1000 and seen[-1] == 1
+        assert all(a > b for a, b in zip(seen, seen[1:]))
         assert np.isfinite(out).all()
         assert np.sqrt(np.mean((out - x_true) ** 2)) < 0.05
 
     def test_invalid_subset_rejected(self):
-        with pytest.raises(ContractError):
-            df.sample_array(lambda x, t: x, (2, 2), SCHED_1000,
-                            np.random.default_rng(0), step_subset=[5, 10])
+        """A step count outside 1..schedule.steps."""
+        for count in (0, 1001):
+            with pytest.raises(ContractError):
+                df.sample_array(lambda x, t: x, (2, 2), SCHED_1000,
+                                np.random.default_rng(0), steps=count)
 
     def test_model_shape_mismatch_rejected(self):
         sched = df.cosine_schedule(10)

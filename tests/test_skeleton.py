@@ -304,7 +304,8 @@ class TestMotionFiles:
     @pytest.mark.parametrize("damage", ["drop-fps", "drop-frames", "drop-p",
                                         "drop-r", "drop-v", "cut-p", "cut-r",
                                         "cut-v", "cut-ssl", "garble-p",
-                                        "null-r", "frames-0"])
+                                        "null-r", "frames-0", "fps-0", "fps-nan",
+                                        "fps-neg", "fps-inf"])
     def test_damaged_file_is_data_error(self, tmp_path, damage):
         rng = np.random.default_rng(18)
         m, _ = make_motion(rng)
@@ -320,6 +321,8 @@ class TestMotionFiles:
             doc[key] = "*" + doc[key][1:]
         elif kind == "null":
             doc[key] = None
+        elif kind == "fps":     # json writes nan and inf as NaN and Infinity
+            doc["fps"] = {"0": 0, "nan": np.nan, "neg": -30, "inf": np.inf}[key]
         else:
             doc["frames"] = 0
         path.write_text(json.dumps(doc))
