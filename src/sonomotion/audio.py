@@ -127,16 +127,6 @@ class AudioFeatureMatrix:
         return self.values.shape[0]
 
 
-def block_slice(name: str, ear: str = "left") -> slice:
-    """Column slice of a named feature block for one ear."""
-    start = 0 if ear == "left" else PER_EAR_WIDTH
-    for block, width in FEATURE_BLOCKS:
-        if block == name:
-            return slice(start, start + width)
-        start += width
-    raise KeyError(name)
-
-
 # ---------------------------------------------------------------------------
 # framing and spectra
 
@@ -181,14 +171,10 @@ def _mel_to_hz(m):
     return 700.0 * (10.0 ** (np.asarray(m, dtype=np.float64) / 2595.0) - 1.0)
 
 
-def mel_filterbank(config: FeatureConfig) -> np.ndarray:
-    """Triangular filters (mel_bands, fft/2+1) spanning 0 .. sample_rate/2;
-    built once per (sample_rate, fft_size, mel_bands) and shared read-only."""
-    return _mel_filterbank(config.sample_rate, config.fft_size, config.mel_bands)
-
-
 @functools.lru_cache(maxsize=8)
 def _mel_filterbank(sample_rate: int, fft_size: int, mel_bands: int) -> np.ndarray:
+    """Triangular filters (mel_bands, fft/2+1) spanning 0 .. sample_rate/2;
+    built once per (sample_rate, fft_size, mel_bands) and shared read-only."""
     freqs = np.arange(fft_size // 2 + 1) * sample_rate / fft_size
     edges = _mel_to_hz(np.linspace(_hz_to_mel(0.0), _hz_to_mel(sample_rate / 2),
                                    mel_bands + 2))
@@ -217,14 +203,14 @@ def log_mel_spectrogram(spec: np.ndarray, config: FeatureConfig) -> np.ndarray:
     return np.log(np.maximum(mel, 1e-10))
 
 
-def _delta(coeffs: np.ndarray, half_window: int = 4) -> np.ndarray:
-    """Centered regression slope over 2*half_window+1 frames (edge-replicated)."""
+def _delta(coeffs: np.ndarray) -> np.ndarray:
+    """Centered regression slope over 9 frames (edge-replicated)."""
     t = coeffs.shape[0]
     if t == 0:
         return coeffs.copy()
-    offsets = np.arange(-half_window, half_window + 1)
+    offsets = np.arange(-4, 5)
     denom = float(np.sum(offsets ** 2))
-    padded = np.pad(coeffs, ((half_window, half_window), (0, 0)), mode="edge")
+    padded = np.pad(coeffs, ((4, 4), (0, 0)), mode="edge")
     out = np.zeros_like(coeffs)
     for k, n in enumerate(offsets):
         out += n * padded[k:k + t]

@@ -377,13 +377,13 @@ def mse(a, b) -> Tensor:
 # normalization and attention pieces
 
 
-def layer_norm(a, eps: float = 1e-8) -> Tensor:
+def layer_norm(a) -> Tensor:
     """Normalize the last axis to zero mean / unit variance (no affine)."""
     a = _as_tensor(a)
     mu = a.data.mean(axis=-1, keepdims=True)
     centered = a.data - mu
     var = np.mean(centered * centered, axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
+    inv = 1.0 / np.sqrt(var + 1e-8)
     y = centered * inv
     out = Tensor(y)
 

@@ -288,16 +288,16 @@ def _restore_model(cfg: RunConfig, checkpoint_path) -> MotionDenoiser:
 
 
 def cmd_sample(args, cfg: RunConfig) -> int:
-    for flag in ("steps", "frames", "count"):
+    for flag in ("steps", "count"):
         value = getattr(args, flag)
         if value is not None and value < 1:
             raise ConfigError(f"--{flag} must be >= 1, got {value}")
     if args.steps is not None and args.steps > cfg.diffusion_steps:
         raise ConfigError(f"--steps {args.steps} exceeds diffusion_steps "
                           f"{cfg.diffusion_steps}")
-    if args.frames is not None and args.frames > cfg.model.max_frames:
-        raise ConfigError(f"--frames {args.frames} exceeds max_frames "
-                          f"{cfg.model.max_frames}")
+    if args.frames is not None and not 2 <= args.frames <= cfg.model.max_frames:
+        raise ConfigError(f"--frames must lie in 2..{cfg.model.max_frames} "
+                          f"(velocities need two frames), got {args.frames}")
     fps = cfg.features.motion_fps
     clip = read_wav(args.audio)
     clip_frames = clip.samples * fps // clip.sample_rate

@@ -18,6 +18,7 @@ from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
+from scipy.spatial.transform import Rotation
 
 from .audio import (AudioClip, FeatureConfig, NormalizationStats,
                     extract_binaural, feature_cache_key, load_feature_cache,
@@ -28,9 +29,8 @@ from .errors import (AlignmentError, ContractError, DataError,
 from .skeleton import (Genre, MotionSequence, SkeletonSpec, SslTrack,
                        assemble_vector, axis_angle_to_matrix,
                        compute_velocities, forward_kinematics, load_motion,
-                       matrix_to_axis_angle, matrix_to_sixd, minimal_rotation,
-                       normalize_sequence, rotation_z, save_motion,
-                       sixd_to_matrix)
+                       matrix_to_sixd, minimal_rotation, normalize_sequence,
+                       rotation_z, save_motion, sixd_to_matrix)
 
 SPEED_OF_SOUND = 343.0
 HEAD_RADIUS = 0.0875
@@ -499,7 +499,8 @@ def resample_motion(m: MotionSequence, target_fps: float,
     rot = m.rotation_matrices()
     r0, r1 = rot[i0], rot[i0 + 1]
     rel = np.swapaxes(r0, -1, -2) @ r1
-    vec = matrix_to_axis_angle(rel)                   # (n, J, 3)
+    vec = Rotation.from_matrix(rel.reshape(-1, 3, 3)).as_rotvec().reshape(
+        rel.shape[:-1])                               # (n, J, 3)
     ang = np.linalg.norm(vec, axis=-1) * u[:, None]
     r_new = r0 @ axis_angle_to_matrix(vec, ang)
     r6 = matrix_to_sixd(r_new).reshape(n_out, -1)
@@ -567,11 +568,19 @@ class DatasetManifest:
                       f"manifest {path}")
         if doc["version"] != 1:
             raise DataError(f"manifest {path} has unknown version {doc['version']!r}")
+        if not isinstance(doc["root"], str):
+            raise DataError(f"manifest {path}: root is not a string")
         if not isinstance(doc["entries"], list):
             raise DataError(f"manifest {path}: entries is not a list")
         names = {f.name for f in fields(ManifestEntry)}
         for i, e in enumerate(doc["entries"]):
-            _require_keys(e, names, f"manifest {path} entry {i}")
+            what = f"manifest {path} entry {i}"
+            _require_keys(e, names, what)
+            for name in sorted(names - {"meta"}):
+                if not isinstance(e[name], str):
+                    raise DataError(f"{what}: {name} is not a string")
+            if not isinstance(e["meta"], dict):
+                raise DataError(f"{what}: meta is not a JSON object")
         entries = [ManifestEntry(**e) for e in doc["entries"]]
         root = Path(doc["root"])
         if not root.is_absolute():        # relative roots anchor at the file
@@ -583,19 +592,21 @@ class DatasetManifest:
         return root / entry.audio, root / entry.motion
 
 
-def _largest_remainder(n: int, ratios) -> list[int]:
-    ideal = [r * n for r in ratios]
+# the train:val:test shares, and the smallest dataset that leaves a val and
+# a test item under them
+SPLIT_RATIOS = (0.8, 0.1, 0.1)
+MIN_SPLIT_ITEMS = 10
+
+
+def _largest_remainder(n: int) -> list[int]:
+    ideal = [r * n for r in SPLIT_RATIOS]
     counts = [int(np.floor(x)) for x in ideal]
     rem = n - sum(counts)
-    order = sorted(range(len(ratios)), key=lambda k: ideal[k] - counts[k],
+    order = sorted(range(len(SPLIT_RATIOS)), key=lambda k: ideal[k] - counts[k],
                    reverse=True)
     for k in order[:rem]:
         counts[k] += 1
     return counts
-
-
-# the smallest dataset an 8:1:1 split leaves a val and a test item
-MIN_SPLIT_ITEMS = 10
 
 
 def _check_split_size(count: int) -> None:
@@ -604,17 +615,14 @@ def _check_split_size(count: int) -> None:
                             f"8:1:1 split, got {count}")
 
 
-def assign_splits(entries: list[ManifestEntry], seed: int,
-                  ratios: tuple[float, float, float] = (0.8, 0.1, 0.1)) -> None:
-    """Deterministic stratified split with exact global counts.
+def assign_splits(entries: list[ManifestEntry], seed: int) -> None:
+    """Deterministic stratified 8:1:1 split with exact global counts.
 
     Each scenario tag is split by largest remainder first; a correction pass
     then moves shuffled items between splits until the global counts match
     the largest-remainder allocation of the full set.
     """
     _check_split_size(len(entries))
-    if abs(sum(ratios) - 1.0) > 1e-9:
-        raise ContractError("split ratios must sum to 1")
     rng = np.random.default_rng(seed)
     names = ("train", "val", "test")
     groups: dict[str, list[ManifestEntry]] = {}
@@ -623,20 +631,20 @@ def assign_splits(entries: list[ManifestEntry], seed: int,
     for tag in sorted(groups):
         group = groups[tag]
         order = rng.permutation(len(group))
-        counts = _largest_remainder(len(group), ratios)
+        counts = _largest_remainder(len(group))
         bounds = np.cumsum([0] + counts)
         for k, name in enumerate(names):
             for j in order[bounds[k]:bounds[k + 1]]:
                 group[j].split = name
 
-    targets = dict(zip(names, _largest_remainder(len(entries), ratios)))
+    targets = dict(zip(names, _largest_remainder(len(entries))))
     totals = {name: sum(1 for e in entries if e.split == name) for name in names}
     for _ in range(len(entries)):
         if totals == targets:
             break
         over = max(names, key=lambda nm: totals[nm] - targets[nm])
         under = min(names, key=lambda nm: totals[nm] - targets[nm])
-        share = ratios[names.index(over)]
+        share = SPLIT_RATIOS[names.index(over)]
         donor = max(sorted(groups),
                     key=lambda tag: sum(e.split == over for e in groups[tag])
                     - share * len(groups[tag]))
@@ -647,10 +655,8 @@ def assign_splits(entries: list[ManifestEntry], seed: int,
 
 
 def build_manifest(root, entries: list[ManifestEntry], seed: int,
-                   fps: float = 30.0,
-                   ratios: tuple[float, float, float] = (0.8, 0.1, 0.1)
-                   ) -> DatasetManifest:
-    assign_splits(entries, seed, ratios)
+                   fps: float = 30.0) -> DatasetManifest:
+    assign_splits(entries, seed)
     return DatasetManifest(str(root), fps, entries, seed)
 
 
@@ -659,15 +665,13 @@ def build_manifest(root, entries: list[ManifestEntry], seed: int,
 
 
 def generate_dataset(out_dir, count: int, seed: int, duration: float = 10.0,
-                     fps: int = 30, sample_rate: int = 24000,
-                     skel: SkeletonSpec | None = None) -> DatasetManifest:
+                     fps: int = 30, sample_rate: int = 24000) -> DatasetManifest:
     """Write ``count`` synthetic paired samples plus a split manifest."""
     _check_split_size(count)
     out = Path(out_dir)
     (out / "audio").mkdir(parents=True, exist_ok=True)
     (out / "motion").mkdir(parents=True, exist_ok=True)
     rng = np.random.default_rng(seed)
-    skel = skel or SkeletonSpec.default()
     entries = []
     genres = list(Genre)
     for i in range(count):
@@ -682,14 +686,14 @@ def generate_dataset(out_dir, count: int, seed: int, duration: float = 10.0,
             fps=fps,
             sample_rate=sample_rate,
         )
-        scene = synthesize_pair(spec, skel)
+        scene = synthesize_pair(spec)
         sample_id = f"sample_{i:04d}"
         audio_rel = f"audio/{sample_id}.wav"
         motion_rel = f"motion/{sample_id}.json"
         write_wav(out / audio_rel, scene.clip)
         meta = dict(scene.meta)
         save_motion(out / motion_rel, scene.motion, scene.ssl, scene.genre,
-                    skel.names, extras=meta)
+                    extras=meta)
         entries.append(ManifestEntry(sample_id, audio_rel, motion_rel,
                                      scene.genre.label, tag=spec.program,
                                      meta={"signal": spec.signal,

@@ -60,10 +60,6 @@ class DenoiserConfig:
             raise ConfigError(f"latent {self.latent} not divisible by "
                               f"{self.heads} heads")
 
-    @property
-    def max_tokens(self) -> int:
-        return 2 * self.max_frames + 2
-
 
 class MotionDenoiser(Module):
     """G(x_t, t; a, s, g) -> x0_hat.
@@ -78,7 +74,7 @@ class MotionDenoiser(Module):
         self.genre_emb = Embedding(config.genre_vocab, d, rng)
         self.cond_proj = Linear(config.audio_width + config.ssl_width, d, rng)
         self.motion_proj = Linear(config.motion_width, d, rng)
-        shape = (config.max_tokens, d)
+        shape = (2 * config.max_frames + 2, d)    # time, genre, T conds, T frames
         self.pos_emb = Tensor(np.empty(shape) if rng is None
                               else rng.uniform(-0.02, 0.02, shape), requires_grad=True)
         self.blocks = [EncoderBlock(d, config.heads, config.ff_mult, rng)

@@ -42,12 +42,12 @@ class NoiseSchedule:
             raise IndexError(f"diffusion step out of range 0..{self.steps}")
 
 
-def cosine_schedule(steps: int, offset: float = COSINE_OFFSET) -> NoiseSchedule:
+def cosine_schedule(steps: int) -> NoiseSchedule:
     """Squared-cosine noise schedule; each step's beta is clipped to 0.999."""
     if steps < 1:
         raise ContractError("need at least one diffusion step")
     t = np.arange(steps + 1, dtype=np.float64)
-    f = np.cos((t / steps + offset) / (1.0 + offset) * np.pi / 2.0) ** 2
+    f = np.cos((t / steps + COSINE_OFFSET) / (1.0 + COSINE_OFFSET) * np.pi / 2.0) ** 2
     raw = f / f[0]
     alpha = np.ones(steps + 1)
     alpha[1:] = 1.0 - np.clip(1.0 - raw[1:] / raw[:-1], 1e-12, MAX_BETA)

@@ -89,15 +89,6 @@ class ExtractorConfig:
             raise ConfigError(f"extractor ae_latent {self.ae_latent} not "
                               f"divisible by {self.ae_heads} ae_heads")
 
-    @property
-    def audio_proj_width(self) -> int:
-        # audio projection fills the condition vector up to SSL + genre scalar
-        return self.hidden - self.ssl_width - 1
-
-    @property
-    def feature_width(self) -> int:
-        return self.hidden
-
 
 class MotionAutoencoder(Module):
     """Transformer encoder-decoder reconstructing (B, T, 300) sequences; its
@@ -138,11 +129,12 @@ class ExtractorModel(Module):
 
     def __init__(self, cfg: ExtractorConfig, rng: np.random.Generator):
         self.cfg = cfg
-        self.audio_proj = Linear(cfg.audio_width, cfg.audio_proj_width, rng)
+        # the audio projection fills the condition vector up to SSL + genre
+        self.audio_proj = Linear(cfg.audio_width, cfg.hidden - cfg.ssl_width - 1, rng)
         self.cond_gru = BiGRUEncoder(cfg.hidden, cfg.hidden, cfg.gru_layers,
-                                     cfg.feature_width, rng)
+                                     cfg.hidden, rng)
         self.motion_gru = BiGRUEncoder(cfg.motion_width, cfg.hidden,
-                                       cfg.gru_layers, cfg.feature_width, rng)
+                                       cfg.gru_layers, cfg.hidden, rng)
         self.autoencoder = MotionAutoencoder(cfg, rng)
 
     def condition_input(self, audio, ssl, genre) -> Tensor:
@@ -234,8 +226,8 @@ def train_extractor(samples, cfg: ExtractorConfig,
 
 
 def extract_features(model: ExtractorModel, samples) -> tuple[np.ndarray, np.ndarray]:
-    """Condition and motion features (N, feature_width) of N same-length
-    samples, in one batched pass."""
+    """Condition and motion features (N, hidden) of N same-length samples,
+    in one batched pass."""
     x0, audio, ssl, genre = stack_samples(samples)
     return (model.encode_condition(audio, ssl, genre).data,
             model.encode_motion(x0).data)

@@ -15,23 +15,23 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tape, Tensor
 
-DEFAULT_STEP = 1e-5
-DEFAULT_TOL = 1e-4
+STEP = 1e-5
+TOL = 1e-4
 
 
-def numeric_gradient(f, x: np.ndarray, step: float = DEFAULT_STEP) -> np.ndarray:
+def numeric_gradient(f, x: np.ndarray) -> np.ndarray:
     """Central-difference gradient of scalar f at x, elementwise."""
     g = np.zeros_like(x)
     flat = x.reshape(-1)
     gf = g.reshape(-1)
     for i in range(flat.size):
         orig = flat[i]
-        flat[i] = orig + step
+        flat[i] = orig + STEP
         hi = f()
-        flat[i] = orig - step
+        flat[i] = orig - STEP
         lo = f()
         flat[i] = orig
-        gf[i] = (hi - lo) / (2.0 * step)
+        gf[i] = (hi - lo) / (2.0 * STEP)
     return g
 
 
@@ -40,7 +40,7 @@ def max_rel_error(analytic: np.ndarray, numeric: np.ndarray) -> float:
     return float(np.max(np.abs(analytic - numeric)) / scale)
 
 
-def check_scalar_fn(fn, arrays: list[np.ndarray], step: float = DEFAULT_STEP) -> float:
+def check_scalar_fn(fn, arrays: list[np.ndarray]) -> float:
     """Max relative error across all inputs of a Tensor-valued scalar fn."""
     tensors = [Tensor(a, requires_grad=True) for a in arrays]
     with Tape() as tape:
@@ -53,7 +53,7 @@ def check_scalar_fn(fn, arrays: list[np.ndarray], step: float = DEFAULT_STEP) ->
 
     worst = 0.0
     for t in tensors:
-        numeric = numeric_gradient(eval_detached, t.data, step)
+        numeric = numeric_gradient(eval_detached, t.data)
         worst = max(worst, max_rel_error(t.grad, numeric))
     return worst
 
@@ -69,14 +69,14 @@ class GradCheckRow:
         return self.max_rel_error < self.tolerance
 
 
-def run_primitive_suite(seed: int = 0, tol: float = DEFAULT_TOL) -> list[GradCheckRow]:
+def run_primitive_suite(seed: int = 0) -> list[GradCheckRow]:
     """Gradcheck every differentiable primitive on randomized small shapes."""
     rng = np.random.default_rng(seed)
     rows: list[GradCheckRow] = []
 
     def add_case(name, fn, arrays):
         err = check_scalar_fn(fn, arrays)
-        rows.append(GradCheckRow(name, err, tol))
+        rows.append(GradCheckRow(name, err, TOL))
 
     w1 = rng.standard_normal((3, 4))
     add_case("add", lambda a, b: ad.sum_(ad.mul(ad.add(a, b), w1)),

@@ -74,13 +74,13 @@ def l_rot(pred: Tensor, target: Tensor) -> Tensor:
 # differentiable kinematics for the geometric term
 
 
-def rot6d_to_matrix_t(r6: Tensor, eps: float = 1e-12) -> Tensor:
+def rot6d_to_matrix_t(r6: Tensor) -> Tensor:
     """Taped 6D -> rotation decode; degenerate blocks are counted, not fatal."""
     global _degenerate_rotation_count
     a1, a2 = r6[..., 0:3], r6[..., 3:6]
     n1sq = ad.sum_(ad.mul(a1, a1), axis=-1, keepdims=True)
     bad = int(np.sum(n1sq.data < 1e-16))
-    b1 = ad.div(a1, ad.sqrt_(ad.add(n1sq, eps)))
+    b1 = ad.div(a1, ad.sqrt_(ad.add(n1sq, 1e-12)))
     proj = ad.sum_(ad.mul(b1, a2), axis=-1, keepdims=True)
     u2 = ad.sub(a2, ad.mul(proj, b1))
     n2sq = ad.sum_(ad.mul(u2, u2), axis=-1, keepdims=True)
@@ -88,7 +88,7 @@ def rot6d_to_matrix_t(r6: Tensor, eps: float = 1e-12) -> Tensor:
     if bad:
         _degenerate_rotation_count += bad
         log.debug("orthogonalized %d degenerate 6D rotation blocks", bad)
-    b2 = ad.div(u2, ad.sqrt_(ad.add(n2sq, eps)))
+    b2 = ad.div(u2, ad.sqrt_(ad.add(n2sq, 1e-12)))
     b3 = ad.cross(b1, b2)
     cols = [ad.reshape(b, b.shape + (1,)) for b in (b1, b2, b3)]
     return ad.concat(cols, axis=-1)

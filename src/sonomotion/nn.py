@@ -65,13 +65,12 @@ class Linear(Module):
 
 
 class LayerNorm(Module):
-    def __init__(self, dim: int, eps: float = 1e-8):
+    def __init__(self, dim: int):
         self.gain = Tensor(np.ones(dim), requires_grad=True)
         self.bias = Tensor(np.zeros(dim), requires_grad=True)
-        self._eps = eps
 
     def __call__(self, x: Tensor) -> Tensor:
-        return ad.add(ad.mul(ad.layer_norm(x, self._eps), self.gain), self.bias)
+        return ad.add(ad.mul(ad.layer_norm(x), self.gain), self.bias)
 
 
 class Embedding(Module):

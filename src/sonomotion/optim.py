@@ -13,13 +13,12 @@ class AdamW:
     """Bias-corrected AdamW over a fixed parameter list, with one pair of
     moment accumulators per parameter."""
 
+    beta1, beta2, eps = 0.9, 0.999, 1e-8
+
     def __init__(self, params: list[Tensor], lr: float = 1e-4,
-                 betas: tuple[float, float] = (0.9, 0.999), eps: float = 1e-8,
                  weight_decay: float = 0.0):
         self.params = list(params)
         self.lr = lr
-        self.beta1, self.beta2 = betas
-        self.eps = eps
         self.weight_decay = weight_decay
         self.step_count = 0
         self.m = [np.zeros_like(p.data) for p in self.params]

@@ -192,43 +192,6 @@ def axis_angle_to_matrix(axis: np.ndarray, angle) -> np.ndarray:
     return eye * c + s * km + (1.0 - c) * (k[..., :, None] @ k[..., None, :])
 
 
-def matrix_to_axis_angle(rot: np.ndarray) -> np.ndarray:
-    """Inverse Rodrigues: (..., 3, 3) -> axis*angle vector (..., 3)."""
-    rot = np.asarray(rot, dtype=np.float64)
-    tr = np.clip((rot[..., 0, 0] + rot[..., 1, 1] + rot[..., 2, 2] - 1.0) / 2.0,
-                 -1.0, 1.0)
-    angle = np.arccos(tr)
-    skew = np.stack([rot[..., 2, 1] - rot[..., 1, 2],
-                     rot[..., 0, 2] - rot[..., 2, 0],
-                     rot[..., 1, 0] - rot[..., 0, 1]], axis=-1)
-    sin = np.sin(angle)
-    small = sin < 1e-8
-    with np.errstate(invalid="ignore", divide="ignore"):
-        axis = skew / (2.0 * sin[..., None])
-    # angle ~ 0: vector ~ skew/2; angle ~ pi: take axis from the diagonal
-    axis = np.where(small[..., None], 0.0, axis)
-    out = axis * angle[..., None]
-    near_pi = np.abs(angle - np.pi) < 1e-6
-    if np.any(near_pi):
-        rr = np.broadcast_to(rot, rot.shape).reshape(-1, 3, 3)
-        aa = out.reshape(-1, 3)
-        flags = np.broadcast_to(near_pi, angle.shape).reshape(-1)
-        for i in np.flatnonzero(flags):
-            m = (rr[i] + np.eye(3)) / 2.0
-            ax = np.sqrt(np.maximum(np.diag(m), 0.0))
-            # fix signs from off-diagonals
-            j = int(np.argmax(ax))
-            if ax[j] > 0:
-                for k in range(3):
-                    if k != j and m[j, k] < 0:
-                        ax[k] = -ax[k]
-            aa[i] = ax / max(np.linalg.norm(ax), 1e-12) * np.pi
-        out = aa.reshape(out.shape)
-    small_angle = angle < 1e-8
-    out = np.where(small_angle[..., None], skew / 2.0, out)
-    return out
-
-
 def minimal_rotation(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Smallest rotations taking unit vectors a to unit vectors b, (..., 3, 3).
 
@@ -361,13 +324,11 @@ def disassemble_vector(x: np.ndarray, fps: float) -> MotionSequence:
 # contacts and normalization
 
 
-def detect_foot_contacts(p: np.ndarray, fps: float, skel: SkeletonSpec,
-                         speed_threshold: float = 0.1,
-                         height_threshold: float = 0.06) -> np.ndarray:
+def detect_foot_contacts(p: np.ndarray, fps: float, skel: SkeletonSpec) -> np.ndarray:
     """Boolean (T, 2) contact mask for (left_foot, right_foot).
 
-    A foot is in contact when its speed is below ``speed_threshold`` and its
-    height above the sequence's ground level is below ``height_threshold``.
+    A foot is in contact when its speed is below 0.1 m/s and its height
+    above the sequence's ground level is below 0.06 m.
     Ground level is estimated as the minimum foot height over the whole
     sequence, which keeps the detector meaningful after sequences are
     re-anchored to the origin by normalization.
@@ -380,7 +341,7 @@ def detect_foot_contacts(p: np.ndarray, fps: float, skel: SkeletonSpec,
     speed = np.linalg.norm(vel.reshape(-1, 2, 3), axis=-1)
     ground = feet[..., 2].min()
     height = feet[..., 2] - ground
-    return (speed < speed_threshold) & (height < height_threshold)
+    return (speed < 0.1) & (height < 0.06)
 
 
 def normalize_sequence(m: MotionSequence,
@@ -439,16 +400,16 @@ def _decode(blob: str, shape) -> np.ndarray:
 
 
 def save_motion(path, m: MotionSequence, ssl: SslTrack | None = None,
-                genre: Genre | None = None, joint_names: list[str] | None = None,
-                extras: dict | None = None) -> None:
-    """Write a motion JSON file (header + base64 float64 blocks)."""
+                genre: Genre | None = None, extras: dict | None = None) -> None:
+    """Write a motion JSON file (header + base64 float64 blocks) that names
+    the default skeleton's joints."""
     doc = {
         "format": "sonomotion-motion",
         "version": 1,
         "fps": m.fps,
         "joint_count": JOINT_COUNT,
         "frames": m.frames,
-        "joint_names": joint_names or SkeletonSpec.default().names,
+        "joint_names": SkeletonSpec.default().names,
         "genre": genre.label if genre is not None else None,
         "ssl_frame": ssl.frame if ssl is not None else None,
         "ssl": _encode(ssl.positions) if ssl is not None else None,

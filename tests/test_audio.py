@@ -14,6 +14,9 @@ from sonomotion.errors import ConfigError, DataError, DurationError
 
 CFG = au.FeatureConfig()
 SR = CFG.sample_rate
+# first column of each feature block within one ear's 1136 columns
+START = dict(zip([name for name, _ in au.FEATURE_BLOCKS],
+                 np.cumsum([0] + [width for _, width in au.FEATURE_BLOCKS])))
 
 
 def sine(freq, duration=1.0, amp=0.5, sr=SR):
@@ -99,16 +102,16 @@ class TestMfcc:
         np.testing.assert_allclose(interior, slope, atol=1e-12)
 
     def test_mel_filterbank_spans_spectrum(self):
-        bank = au.mel_filterbank(CFG)
+        bank = au._mel_filterbank(SR, CFG.fft_size, CFG.mel_bands)
         assert bank.shape == (CFG.mel_bands, CFG.fft_size // 2 + 1)
         coverage = bank.sum(axis=0)
         assert (coverage[1:-1] > 0).all()
 
     def test_mel_filterbank_built_once_per_shape(self):
-        bank = au.mel_filterbank(CFG)
-        assert au.mel_filterbank(au.FeatureConfig()) is bank
+        bank = au._mel_filterbank(SR, CFG.fft_size, CFG.mel_bands)
+        assert au._mel_filterbank(SR, CFG.fft_size, CFG.mel_bands) is bank
         assert not bank.flags.writeable
-        assert au.mel_filterbank(au.FeatureConfig(mel_bands=64)).shape[0] == 64
+        assert au._mel_filterbank(SR, CFG.fft_size, 64).shape[0] == 64
 
 
 class TestChroma:
@@ -156,7 +159,8 @@ class TestChroma:
         x = sine(440.0)
         out = au.extract_ear(x, CFG)
         spec = au.stft(x, CFG)
-        cq, st = au.block_slice("cq_chroma"), au.block_slice("stft_chroma")
+        cq = slice(START["cq_chroma"], START["stft_chroma"])
+        st = slice(START["stft_chroma"], START["onset"])
         assert out[:, cq].shape == out[:, st].shape == (30, 12)
         np.testing.assert_array_equal(out[:, cq], au.cq_chroma(spec, CFG))
         np.testing.assert_array_equal(out[:, st], au.stft_chroma(spec, CFG))
@@ -305,9 +309,9 @@ class TestExtraction:
         x = sine(400.0, 1.2, 0.5)
         clip = au.AudioClip(SR, x, x * 0.1)   # right 20 dB down
         feats = au.extract_binaural(clip, CFG, 30).values
-        rms_l = feats[:, au.block_slice("rms", "left")][:, 0]
-        rms_r = feats[:, au.block_slice("rms", "right")][:, 0]
-        act_l = feats[:, au.block_slice("active", "left")][:, 0]
+        rms_l = feats[:, START["rms"]]
+        rms_r = feats[:, au.PER_EAR_WIDTH + START["rms"]]
+        act_l = feats[:, START["active"]]
         assert (rms_l[act_l > 0] > rms_r[act_l > 0]).all()
 
     def test_finite_for_arbitrary_audio(self):

@@ -17,7 +17,7 @@ from sonomotion.audio import (AudioClip, FeatureConfig, NormalizationStats,
                               extract_binaural, read_wav, write_wav)
 from sonomotion.denoiser import DenoiserConfig, MotionDenoiser, TrainConfig
 from sonomotion.errors import ConfigError
-from sonomotion.skeleton import SkeletonSpec, load_motion, save_motion
+from sonomotion.skeleton import load_motion, save_motion
 
 TINY_CFG = """
 [model]
@@ -565,7 +565,7 @@ class TestFrameCountRule:
                                                                    seed=1))
         write_wav(data / entry.audio, scene.clip)
         save_motion(data / entry.motion, scene.motion, scene.ssl, scene.genre,
-                    SkeletonSpec.default().names, extras=scene.meta)
+                    extras=scene.meta)
         seen = {}
 
         def record(name, position):     # the frame count of each sample passed
@@ -780,16 +780,16 @@ class TestExitCodes:
         assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("flag, value", [
-        ("--frames", "-5"), ("--frames", "0"), ("--steps", "0"), ("--steps", "-3"),
-        ("--steps", "50"), ("--count", "0"), ("--count", "-2"),
+        ("--frames", "-5"), ("--frames", "0"), ("--frames", "1"), ("--steps", "0"),
+        ("--steps", "-3"), ("--steps", "50"), ("--count", "0"), ("--count", "-2"),
         ("--frames", "61"), ("synth-data --count", "5"),
         ("synth-data --duration", "1"), ("features --workers", "0"),
         ("features --workers", "-3")])
     def test_sample_flag_out_of_range_is_usage_error(self, workspace, tmp_path,
                                                      capsys, flag, value):
         """A flag named alone is a ``sample`` flag, else "command flag".
-        ``sample``: --steps, --frames and --count must be >= 1, --steps at most
-        diffusion_steps (8 here) and --frames at most max_frames (60).
+        ``sample``: --steps and --count must be >= 1, --steps at most
+        diffusion_steps (8 here) and --frames in 2..max_frames (60).
         ``synth-data``: --count at least 10 (an 8:1:1 split) and --duration at
         least 2 s. ``features``: --workers at least 1. Each exits 1 with one
         line naming the flag, before it writes its output dir."""
@@ -832,7 +832,7 @@ class TestExitCodes:
         for e in (short, long):
             write_wav(data / e.audio, scene.clip)
         save_motion(data / long.motion, scene.motion, scene.ssl, scene.genre,
-                    SkeletonSpec.default().names, extras=scene.meta)
+                    extras=scene.meta)
         cache = tmp_path / "cache"
         rc = main(["features", "--manifest", str(data / "manifest.json"),
                    "--cache", str(cache)])
@@ -842,6 +842,32 @@ class TestExitCodes:
         for part in (short.sample_id, "(60 frames)", long.sample_id, "(90 frames)"):
             assert part in err
         assert not (cache / "norm_stats.npz").exists()
+
+    @pytest.mark.parametrize("field, value", [
+        ("root", 5), ("sample_id", 3), ("audio", 3), ("motion", None),
+        ("genre", 1), ("tag", ["a"]), ("split", 0), ("meta", "x")])
+    @pytest.mark.parametrize("command", ["features", "train"])
+    def test_wrongly_typed_manifest_field_is_data_error(
+            self, workspace, tmp_path, monkeypatch, capsys, command, field, value):
+        """A manifest root, or an entry field, of the wrong JSON type exits 2
+        with one line naming the field, and no statistics are fitted."""
+        ws, cfg_path, data_dir = workspace
+        monkeypatch.chdir(tmp_path)         # cache_dir "cache" is under tmp_path
+        doc = json.loads((data_dir / "manifest.json").read_text())
+        doc["root"] = str(data_dir)
+        if field == "root":
+            doc["root"] = value
+        else:
+            doc["entries"][0][field] = value
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text(json.dumps(doc))
+        out = {"features": "--cache", "train": "--out"}[command]
+        rc = main(["--config", str(cfg_path), command, "--manifest", str(manifest),
+                   out, str(tmp_path / out.strip("-"))])
+        assert rc == EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and f"{field} is not" in err
+        assert not (tmp_path / "cache" / "norm_stats.npz").exists()
 
     def test_restore_model_matches_load_state(self, workspace, tmp_path):
         """The restore target is allocated, not drawn: every parameter is

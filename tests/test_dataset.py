@@ -18,10 +18,10 @@ from sonomotion.audio import (AudioClip, AudioFeatureMatrix, FeatureConfig,
 from sonomotion.cli import EXIT_DATA, EXIT_OK, main
 from sonomotion.errors import AlignmentError, ContractError, DataError
 from sonomotion.skeleton import (SkeletonSpec, assemble_vector,
-                                 compute_velocities, detect_foot_contacts,
-                                 forward_kinematics, matrix_to_sixd,
-                                 read_motion_header, rotation_z, save_motion,
-                                 sixd_to_matrix)
+                                 axis_angle_to_matrix, compute_velocities,
+                                 detect_foot_contacts, forward_kinematics,
+                                 matrix_to_sixd, read_motion_header, rotation_z,
+                                 save_motion, sixd_to_matrix)
 
 SKEL = SkeletonSpec.default()
 
@@ -241,6 +241,26 @@ class TestResampling:
         t_out = np.arange(out.frames) / 30.0
         want = rotation_z(0.8 / ((frames - 1) / 60.0) * t_out)
         np.testing.assert_allclose(got, want, atol=1e-9)
+
+    def test_rotation_geodesic_between_frames(self):
+        """25 -> 30 fps puts output frames at fractional source positions.
+        Every joint turns 0.8 rad per source frame about one tilted axis, so
+        log(r0^T r1) is 0.8 * axis and the output at source position s is
+        r_base exp(0.8 s axis)."""
+        rng = np.random.default_rng(21)
+        frames, axis = 6, np.array([0.3, -0.5, 0.8])   # only its direction counts
+        base = axis_angle_to_matrix(rng.standard_normal((25, 3)),
+                                    rng.uniform(0.0, np.pi, 25))
+        rot = base @ axis_angle_to_matrix(axis, 0.8 * np.arange(frames))[:, None]
+        p = forward_kinematics(SKEL, np.zeros((frames, 3)), rot).reshape(frames, -1)
+        m = ds.MotionSequence(25.0, p, matrix_to_sixd(rot).reshape(frames, -1),
+                              compute_velocities(p, 25.0))
+        out = ds.resample_motion(m, 30.0)
+        s = np.arange(out.frames) * 25.0 / 30.0
+        assert out.frames == 7 and np.any(s % 1.0 > 0.1)
+        got = sixd_to_matrix(out.r.reshape(out.frames, 25, 6))
+        want = base @ axis_angle_to_matrix(axis, 0.8 * s)[:, None]
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
 
 class TestManifest:

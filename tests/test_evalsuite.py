@@ -278,7 +278,7 @@ class TestExtractor:
         samples = separable_samples(np.random.default_rng(24), n_per_class=2)
         model = ev.ExtractorModel(TINY_EXT, np.random.default_rng(25))
         cond, mot = ev.extract_features(model, samples)
-        assert cond.shape == mot.shape == (len(samples), TINY_EXT.feature_width)
+        assert cond.shape == mot.shape == (len(samples), TINY_EXT.hidden)
         for i, s in enumerate(samples):
             one_cond, one_mot = ev.extract_features(model, [s])
             np.testing.assert_allclose(cond[i], one_cond[0], rtol=0, atol=1e-12)

@@ -288,11 +288,10 @@ class TestMinimalRotation:
 class TestMotionFiles:
     def test_save_load_roundtrip(self, tmp_path):
         rng = np.random.default_rng(14)
-        m, skel = make_motion(rng)
+        m, _ = make_motion(rng)
         ssl = sk.SslTrack(rng.standard_normal((m.frames, 3)), frame="world")
         path = tmp_path / "m.json"
-        sk.save_motion(path, m, ssl, sk.Genre.SENSITIVE, skel.names,
-                       extras={"note": 1})
+        sk.save_motion(path, m, ssl, sk.Genre.SENSITIVE, extras={"note": 1})
         m2, ssl2, genre, extras = sk.load_motion(path)
         np.testing.assert_array_equal(m2.p, m.p)
         np.testing.assert_array_equal(m2.r, m.r)
