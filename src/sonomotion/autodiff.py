@@ -6,11 +6,12 @@ on double precision. Operations record themselves on the innermost active
 :class:`Tape`; replaying the tape backward visits each recorded node exactly
 once in reverse execution (= reverse topological) order.
 
-The four fused ops :func:`linear`, :func:`attention`, :func:`fk` and
-:func:`gru` are one node each with a hand-written backward; a backward
-returns ``None`` for an input that needs no gradient. Only ``div``,
-``sqrt`` and ``mse`` check their outputs; callers check whole blocks with
-:func:`check_finite` (raises NumericError).
+The six fused ops :func:`linear`, :func:`attention`, :func:`fk`,
+:func:`gru`, :func:`rot6d` and :func:`mse_with_diff` are one node each with
+a hand-written backward; a backward returns ``None`` for an input that needs
+no gradient. Only ``div``, ``sqrt``, the two mse ops and ``rot6d`` check
+their outputs; callers check whole blocks with :func:`check_finite` (raises
+NumericError).
 """
 
 from __future__ import annotations
@@ -240,11 +241,83 @@ def matmul(a, b) -> Tensor:
     return _record(out, (a, b), bwd)
 
 
+# a run of per-item constant columns shorter than this is not worth its own GEMM
+_MIN_CONSTANT_RUN = 32
+
+
+def _runs(mask: np.ndarray) -> list[tuple[int, int]]:
+    """[start, stop) runs of True in a 1-d boolean mask."""
+    edges = np.flatnonzero(np.diff(np.concatenate(([0], mask.astype(np.int8), [0]))))
+    return [(int(s), int(e)) for s, e in zip(edges[::2], edges[1::2])]
+
+
+def _constant_runs(x3: np.ndarray) -> list[tuple[int, int]]:
+    """Runs of at least ``_MIN_CONSTANT_RUN`` columns of (B, T, C) ``x3`` that
+    hold one value on every frame of each item. When no column repeats, this
+    costs one comparison of frame 0 with frame 1 of the first item."""
+    same = x3[0, 0] == x3[0, 1]
+    if np.count_nonzero(same) < _MIN_CONSTANT_RUN:
+        return []
+    same &= np.all(x3[:, 0] == x3[:, 1], axis=0)
+    runs = [r for r in _runs(same) if r[1] - r[0] >= _MIN_CONSTANT_RUN]
+    if not runs or x3.shape[1] == 2:
+        return runs
+    for s, e in runs:
+        same[s:e] = np.all(x3[:, 2:, s:e] == x3[:, :1, s:e], axis=(0, 1))
+    return [r for r in _runs(same) if r[1] - r[0] >= _MIN_CONSTANT_RUN]
+
+
+def _split_linear(x, w, b, runs) -> Tensor:
+    """``linear`` of a gradient-free (..., T, in) ``x`` whose column ``runs``
+    are per-item constants: those rows of W multiply one frame per item and
+    the result is broadcast over the frames; the other columns multiply
+    every frame."""
+    t, c = x.shape[-2:]
+    x3 = x.data.reshape(-1, t, c)
+    first = x3[:, 0]
+    bounds = [0] + [i for r in runs for i in r] + [c]
+    varying = [(s, e) for s, e in zip(bounds[::2], bounds[1::2]) if e > s]
+
+    def frames(s, e):           # a (B*T, e - s) view, no copy
+        return x3[:, :, s:e].reshape(-1, e - s)
+
+    per_item = b.data
+    for s, e in runs:
+        per_item = per_item + first[:, s:e] @ w.data[s:e]
+    y = np.repeat(per_item[:, None], t, axis=1)
+    y2 = y.reshape(-1, w.shape[1])
+    for s, e in varying:
+        y2 += frames(s, e) @ w.data[s:e]
+    out = Tensor(y.reshape(x.shape[:-1] + w.shape[1:]))
+
+    def bwd(g):
+        g2 = g.reshape(-1, w.shape[1])
+        gw = None
+        if w.requires_grad:
+            gw = np.empty(w.shape)
+            gsum = g2.reshape(x3.shape[0], t, -1).sum(axis=1)
+            for s, e in runs:
+                gw[s:e] = first[:, s:e].T @ gsum
+            for s, e in varying:
+                gw[s:e] = frames(s, e).T @ g2
+        return None, gw, (g2.sum(axis=0) if b.requires_grad else None)
+
+    return _record(out, (x, w, b), bwd)
+
+
 def linear(x, w, b) -> Tensor:
-    """x @ W + b over the flattened leading axes of x (..., in); one node."""
+    """x @ W + b over the flattened leading axes of x (..., in); one node.
+
+    A gradient-free x with a frame axis (..., T >= 2, in) whose columns
+    include long runs that are constant over the frames of each item (the
+    tempogram of a clip) multiplies those columns once per item."""
     x, w, b = _as_tensor(x), _as_tensor(w), _as_tensor(b)
     if w.ndim != 2 or b.shape != w.shape[1:] or x.shape[-1:] != w.shape[:1]:
         raise ShapeError(f"linear shapes {x.shape} @ {w.shape} + {b.shape} do not fit")
+    if not x.requires_grad and x.ndim >= 3 and x.shape[-2] >= 2 and x.size:
+        runs = _constant_runs(x.data.reshape((-1,) + x.shape[-2:]))
+        if runs:
+            return _split_linear(x, w, b, runs)
     x2 = x.data.reshape(-1, w.shape[0])
     y = x2 @ w.data
     y += b.data
@@ -368,6 +441,28 @@ def mse(a, b) -> Tensor:
 
     def bwd(g):
         gd = g * scale * diff
+        return (gd if a.requires_grad else None), (-gd if b.requires_grad else None)
+
+    return _record(out, (a, b), bwd)
+
+
+def mse_with_diff(a, b) -> Tensor:
+    """``mse(a, b)`` plus the mse of their forward differences along the
+    frame (second-to-last) axis, as one node."""
+    a, b = _as_tensor(a), _as_tensor(b)
+    if a.shape != b.shape or a.ndim < 2:
+        raise ShapeError(f"mse_with_diff needs two equal (..., T, d) shapes, "
+                         f"got {a.shape} and {b.shape}")
+    diff = a.data - b.data
+    step = diff[..., 1:, :] - diff[..., :-1, :]
+    out = Tensor(np.mean(diff * diff) + np.mean(step * step))
+    check_finite(out.data, "'mse_with_diff'")
+
+    def bwd(g):
+        gd = diff * (2.0 * g / diff.size)
+        gs = step * (2.0 * g / step.size)
+        gd[..., 1:, :] += gs
+        gd[..., :-1, :] -= gs
         return (gd if a.requires_grad else None), (-gd if b.requires_grad else None)
 
     return _record(out, (a, b), bwd)
@@ -602,6 +697,58 @@ def cross(a, b) -> Tensor:
         return ga, gb
 
     return _record(out, (a, b), bwd)
+
+
+def _cross_rows(p: np.ndarray, q: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Cross products of component-major (3, N) vectors into ``out``."""
+    for i, j, k in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
+        np.multiply(p[j], q[k], out=out[i])
+        out[i] -= p[k] * q[j]
+    return out
+
+
+def rot6d(r6) -> tuple[Tensor, int]:
+    """Gram-Schmidt decode of (..., 6) blocks into (..., 3, 3) rotations with
+    columns b1 = a1 / |a1|, b2 = u2 / |u2| for u2 = a2 - (b1 . a2) b1, and
+    b3 = b1 x b2, each norm taken as sqrt(|.|^2 + 1e-12); also returns how
+    many blocks had a near-zero |a1|^2 or |u2|^2 (< 1e-16)."""
+    r6 = _as_tensor(r6)
+    if r6.shape[-1] != 6:
+        raise ShapeError(f"rot6d needs a trailing axis of 6, got {r6.shape}")
+    batch = r6.shape[:-1]
+    a = np.ascontiguousarray(r6.data.reshape(-1, 6).T)       # component-major
+    a1, a2 = a[:3], a[3:]
+    n1sq = np.einsum("in,in->n", a1, a1)
+    s1 = np.sqrt(n1sq + 1e-12)
+    cols = np.empty((3, 3, a.shape[1]))                      # (column, row, N)
+    b1, b2, b3 = cols
+    np.divide(a1, s1, out=b1)
+    proj = np.einsum("in,in->n", b1, a2)
+    u2 = a2 - proj * b1
+    n2sq = np.einsum("in,in->n", u2, u2)
+    s2 = np.sqrt(n2sq + 1e-12)
+    np.divide(u2, s2, out=b2)
+    _cross_rows(b1, b2, b3)
+    bad = int(np.count_nonzero(n1sq < 1e-16) + np.count_nonzero(n2sq < 1e-16))
+    out = Tensor(cols.transpose(2, 1, 0).reshape(batch + (3, 3)))
+    check_finite(out.data, "'rot6d'")
+
+    def bwd(g):
+        g1, g2, g3 = np.ascontiguousarray(g.reshape(-1, 3, 3).transpose(2, 1, 0))
+        tmp = np.empty_like(g1)
+        gb1 = g1 + _cross_rows(b2, g3, tmp)
+        gb2 = g2 + _cross_rows(g3, b1, tmp)
+        gu2 = gb2 - np.einsum("in,in->n", b2, gb2) * b2
+        gu2 /= s2
+        gproj = np.einsum("in,in->n", gu2, b1)
+        ga = np.empty_like(a)
+        np.subtract(gu2, gproj * b1, out=ga[3:])
+        gb1 -= proj * gu2 + gproj * a2
+        np.subtract(gb1, np.einsum("in,in->n", b1, gb1) * b1, out=ga[:3])
+        ga[:3] /= s1
+        return (ga.T.reshape(r6.shape),)
+
+    return _record(out, (r6,), bwd), bad
 
 
 def embedding(table, indices) -> Tensor:

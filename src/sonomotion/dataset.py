@@ -572,6 +572,13 @@ class DatasetManifest:
             raise DataError(f"manifest {path}: root is not a string")
         if not isinstance(doc["entries"], list):
             raise DataError(f"manifest {path}: entries is not a list")
+        fps, seed = doc["fps"], doc["seed"]
+        if (isinstance(fps, bool) or not isinstance(fps, (int, float))
+                or not 0 < fps < np.inf):
+            raise DataError(f"manifest {path}: fps is not a finite number > 0 "
+                            f"({fps!r})")
+        if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
+            raise DataError(f"manifest {path}: seed is not an integer >= 0 ({seed!r})")
         names = {f.name for f in fields(ManifestEntry)}
         for i, e in enumerate(doc["entries"]):
             what = f"manifest {path} entry {i}"
@@ -581,6 +588,9 @@ class DatasetManifest:
                     raise DataError(f"{what}: {name} is not a string")
             if not isinstance(e["meta"], dict):
                 raise DataError(f"{what}: meta is not a JSON object")
+            if e["split"] not in SPLITS:
+                raise DataError(f"{what} ({e['sample_id']}): split is not one of "
+                                f"{', '.join(SPLITS)} ({e['split']!r})")
         entries = [ManifestEntry(**e) for e in doc["entries"]]
         root = Path(doc["root"])
         if not root.is_absolute():        # relative roots anchor at the file
@@ -592,8 +602,9 @@ class DatasetManifest:
         return root / entry.audio, root / entry.motion
 
 
-# the train:val:test shares, and the smallest dataset that leaves a val and
-# a test item under them
+# the splits, their 8:1:1 shares, and the smallest dataset that leaves a val
+# and a test item under them
+SPLITS = ("train", "val", "test")
 SPLIT_RATIOS = (0.8, 0.1, 0.1)
 MIN_SPLIT_ITEMS = 10
 
@@ -624,7 +635,6 @@ def assign_splits(entries: list[ManifestEntry], seed: int) -> None:
     """
     _check_split_size(len(entries))
     rng = np.random.default_rng(seed)
-    names = ("train", "val", "test")
     groups: dict[str, list[ManifestEntry]] = {}
     for e in entries:
         groups.setdefault(e.tag, []).append(e)
@@ -633,18 +643,18 @@ def assign_splits(entries: list[ManifestEntry], seed: int) -> None:
         order = rng.permutation(len(group))
         counts = _largest_remainder(len(group))
         bounds = np.cumsum([0] + counts)
-        for k, name in enumerate(names):
+        for k, name in enumerate(SPLITS):
             for j in order[bounds[k]:bounds[k + 1]]:
                 group[j].split = name
 
-    targets = dict(zip(names, _largest_remainder(len(entries))))
-    totals = {name: sum(1 for e in entries if e.split == name) for name in names}
+    targets = dict(zip(SPLITS, _largest_remainder(len(entries))))
+    totals = {name: sum(1 for e in entries if e.split == name) for name in SPLITS}
     for _ in range(len(entries)):
         if totals == targets:
             break
-        over = max(names, key=lambda nm: totals[nm] - targets[nm])
-        under = min(names, key=lambda nm: totals[nm] - targets[nm])
-        share = SPLIT_RATIOS[names.index(over)]
+        over = max(SPLITS, key=lambda nm: totals[nm] - targets[nm])
+        under = min(SPLITS, key=lambda nm: totals[nm] - targets[nm])
+        share = SPLIT_RATIOS[SPLITS.index(over)]
         donor = max(sorted(groups),
                     key=lambda tag: sum(e.split == over for e in groups[tag])
                     - share * len(groups[tag]))

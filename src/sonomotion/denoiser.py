@@ -31,7 +31,7 @@ from .dataset import TrainSample, stack_samples
 from .diffusion import NoiseSchedule, q_sample, sample_array
 from .errors import ConfigError, ContractError, NumericError
 from .losses import (FOOT_MODES, LossWeights, l_data, l_foot, l_geo, l_rot,
-                     l_traj, total_loss)
+                     l_traj, target_positions, total_loss)
 from .nn import (EncoderBlock, Embedding, LayerNorm, Linear, Module,
                  sinusoidal_embedding)
 from .optim import AdamW, fit
@@ -222,6 +222,8 @@ def train_denoiser(model: MotionDenoiser, schedule: NoiseSchedule, samples,
     x0_all, audio_all, ssl_all, genre_all = stack_samples(samples)
     contact_all = np.stack([detect_foot_contacts(x0[:, POS_SLICE], fps, skel)
                             for x0 in x0_all])
+    # the geometric term's targets are the same every epoch
+    target_pos_all = target_positions(x0_all, skel)
 
     out_dir = Path(train_cfg.out_dir) if train_cfg.out_dir else None
     if out_dir:
@@ -241,7 +243,7 @@ def train_denoiser(model: MotionDenoiser, schedule: NoiseSchedule, samples,
         # names read here, at call time: the benchmark's tracer wraps them
         for name, fn, extra in (
                 ("data", l_data, ()),
-                ("geo", l_geo, (skel,)),
+                ("geo", l_geo, (skel, target_pos_all[idx])),
                 ("foot", l_foot, (contact_all[idx], train_cfg.foot_mode)),
                 ("traj", l_traj, ()),
                 ("rot", l_rot, ())):

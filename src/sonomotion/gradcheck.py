@@ -153,6 +153,11 @@ def run_primitive_suite(seed: int = 0) -> list[GradCheckRow]:
         add_case(name, lambda x, wx, bx, wh, bh: ad.sum_(
                      ad.mul(ad.gru(x, wx, bx, wh, bh, reverse), wg)),
                  [rng.standard_normal(s) for s in ((2, 4, 3), (3, 9), (9,), (3, 9), (9,))])
+    w6 = rng.standard_normal((2, 4, 3, 3))
+    add_case("rot6d", lambda a: ad.sum_(ad.mul(ad.rot6d(a)[0], w6)),
+             [rng.standard_normal((2, 4, 6))])
+    add_case("mse_with_diff", lambda a, b: ad.mse_with_diff(a, b),
+             [rng.standard_normal((2, 4, 3)), rng.standard_normal((2, 4, 3))])
     return rows
 
 

@@ -36,84 +36,70 @@ def degenerate_rotation_count() -> int:
     return _degenerate_rotation_count
 
 
-def _frame_diff(x: Tensor) -> Tensor:
-    """Forward difference along the frame axis (second-to-last axis)."""
-    return ad.sub(x[..., 1:, :], x[..., :-1, :])
-
-
 def _check_pair(pred: Tensor, target: Tensor) -> None:
     if pred.shape != target.shape:
         raise ShapeError(f"prediction {pred.shape} != target {target.shape}")
 
 
-def _mse_with_diff(pred: Tensor, target: Tensor) -> Tensor:
-    """MSE of the values plus MSE of their frame difference."""
-    return ad.add(ad.mse(pred, target),
-                  ad.mse(_frame_diff(pred), _frame_diff(target)))
-
-
 def l_data(pred: Tensor, target: Tensor) -> Tensor:
     """MSE on the packed motion vector plus MSE on its frame difference."""
     _check_pair(pred, target)
-    return _mse_with_diff(pred, target)
+    return ad.mse_with_diff(pred, target)
 
 
 def l_traj(pred: Tensor, target: Tensor) -> Tensor:
     """Same structure as l_data restricted to the root position track."""
     _check_pair(pred, target)
-    return _mse_with_diff(pred[..., 0:3], target[..., 0:3])
+    return ad.mse_with_diff(pred[..., 0:3], target[..., 0:3])
 
 
 def l_rot(pred: Tensor, target: Tensor) -> Tensor:
     """Same structure as l_data restricted to the 150-wide rotation block."""
     _check_pair(pred, target)
-    return _mse_with_diff(pred[..., ROT_SLICE], target[..., ROT_SLICE])
+    return ad.mse_with_diff(pred[..., ROT_SLICE], target[..., ROT_SLICE])
 
 
 # ---------------------------------------------------------------------------
 # differentiable kinematics for the geometric term
 
 
-def rot6d_to_matrix_t(r6: Tensor) -> Tensor:
-    """Taped 6D -> rotation decode; degenerate blocks are counted, not fatal."""
-    global _degenerate_rotation_count
-    a1, a2 = r6[..., 0:3], r6[..., 3:6]
-    n1sq = ad.sum_(ad.mul(a1, a1), axis=-1, keepdims=True)
-    bad = int(np.sum(n1sq.data < 1e-16))
-    b1 = ad.div(a1, ad.sqrt_(ad.add(n1sq, 1e-12)))
-    proj = ad.sum_(ad.mul(b1, a2), axis=-1, keepdims=True)
-    u2 = ad.sub(a2, ad.mul(proj, b1))
-    n2sq = ad.sum_(ad.mul(u2, u2), axis=-1, keepdims=True)
-    bad += int(np.sum(n2sq.data < 1e-16))
-    if bad:
-        _degenerate_rotation_count += bad
-        log.debug("orthogonalized %d degenerate 6D rotation blocks", bad)
-    b2 = ad.div(u2, ad.sqrt_(ad.add(n2sq, 1e-12)))
-    b3 = ad.cross(b1, b2)
-    cols = [ad.reshape(b, b.shape + (1,)) for b in (b1, b2, b3)]
-    return ad.concat(cols, axis=-1)
+def target_positions(target: np.ndarray, skel: SkeletonSpec) -> np.ndarray:
+    """(..., J * 3) global joint positions of packed (..., 300) motion: FK of
+    its root track and strictly decoded rotation blocks, which raise
+    DegenerateRotationError."""
+    batch = target.shape[:-1]
+    rot = sixd_to_matrix(target[..., ROT_SLICE].reshape(batch + (JOINT_COUNT, 6)))
+    return (forward_kinematics(skel, target[..., 0:3], rot)
+            .reshape(batch + (JOINT_COUNT * 3,)))
 
 
-def l_geo(pred: Tensor, target: Tensor, skel: SkeletonSpec) -> Tensor:
+def l_geo(pred: Tensor, target: Tensor, skel: SkeletonSpec,
+          target_pos: np.ndarray | None = None) -> Tensor:
     """Position + velocity MSE between FK of prediction and FK of target.
 
     The predicted side recovers global joint positions from its own root
     track and rotation blocks (not the packed p block, which l_data already
-    supervises); the target side is constant, computed outside the tape.
+    supervises); its 6D decode counts degenerate blocks instead of failing.
+    The target side is constant: ``target_positions(target.data, skel)``,
+    which a caller that sees the same targets every epoch passes as
+    ``target_pos``.
     """
+    global _degenerate_rotation_count
     _check_pair(pred, target)
     batch = pred.shape[:-1]
+    if target_pos is None:
+        target_pos = target_positions(target.data, skel)
+    elif target_pos.shape != batch + (JOINT_COUNT * 3,):
+        raise ShapeError(f"target positions {target_pos.shape} != "
+                         f"{batch + (JOINT_COUNT * 3,)}")
     root = pred[..., 0:3]
-    r6 = ad.reshape(pred[..., ROT_SLICE], batch + (JOINT_COUNT, 6))
-    rot = rot6d_to_matrix_t(r6)
+    rot, bad = ad.rot6d(ad.reshape(pred[..., ROT_SLICE], batch + (JOINT_COUNT, 6)))
+    if bad:
+        _degenerate_rotation_count += bad
+        log.debug("orthogonalized %d degenerate 6D rotation blocks", bad)
     fk_pred = ad.fk(skel.parents, skel.offsets, root, rot)
-
-    tgt = target.data
-    tgt_rot = sixd_to_matrix(tgt[..., ROT_SLICE].reshape(batch + (JOINT_COUNT, 6)))
-    fk_tgt = Tensor(forward_kinematics(skel, tgt[..., 0:3], tgt_rot)
-                    .reshape(batch + (JOINT_COUNT * 3,)))
-
-    return _mse_with_diff(ad.reshape(fk_pred, batch + (JOINT_COUNT * 3,)), fk_tgt)
+    return ad.mse_with_diff(ad.reshape(fk_pred, batch + (JOINT_COUNT * 3,)),
+                            Tensor(target_pos))
 
 
 def l_foot(pred: Tensor, target: Tensor, contacts: np.ndarray,

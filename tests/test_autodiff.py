@@ -161,6 +161,71 @@ class TestFusedOps:
         got = ad.attention(q, k, v, heads).data
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
+    def test_rot6d_matches_composed_decode(self):
+        """Values and gradients of the fused decode within 1e-12 of the
+        decode composed from taped primitives, degenerate blocks included."""
+        rng = np.random.default_rng(24)
+        r6 = rng.standard_normal((3, 4, 5, 6))
+        r6[0, 0, 0, :3] = 0.0                        # |a1| = 0
+        r6[1, 2, 3, 3:] = 2.5 * r6[1, 2, 3, :3]      # a2 parallel to a1
+        wgt = rng.standard_normal((3, 4, 5, 3, 3))
+
+        def composed(t):
+            a1, a2 = t[..., 0:3], t[..., 3:6]
+            n1sq = ad.sum_(ad.mul(a1, a1), axis=-1, keepdims=True)
+            b1 = ad.div(a1, ad.sqrt_(ad.add(n1sq, 1e-12)))
+            proj = ad.sum_(ad.mul(b1, a2), axis=-1, keepdims=True)
+            u2 = ad.sub(a2, ad.mul(proj, b1))
+            n2sq = ad.sum_(ad.mul(u2, u2), axis=-1, keepdims=True)
+            b2 = ad.div(u2, ad.sqrt_(ad.add(n2sq, 1e-12)))
+            cols = [ad.reshape(c, c.shape + (1,)) for c in (b1, b2, ad.cross(b1, b2))]
+            return ad.concat(cols, axis=-1)
+
+        results = []
+        for decode in (composed, lambda t: ad.rot6d(t)[0]):
+            t = Tensor(r6, requires_grad=True)
+            with Tape() as tape:
+                out = decode(t)
+                tape.backward(ad.sum_(ad.mul(out, wgt)))
+            results.append((out.data, t.grad))
+        for want, got in zip(*results):
+            np.testing.assert_allclose(got, want, rtol=0,
+                                       atol=1e-12 * np.max(np.abs(want)))
+        assert ad.rot6d(r6)[1] == 2
+
+    def test_mse_with_diff_matches_composed_ops(self):
+        """Value and both gradients within 1e-12 of mse of the values plus
+        mse of the frame differences, composed from taped primitives."""
+        rng = np.random.default_rng(26)
+        a, b = rng.standard_normal((3, 7, 5)), rng.standard_normal((3, 7, 5))
+
+        def composed(p, t):
+            def step(z):
+                return ad.sub(z[..., 1:, :], z[..., :-1, :])
+            return ad.add(ad.mse(p, t), ad.mse(step(p), step(t)))
+
+        results = []
+        for loss_fn in (composed, ad.mse_with_diff):
+            p, t = Tensor(a, requires_grad=True), Tensor(b, requires_grad=True)
+            with Tape() as tape:
+                loss = loss_fn(p, t)
+                tape.backward(loss)
+            results.append((loss.data, p.grad, t.grad))
+        for want, got in zip(*results):
+            np.testing.assert_allclose(got, want, rtol=0,
+                                       atol=1e-12 * np.max(np.abs(want)))
+        rows = {r.name: r for r in run_primitive_suite(seed=0)}
+        assert rows["mse_with_diff"].passed
+
+    def test_rot6d_is_one_node_with_a_gradcheck_row(self):
+        t = Tensor(np.random.default_rng(25).standard_normal((2, 6)),
+                   requires_grad=True)
+        with Tape() as tape:
+            ad.rot6d(t)
+        assert len(tape) == 1
+        rows = {r.name: r for r in run_primitive_suite(seed=0)}
+        assert rows["rot6d"].passed and rows["rot6d"].tolerance == 1e-4
+
     def test_constant_inputs_get_no_gradient(self):
         rng = np.random.default_rng(23)
         skel = SkeletonSpec.default()
@@ -246,6 +311,92 @@ class TestGRU:
             seq, _ = layer(x)
             tape.backward(ad.sum_(seq))
         assert np.all(np.isfinite(seq.data)) and np.all(np.isfinite(layer.wx.grad))
+
+
+def _clip_like(rng, items=2, frames=6, width=100, const=((10, 50), (60, 96))):
+    """(items, frames, width) rows whose ``const`` column runs repeat frame
+    0 of each item, as a clip's tempogram columns do."""
+    x = rng.standard_normal((items, frames, width))
+    for s, e in const:
+        x[:, :, s:e] = x[:, :1, s:e]
+    return x
+
+
+class TestSplitLinear:
+    """``linear`` of a gradient-free input multiplies per-item constant
+    column runs once per item."""
+
+    def _full(self, x, w, b):
+        return (x.reshape(-1, w.shape[0]) @ w + b).reshape(x.shape[:-1] + b.shape)
+
+    # a toy, then both ears' tempogram runs of a (B, T, 2275) condition input
+    @pytest.mark.parametrize("items, frames, width, const", [
+        (2, 6, 100, ((10, 50), (60, 96))),
+        (3, 20, 2275, ((65, 1133), (1201, 2269)))])
+    def test_close_to_full_projection(self, items, frames, width, const):
+        rng = np.random.default_rng(30)
+        x = _clip_like(rng, items, frames, width, const)
+        w, b = rng.standard_normal((width, 16)), rng.standard_normal(16)
+        assert ad._constant_runs(x) == list(const)
+        want = self._full(x, w, b)
+        np.testing.assert_allclose(ad.linear(x, w, b).data, want, rtol=0,
+                                   atol=1e-12 * np.max(np.abs(want)))
+
+    def test_no_repeated_column_is_bit_identical(self):
+        rng = np.random.default_rng(32)
+        x = rng.standard_normal((2, 6, 100))
+        w, b = rng.standard_normal((100, 7)), rng.standard_normal(7)
+        assert ad._constant_runs(x) == []
+        np.testing.assert_array_equal(ad.linear(x, w, b).data, self._full(x, w, b))
+
+    def test_one_repeating_item_takes_the_general_path(self):
+        rng = np.random.default_rng(33)
+        x = _clip_like(rng)
+        x[1] = rng.standard_normal(x[1].shape)
+        w, b = rng.standard_normal((100, 7)), rng.standard_normal(7)
+        assert ad._constant_runs(x) == []
+        np.testing.assert_array_equal(ad.linear(x, w, b).data, self._full(x, w, b))
+
+    def test_columns_that_vary_after_frame_1_take_the_general_path(self):
+        rng = np.random.default_rng(34)
+        x = _clip_like(rng, frames=5)
+        x[1, 4, 10:50] += 1.0
+        x[0, 3, 60:96] += 1.0
+        assert ad._constant_runs(x) == []
+
+    def test_long_clip_features_take_the_general_path(self):
+        """Past 534 frames a clip's tempogram rows vary, so its features
+        project every frame."""
+        from sonomotion.audio import FeatureConfig, extract_binaural
+        from sonomotion.dataset import SyntheticSceneSpec, synthesize_pair
+        scene = synthesize_pair(SyntheticSceneSpec(duration=18.2, seed=2))
+        feats = extract_binaural(scene.clip, FeatureConfig(), 546).values[None]
+        assert ad._constant_runs(feats) == []
+        rng = np.random.default_rng(35)
+        w, b = rng.standard_normal((feats.shape[-1], 4)), rng.standard_normal(4)
+        np.testing.assert_array_equal(ad.linear(feats, w, b).data,
+                                      self._full(feats, w, b))
+
+    def test_gradients_through_the_split_path(self):
+        rng = np.random.default_rng(36)
+        x = _clip_like(rng, frames=3)
+        wgt = rng.standard_normal((2, 3, 4))
+        assert ad._constant_runs(x) == [(10, 50), (60, 96)]
+        err = check_scalar_fn(lambda w, b: ad.sum_(ad.mul(ad.linear(x, w, b), wgt)),
+                              [rng.standard_normal((100, 4)), rng.standard_normal(4)])
+        assert err < 1e-4
+
+    def test_one_frame_or_a_gradient_input_never_splits(self, monkeypatch):
+        def fail(*args):
+            raise AssertionError("split path taken")
+
+        monkeypatch.setattr(ad, "_split_linear", fail)
+        rng = np.random.default_rng(37)
+        w, b = rng.standard_normal((100, 7)), rng.standard_normal(7)
+        ad.linear(rng.standard_normal((3, 1, 100)), w, b)
+        ad.linear(_clip_like(rng)[0], w, b)              # no item axis
+        with Tape():
+            ad.linear(Tensor(_clip_like(rng), requires_grad=True), w, b)
 
 
 class TestGradcheckSuite:

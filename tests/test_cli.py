@@ -845,18 +845,23 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("field, value", [
         ("root", 5), ("sample_id", 3), ("audio", 3), ("motion", None),
-        ("genre", 1), ("tag", ["a"]), ("split", 0), ("meta", "x")])
+        ("genre", 1), ("tag", ["a"]), ("split", 0), ("meta", "x"),
+        ("split", "trian"), ("split", ""), ("fps", "x"), ("fps", 0),
+        ("fps", float("inf")), ("fps", True), ("seed", "x"), ("seed", -1),
+        ("seed", 1.5), ("seed", False)])
     @pytest.mark.parametrize("command", ["features", "train"])
     def test_wrongly_typed_manifest_field_is_data_error(
             self, workspace, tmp_path, monkeypatch, capsys, command, field, value):
-        """A manifest root, or an entry field, of the wrong JSON type exits 2
-        with one line naming the field, and no statistics are fitted."""
+        """A manifest root, fps or seed, or an entry field, of the wrong JSON
+        type or out of range exits 2 with one line naming the field, and no
+        statistics are fitted. A misspelt split used to leave its clip out
+        of training and of the statistics; its line names the entry."""
         ws, cfg_path, data_dir = workspace
         monkeypatch.chdir(tmp_path)         # cache_dir "cache" is under tmp_path
         doc = json.loads((data_dir / "manifest.json").read_text())
         doc["root"] = str(data_dir)
-        if field == "root":
-            doc["root"] = value
+        if field in ("root", "fps", "seed"):
+            doc[field] = value
         else:
             doc["entries"][0][field] = value
         manifest = tmp_path / "manifest.json"
@@ -867,6 +872,8 @@ class TestExitCodes:
         assert rc == EXIT_DATA
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and f"{field} is not" in err
+        if field == "split" and isinstance(value, str):
+            assert doc["entries"][0]["sample_id"] in err
         assert not (tmp_path / "cache" / "norm_stats.npz").exists()
 
     def test_restore_model_matches_load_state(self, workspace, tmp_path):

@@ -12,7 +12,8 @@ from sonomotion.denoiser import (DenoiserConfig, MotionDenoiser, TrainConfig,
                                  TrainSample, sample_motion, train_denoiser,
                                  write_model_card)
 from sonomotion.diffusion import cosine_schedule, sample_array
-from sonomotion.errors import ConfigError, ContractError, NumericError
+from sonomotion.errors import (ConfigError, ContractError,
+                               DegenerateRotationError, NumericError)
 from sonomotion.losses import LossWeights
 from sonomotion.nn import EncoderBlock
 from sonomotion.skeleton import SkeletonSpec
@@ -357,6 +358,20 @@ class TestTraining:
         with pytest.raises(NumericError,
                            match="loss term 'foot' is non-finite at epoch 0"):
             train_denoiser(model, cosine_schedule(10), samples, skel, cfg)
+
+    def test_degenerate_target_rotation_fails_before_epoch_0(self):
+        """The targets' kinematics are computed once, before any step: a
+        zero 6D block in a training motion stops the run before epoch 0."""
+        rng = np.random.default_rng(26)
+        samples, skel = self._samples(rng, n=2)
+        samples[1].x0[3, 75:81] = 0.0
+        model = MotionDenoiser(TINY, np.random.default_rng(27))
+        epochs = []
+        cfg = TrainConfig(epochs=2, batch_size=2, lr=1e-3, seed=0)
+        with pytest.raises(DegenerateRotationError):
+            train_denoiser(model, cosine_schedule(10), samples, skel, cfg,
+                           log_fn=lambda epoch, line: epochs.append(epoch))
+        assert epochs == []
 
     def test_model_card_written_atomically(self, tmp_path, monkeypatch):
         """A failed rename leaves the old card and no temporary file."""

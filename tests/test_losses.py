@@ -1,10 +1,12 @@
 """The five loss terms: values on worked examples, gradients, weighting."""
 
 import numpy as np
+import pytest
 
 from sonomotion import losses as L
 from sonomotion import skeleton as sk
-from sonomotion.autodiff import Tensor
+from sonomotion.autodiff import Tape, Tensor
+from sonomotion.errors import DegenerateRotationError, ShapeError
 from sonomotion.gradcheck import check_scalar_fn
 
 SKEL = sk.SkeletonSpec.default()
@@ -98,6 +100,35 @@ class TestLGeo:
         out = L.l_geo(Tensor(broken), Tensor(x), SKEL).item()
         assert np.isfinite(out)
         assert L.degenerate_rotation_count() > before
+
+    def test_precomputed_target_positions_give_the_same_bits(self):
+        """Positions computed once for a whole split, then indexed by a
+        batch, give l_geo's value and gradient bit for bit."""
+        rng = np.random.default_rng(10)
+        split = np.stack([valid_motion_vector(rng) for _ in range(5)])
+        idx = np.array([3, 0, 3])
+        target = split[idx]
+        pred = target + rng.standard_normal(target.shape) * 0.05
+        pos_all = L.target_positions(split, SKEL)
+        assert pos_all.shape == (5, 6, 75)
+        runs = []
+        for extra in ((), (pos_all[idx],)):
+            p = Tensor(pred, requires_grad=True)
+            with Tape() as tape:
+                loss = L.l_geo(p, Tensor(target), SKEL, *extra)
+                tape.backward(loss)
+            runs.append((loss.data, p.grad))
+        for without, with_pos in zip(*runs):
+            np.testing.assert_array_equal(with_pos, without)
+        with pytest.raises(ShapeError):
+            L.l_geo(Tensor(pred), Tensor(target), SKEL, pos_all[:2])
+
+    def test_degenerate_target_rotation_raises(self):
+        rng = np.random.default_rng(11)
+        x = valid_motion_vector(rng)
+        x[2, 75:81] = 0.0
+        with pytest.raises(DegenerateRotationError):
+            L.target_positions(x, SKEL)
 
 
 class TestLFoot:
