@@ -359,22 +359,23 @@ def tempogram(onset: np.ndarray, config: FeatureConfig) -> np.ndarray:
     start = np.arange(t) - half
     cover = np.stack([np.maximum(start, 0), np.minimum(start + win, t)], axis=1)
     _, first, inv = np.unique(cover, axis=0, return_index=True, return_inverse=True)
-    nfft = 1
-    while nfft < 2 * win:
-        nfft *= 2
-    spec = np.abs(np.fft.rfft(windows[first], n=nfft, axis=1)) ** 2
-    acorr = np.fft.irfft(spec, n=nfft, axis=1)[:, :win]
-    return acorr[inv.reshape(-1)]
+    return _autocorrelation(windows[first], win)[inv.reshape(-1)]
+
+
+def _autocorrelation(x: np.ndarray, lags: int) -> np.ndarray:
+    """Linear autocorrelation of the rows of ``x`` (at most ``lags`` long) at
+    lags 0 .. lags-1, through one zero-padded FFT of a power-of-two length
+    of at least 2 * lags."""
+    n = 1 << (2 * lags - 1).bit_length()
+    spec = np.abs(np.fft.rfft(x, n=n, axis=-1)) ** 2
+    return np.fft.irfft(spec, n=n, axis=-1)[..., :lags]
 
 
 def _dominant_lag(onset: np.ndarray) -> int:
     """Lag (frames) of the strongest global onset periodicity, or 0."""
     if onset.size < 4 or not np.any(onset > 0):
         return 0
-    n = 1
-    while n < 2 * onset.size:
-        n *= 2
-    ac = np.fft.irfft(np.abs(np.fft.rfft(onset, n=n)) ** 2, n=n)[:onset.size]
+    ac = _autocorrelation(onset, onset.size)
     if ac.size <= 2:
         return 0
     lag = int(np.argmax(ac[2:]) + 2)

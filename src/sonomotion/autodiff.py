@@ -241,92 +241,58 @@ def matmul(a, b) -> Tensor:
     return _record(out, (a, b), bwd)
 
 
-# a run of per-item constant columns shorter than this is not worth its own GEMM
-_MIN_CONSTANT_RUN = 32
+# fewer per-item constant columns than this are not worth their own GEMM
+_MIN_CONSTANT_COLUMNS = 32
 
 
-def _runs(mask: np.ndarray) -> list[tuple[int, int]]:
-    """[start, stop) runs of True in a 1-d boolean mask."""
-    edges = np.flatnonzero(np.diff(np.concatenate(([0], mask.astype(np.int8), [0]))))
-    return [(int(s), int(e)) for s, e in zip(edges[::2], edges[1::2])]
-
-
-def _constant_runs(x3: np.ndarray) -> list[tuple[int, int]]:
-    """Runs of at least ``_MIN_CONSTANT_RUN`` columns of (B, T, C) ``x3`` that
-    hold one value on every frame of each item. When no column repeats, this
-    costs one comparison of frame 0 with frame 1 of the first item."""
+def _constant_columns(x3: np.ndarray) -> np.ndarray | None:
+    """Mask of the columns of (B, T, C) ``x3`` that hold one value on every
+    frame of each item, or None when fewer than ``_MIN_CONSTANT_COLUMNS``
+    do. When no column repeats, this costs one comparison of frame 0 with
+    frame 1 of the first item."""
     same = x3[0, 0] == x3[0, 1]
-    if np.count_nonzero(same) < _MIN_CONSTANT_RUN:
-        return []
-    same &= np.all(x3[:, 0] == x3[:, 1], axis=0)
-    runs = [r for r in _runs(same) if r[1] - r[0] >= _MIN_CONSTANT_RUN]
-    if not runs or x3.shape[1] == 2:
-        return runs
-    for s, e in runs:
-        same[s:e] = np.all(x3[:, 2:, s:e] == x3[:, :1, s:e], axis=(0, 1))
-    return [r for r in _runs(same) if r[1] - r[0] >= _MIN_CONSTANT_RUN]
-
-
-def _split_linear(x, w, b, runs) -> Tensor:
-    """``linear`` of a gradient-free (..., T, in) ``x`` whose column ``runs``
-    are per-item constants: those rows of W multiply one frame per item and
-    the result is broadcast over the frames; the other columns multiply
-    every frame."""
-    t, c = x.shape[-2:]
-    x3 = x.data.reshape(-1, t, c)
-    first = x3[:, 0]
-    bounds = [0] + [i for r in runs for i in r] + [c]
-    varying = [(s, e) for s, e in zip(bounds[::2], bounds[1::2]) if e > s]
-
-    def frames(s, e):           # a (B*T, e - s) view, no copy
-        return x3[:, :, s:e].reshape(-1, e - s)
-
-    per_item = b.data
-    for s, e in runs:
-        per_item = per_item + first[:, s:e] @ w.data[s:e]
-    y = np.repeat(per_item[:, None], t, axis=1)
-    y2 = y.reshape(-1, w.shape[1])
-    for s, e in varying:
-        y2 += frames(s, e) @ w.data[s:e]
-    out = Tensor(y.reshape(x.shape[:-1] + w.shape[1:]))
-
-    def bwd(g):
-        g2 = g.reshape(-1, w.shape[1])
-        gw = None
-        if w.requires_grad:
-            gw = np.empty(w.shape)
-            gsum = g2.reshape(x3.shape[0], t, -1).sum(axis=1)
-            for s, e in runs:
-                gw[s:e] = first[:, s:e].T @ gsum
-            for s, e in varying:
-                gw[s:e] = frames(s, e).T @ g2
-        return None, gw, (g2.sum(axis=0) if b.requires_grad else None)
-
-    return _record(out, (x, w, b), bwd)
+    if np.count_nonzero(same) < _MIN_CONSTANT_COLUMNS:
+        return None
+    same &= np.all(x3[:, 1:] == x3[:, :1], axis=(0, 1))
+    return same if np.count_nonzero(same) >= _MIN_CONSTANT_COLUMNS else None
 
 
 def linear(x, w, b) -> Tensor:
     """x @ W + b over the flattened leading axes of x (..., in); one node.
 
-    A gradient-free x with a frame axis (..., T >= 2, in) whose columns
-    include long runs that are constant over the frames of each item (the
-    tempogram of a clip) multiplies those columns once per item."""
+    For a gradient-free x with a frame axis (..., T >= 2, in), the columns
+    that are constant over the frames of each item (the tempogram of a clip)
+    multiply their rows of W once per item, from frame 0, and the sum is
+    broadcast over the frames; only the other columns multiply every
+    frame."""
     x, w, b = _as_tensor(x), _as_tensor(w), _as_tensor(b)
     if w.ndim != 2 or b.shape != w.shape[1:] or x.shape[-1:] != w.shape[:1]:
         raise ShapeError(f"linear shapes {x.shape} @ {w.shape} + {b.shape} do not fit")
+    mask = None
     if not x.requires_grad and x.ndim >= 3 and x.shape[-2] >= 2 and x.size:
-        runs = _constant_runs(x.data.reshape((-1,) + x.shape[-2:]))
-        if runs:
-            return _split_linear(x, w, b, runs)
-    x2 = x.data.reshape(-1, w.shape[0])
-    y = x2 @ w.data
-    y += b.data
+        x3 = x.data.reshape((-1,) + x.shape[-2:])
+        mask = _constant_columns(x3)
+    if mask is None:
+        x2 = x.data.reshape(-1, w.shape[0])         # the rows that multiply W
+        y = x2 @ w.data
+        y += b.data
+    else:
+        first = np.where(mask, x3[:, 0], 0.0)        # (B, in), varying columns 0
+        vary = ~mask
+        x2 = x3[:, :, vary].reshape(x3.shape[0] * x3.shape[1], -1)
+        y = (x2 @ w.data[vary]).reshape(x3.shape[:2] + w.shape[1:])
+        y += (first @ w.data + b.data)[:, None]
     out = Tensor(y.reshape(x.shape[:-1] + w.shape[1:]))
 
     def bwd(g):
         g2 = g.reshape(-1, w.shape[1])
         gx = (g2 @ w.data.T).reshape(x.shape) if x.requires_grad else None
-        gw = x2.T @ g2 if w.requires_grad else None
+        gw = None
+        if w.requires_grad and mask is None:
+            gw = x2.T @ g2
+        elif w.requires_grad:
+            gw = first.T @ g2.reshape(first.shape[0], -1, w.shape[1]).sum(axis=1)
+            gw[vary] = x2.T @ g2
         return gx, gw, (g2.sum(axis=0) if b.requires_grad else None)
 
     return _record(out, (x, w, b), bwd)

@@ -32,9 +32,8 @@ from .denoiser import (DenoiserConfig, MotionDenoiser, TrainConfig,
 from .diffusion import cosine_schedule
 from .errors import (ConfigError, ContractError, DataError, NumericError,
                      ShapeError, SonomotionError)
-from .evalsuite import (ExtractorConfig, ExtractorTrainConfig, MetricReport,
-                        apd, diversity, extract_features, fid, r_precision,
-                        train_extractor)
+from .evalsuite import (ExtractorConfig, ExtractorTrainConfig, apd, diversity,
+                        extract_features, fid, r_precision, train_extractor)
 from .gradcheck import format_rows, run_primitive_suite
 from .skeleton import (Genre, SkeletonSpec, SslTrack, assemble_vector,
                        read_motion_header, save_motion)
@@ -328,6 +327,16 @@ def cmd_sample(args, cfg: RunConfig) -> int:
     return EXIT_OK
 
 
+def _metric_table(report: dict) -> str:
+    """The eval metrics as the lines ``eval`` prints."""
+    rows = [(f"R-prec top{k}", f"{report[f'top{k}']:.3f} +- {report[f'top{k}_ci']:.3f}")
+            for k in (1, 2, 3)]
+    rows += [("FID", f"{report['fid']:.3f}"),
+             ("Diversity", f"{report['diversity']:.3f} +- {report['diversity_ci']:.3f}"),
+             ("APD", f"{report['apd']:.3f}")]
+    return "\n".join(f"{name:<14} {value}" for name, value in rows)
+
+
 def cmd_eval(args, cfg: RunConfig) -> int:
     train_samples, test_samples = _load_splits(cfg, args.manifest, "train", "test")
     if len(test_samples) < 2:
@@ -351,17 +360,17 @@ def cmd_eval(args, cfg: RunConfig) -> int:
 
     rng = np.random.default_rng(cfg.training.seed)
     # two or more test items: the pool and the diversity subset are >= 2 and 1
-    rp = r_precision(cond, mot_gen, pool_size=min(32, len(test_samples)),
-                     rng=rng)
-    fid_val = fid(mot_real, mot_gen)
-    div, div_ci = diversity(mot_gen, subset_size=min(64, len(test_samples) // 2),
-                            rng=rng)
-    apd_val = apd(gen_x0)
-    report = MetricReport(rp["top1"], rp["top1_ci"], rp["top2"], rp["top2_ci"],
-                          rp["top3"], rp["top3_ci"], fid_val, div, div_ci,
-                          apd_val)
-    write_atomically(args.out, lambda f: f.write(report.to_json().encode()))
-    print(report.to_table())
+    # keys: top1, top1_ci, top2, top2_ci, top3, top3_ci, fid, diversity,
+    # diversity_ci, apd
+    report = r_precision(cond, mot_gen, pool_size=min(32, len(test_samples)),
+                         rng=rng)
+    report["fid"] = fid(mot_real, mot_gen)
+    report["diversity"], report["diversity_ci"] = diversity(
+        mot_gen, subset_size=min(64, len(test_samples) // 2), rng=rng)
+    report["apd"] = apd(gen_x0)
+    write_atomically(args.out,
+                     lambda f: f.write(json.dumps(report, indent=2).encode()))
+    print(_metric_table(report))
     print(f"report: {args.out}")
     return EXIT_OK
 

@@ -25,7 +25,7 @@ from .audio import (AudioClip, FeatureConfig, NormalizationStats,
                     read_wav, save_feature_cache, write_wav)
 from .checkpoint import write_atomically
 from .errors import (AlignmentError, ContractError, DataError,
-                     DurationError)
+                     DegenerateRotationError, DurationError)
 from .skeleton import (Genre, MotionSequence, SkeletonSpec, SslTrack,
                        assemble_vector, axis_angle_to_matrix,
                        compute_velocities, forward_kinematics, load_motion,
@@ -51,8 +51,6 @@ _DOWN = np.array([0.0, 0.0, -1.0])
 class SyntheticSceneSpec:
     azimuth_deg: float = 0.0          # 0 = straight ahead (-y), +90 = left (+x)
     distance: float = 2.5
-    azimuth_end_deg: float | None = None
-    distance_end: float | None = None
     signal: str = "tone"
     program: str = "walk_toward"
     genre: Genre = Genre.NEUTRAL
@@ -65,8 +63,7 @@ class SyntheticSceneSpec:
         self.genre = Genre.parse(self.genre)
         if self.duration < 2.0:
             raise ContractError("scene duration must be at least 2 s")
-        if self.distance <= 0.3 or (self.distance_end is not None
-                                    and self.distance_end <= 0.3):
+        if self.distance <= 0.3:
             raise ContractError("source distance must stay above 0.3 m")
         if self.signal not in SIGNALS:
             raise ContractError(f"unknown signal kind {self.signal!r}")
@@ -205,23 +202,17 @@ class _FootPlanner:
 
 def _source_track(spec: SyntheticSceneSpec) -> np.ndarray:
     t = spec.frames
-    az0 = np.deg2rad(spec.azimuth_deg)
-    az1 = np.deg2rad(spec.azimuth_end_deg if spec.azimuth_end_deg is not None
-                     else spec.azimuth_deg)
-    d0 = spec.distance
-    d1 = spec.distance_end if spec.distance_end is not None else spec.distance
-    u = np.linspace(0.0, 1.0, t)
-    az = az0 + (az1 - az0) * u
-    dist = d0 + (d1 - d0) * u
+    az = np.full(t, np.deg2rad(spec.azimuth_deg))
+    dist = np.full(t, spec.distance)
     x = dist * np.sin(az)
     y = -dist * np.cos(az)
     return np.stack([x, y, np.full(t, SOURCE_HEIGHT)], axis=1)
 
 
-def synthesize_motion(spec: SyntheticSceneSpec,
-                      skel: SkeletonSpec | None = None):
-    """Procedural reaction motion; returns (MotionSequence, ssl_world, meta)."""
-    skel = skel or SkeletonSpec.default()
+def synthesize_motion(spec: SyntheticSceneSpec):
+    """Procedural reaction motion of the default skeleton; returns
+    (MotionSequence, ssl_world, meta)."""
+    skel = SkeletonSpec.default()
     t_total = spec.frames
     dt = 1.0 / spec.fps
     latency = GENRE_LATENCY[spec.genre]
@@ -448,11 +439,10 @@ def render_binaural(mono: np.ndarray, roots: np.ndarray, yaws: np.ndarray,
     return AudioClip(sample_rate, channels[0], channels[1])
 
 
-def synthesize_pair(spec: SyntheticSceneSpec,
-                    skel: SkeletonSpec | None = None) -> SynthesizedScene:
+def synthesize_pair(spec: SyntheticSceneSpec) -> SynthesizedScene:
     """Full paired sample: binaural clip, motion, world SSL, genre, oracle meta."""
     rng = np.random.default_rng(spec.seed)
-    motion, source, meta = synthesize_motion(spec, skel)
+    motion, source, meta = synthesize_motion(spec)
     mono = _mono_signal(spec, rng)
     roots = motion.root_positions()
     root_rot = sixd_to_matrix(motion.r[:, :6])
@@ -791,8 +781,12 @@ def load_sample(manifest: DatasetManifest, entry: ManifestEntry,
     if len(ssl) != motion.frames:
         raise AlignmentError(
             f"{entry.sample_id}: SSL length {len(ssl)} != frames {motion.frames}")
-    motion, ssl_pos = resample_motion(motion, feat_config.motion_fps, ssl.positions)
-    normalized, ssl_local = normalize_sequence(motion, ssl_pos)
+    try:
+        motion, ssl_pos = resample_motion(motion, feat_config.motion_fps, ssl.positions)
+        normalized, ssl_local = normalize_sequence(motion, ssl_pos)
+    except DegenerateRotationError as e:
+        raise DataError(f"{entry.sample_id} ({motion_path}): {e}, "
+                        "as (frame, joint)") from e
     x0 = assemble_vector(normalized)
     values, _ = clip_features(audio_path, motion.frames, motion.fps,
                               feat_config, cache_dir)

@@ -16,9 +16,8 @@ all of them in one batched pass.
 
 from __future__ import annotations
 
-import json
 import logging
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -70,7 +69,6 @@ class ExtractorConfig:
 
     audio_width: int = FEATURE_WIDTH
     ssl_width: int = SSL_WIDTH
-    motion_width: int = FRAME_WIDTH
     hidden: int = 64
     gru_layers: int = 1
     ae_latent: int = 32
@@ -97,7 +95,7 @@ class MotionAutoencoder(Module):
     def __init__(self, cfg: ExtractorConfig, rng: np.random.Generator):
         d = cfg.ae_latent
         self.cfg = cfg
-        self.in_proj = Linear(cfg.motion_width, d, rng)
+        self.in_proj = Linear(FRAME_WIDTH, d, rng)
         self.enc_pos = Tensor(rng.uniform(-0.02, 0.02, (cfg.max_frames, d)),
                               requires_grad=True)
         self.encoder = [EncoderBlock(d, cfg.ae_heads, 2, rng)
@@ -107,7 +105,7 @@ class MotionAutoencoder(Module):
         self.decoder = [DecoderBlock(d, cfg.ae_heads, 2, rng)
                         for _ in range(cfg.ae_layers)]
         self.final_norm = LayerNorm(d)
-        self.out_proj = Linear(d, cfg.motion_width, rng)
+        self.out_proj = Linear(d, FRAME_WIDTH, rng)
 
     def __call__(self, x: Tensor) -> Tensor:
         b, t, _ = x.shape
@@ -133,7 +131,7 @@ class ExtractorModel(Module):
         self.audio_proj = Linear(cfg.audio_width, cfg.hidden - cfg.ssl_width - 1, rng)
         self.cond_gru = BiGRUEncoder(cfg.hidden, cfg.hidden, cfg.gru_layers,
                                      cfg.hidden, rng)
-        self.motion_gru = BiGRUEncoder(cfg.motion_width, cfg.hidden,
+        self.motion_gru = BiGRUEncoder(FRAME_WIDTH, cfg.hidden,
                                        cfg.gru_layers, cfg.hidden, rng)
         self.autoencoder = MotionAutoencoder(cfg, rng)
 
@@ -348,42 +346,3 @@ def apd(motions: np.ndarray) -> float:
         diff = m - m[i]
         total += np.sum(np.sqrt(np.sum(diff * diff, axis=(1, 2))))
     return total / (n * (n - 1))
-
-
-# ---------------------------------------------------------------------------
-# report
-
-
-@dataclass
-class MetricReport:
-    top1: float
-    top1_ci: float
-    top2: float
-    top2_ci: float
-    top3: float
-    top3_ci: float
-    fid: float
-    diversity: float
-    diversity_ci: float
-    apd: float
-
-    def __post_init__(self):
-        for k in ("top1", "top2", "top3"):
-            v = getattr(self, k)
-            if not 0.0 <= v <= 1.0:
-                raise ContractError(f"{k} out of [0, 1]: {v}")
-        if self.fid < 0:
-            raise ContractError("fid must be non-negative")
-
-    def to_json(self) -> str:
-        return json.dumps(asdict(self), indent=2)
-
-    def to_table(self) -> str:
-        return "\n".join([
-            f"{'R-prec top1':<14} {self.top1:.3f} +- {self.top1_ci:.3f}",
-            f"{'R-prec top2':<14} {self.top2:.3f} +- {self.top2_ci:.3f}",
-            f"{'R-prec top3':<14} {self.top3:.3f} +- {self.top3_ci:.3f}",
-            f"{'FID':<14} {self.fid:.3f}",
-            f"{'Diversity':<14} {self.diversity:.3f} +- {self.diversity_ci:.3f}",
-            f"{'APD':<14} {self.apd:.3f}",
-        ])

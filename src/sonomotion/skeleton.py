@@ -125,11 +125,18 @@ class SkeletonSpec:
 # rotation utilities
 
 
+def _first_index(bad: np.ndarray) -> tuple[int, ...]:
+    """Leading index of the first True entry of a (..., 1) mask."""
+    return tuple(int(i) for i in np.argwhere(bad)[0, :-1])
+
+
 def sixd_to_matrix(r6: np.ndarray) -> np.ndarray:
     """Decode (..., 6) into (..., 3, 3) rotation matrices.
 
     The two embedded 3-vectors become the first two columns after
-    Gram-Schmidt; the third column is their cross product.
+    Gram-Schmidt; the third column is their cross product. A degenerate
+    block raises DegenerateRotationError naming the leading index of the
+    first one, (frame, joint) for a (T, J, 6) motion.
     """
     r6 = np.asarray(r6, dtype=np.float64)
     if r6.shape[-1] != 6:
@@ -137,12 +144,14 @@ def sixd_to_matrix(r6: np.ndarray) -> np.ndarray:
     a1, a2 = r6[..., 0:3], r6[..., 3:6]
     n1 = np.linalg.norm(a1, axis=-1, keepdims=True)
     if np.any(n1 < 1e-8):
-        raise DegenerateRotationError("first 6D axis has near-zero norm")
+        raise DegenerateRotationError(
+            f"first 6D axis has near-zero norm in block {_first_index(n1 < 1e-8)}")
     b1 = a1 / n1
     u2 = a2 - np.sum(b1 * a2, axis=-1, keepdims=True) * b1
     n2 = np.linalg.norm(u2, axis=-1, keepdims=True)
     if np.any(n2 < 1e-8):
-        raise DegenerateRotationError("6D axes are parallel or second axis is zero")
+        raise DegenerateRotationError("6D axes are parallel or second axis is zero "
+                                      f"in block {_first_index(n2 < 1e-8)}")
     b2 = u2 / n2
     b3 = np.cross(b1, b2)
     return np.stack([b1, b2, b3], axis=-1)

@@ -320,7 +320,7 @@ def _build_pairs():
     for base in bases:
         for genre in (Genre.DULL, Genre.SENSITIVE):
             spec = SyntheticSceneSpec(duration=2.0, genre=genre, **base)
-            scenes.append((spec, synthesize_pair(spec, SKEL)))
+            scenes.append((spec, synthesize_pair(spec)))
     return scenes
 
 

@@ -322,9 +322,17 @@ def _clip_like(rng, items=2, frames=6, width=100, const=((10, 50), (60, 96))):
     return x
 
 
+def _columns(width, const):
+    """The mask of the ``const`` column runs of ``width`` columns."""
+    mask = np.zeros(width, dtype=bool)
+    for s, e in const:
+        mask[s:e] = True
+    return mask
+
+
 class TestSplitLinear:
     """``linear`` of a gradient-free input multiplies per-item constant
-    column runs once per item."""
+    columns once per item."""
 
     def _full(self, x, w, b):
         return (x.reshape(-1, w.shape[0]) @ w + b).reshape(x.shape[:-1] + b.shape)
@@ -337,7 +345,7 @@ class TestSplitLinear:
         rng = np.random.default_rng(30)
         x = _clip_like(rng, items, frames, width, const)
         w, b = rng.standard_normal((width, 16)), rng.standard_normal(16)
-        assert ad._constant_runs(x) == list(const)
+        np.testing.assert_array_equal(ad._constant_columns(x), _columns(width, const))
         want = self._full(x, w, b)
         np.testing.assert_allclose(ad.linear(x, w, b).data, want, rtol=0,
                                    atol=1e-12 * np.max(np.abs(want)))
@@ -346,7 +354,7 @@ class TestSplitLinear:
         rng = np.random.default_rng(32)
         x = rng.standard_normal((2, 6, 100))
         w, b = rng.standard_normal((100, 7)), rng.standard_normal(7)
-        assert ad._constant_runs(x) == []
+        assert ad._constant_columns(x) is None
         np.testing.assert_array_equal(ad.linear(x, w, b).data, self._full(x, w, b))
 
     def test_one_repeating_item_takes_the_general_path(self):
@@ -354,7 +362,7 @@ class TestSplitLinear:
         x = _clip_like(rng)
         x[1] = rng.standard_normal(x[1].shape)
         w, b = rng.standard_normal((100, 7)), rng.standard_normal(7)
-        assert ad._constant_runs(x) == []
+        assert ad._constant_columns(x) is None
         np.testing.assert_array_equal(ad.linear(x, w, b).data, self._full(x, w, b))
 
     def test_columns_that_vary_after_frame_1_take_the_general_path(self):
@@ -362,7 +370,7 @@ class TestSplitLinear:
         x = _clip_like(rng, frames=5)
         x[1, 4, 10:50] += 1.0
         x[0, 3, 60:96] += 1.0
-        assert ad._constant_runs(x) == []
+        assert ad._constant_columns(x) is None
 
     def test_long_clip_features_take_the_general_path(self):
         """Past 534 frames a clip's tempogram rows vary, so its features
@@ -371,7 +379,7 @@ class TestSplitLinear:
         from sonomotion.dataset import SyntheticSceneSpec, synthesize_pair
         scene = synthesize_pair(SyntheticSceneSpec(duration=18.2, seed=2))
         feats = extract_binaural(scene.clip, FeatureConfig(), 546).values[None]
-        assert ad._constant_runs(feats) == []
+        assert ad._constant_columns(feats) is None
         rng = np.random.default_rng(35)
         w, b = rng.standard_normal((feats.shape[-1], 4)), rng.standard_normal(4)
         np.testing.assert_array_equal(ad.linear(feats, w, b).data,
@@ -381,16 +389,46 @@ class TestSplitLinear:
         rng = np.random.default_rng(36)
         x = _clip_like(rng, frames=3)
         wgt = rng.standard_normal((2, 3, 4))
-        assert ad._constant_runs(x) == [(10, 50), (60, 96)]
+        np.testing.assert_array_equal(ad._constant_columns(x),
+                                      _columns(100, ((10, 50), (60, 96))))
         err = check_scalar_fn(lambda w, b: ad.sum_(ad.mul(ad.linear(x, w, b), wgt)),
                               [rng.standard_normal((100, 4)), rng.standard_normal(4)])
         assert err < 1e-4
+
+    def test_scattered_constant_columns_split(self):
+        """Constant columns need not be contiguous: every other column of 80
+        takes the split path."""
+        rng = np.random.default_rng(38)
+        x = rng.standard_normal((3, 7, 80))
+        x[:, :, ::2] = x[:, :1, ::2]
+        w, b = rng.standard_normal((80, 9)), rng.standard_normal(9)
+        np.testing.assert_array_equal(ad._constant_columns(x), np.arange(80) % 2 == 0)
+        want = self._full(x, w, b)
+        np.testing.assert_allclose(ad.linear(x, w, b).data, want, rtol=0,
+                                   atol=1e-12 * np.max(np.abs(want)))
+
+    def test_every_column_constant(self):
+        rng = np.random.default_rng(39)
+        x = np.repeat(rng.standard_normal((2, 1, 40)), 4, axis=1)
+        w, b = rng.standard_normal((40, 5)), rng.standard_normal(5)
+        assert ad._constant_columns(x).all()
+        want = self._full(x, w, b)
+        np.testing.assert_allclose(ad.linear(x, w, b).data, want, rtol=0,
+                                   atol=1e-12 * np.max(np.abs(want)))
+        g = rng.standard_normal((2, 4, 5))
+        wt, bt = Tensor(w, requires_grad=True), Tensor(b, requires_grad=True)
+        with Tape() as tape:
+            tape.backward(ad.sum_(ad.mul(ad.linear(x, wt, bt), g)))
+        want_gw = x.reshape(-1, 40).T @ g.reshape(-1, 5)
+        np.testing.assert_allclose(wt.grad, want_gw, rtol=0,
+                                   atol=1e-12 * np.max(np.abs(want_gw)))
+        np.testing.assert_array_equal(bt.grad, g.reshape(-1, 5).sum(axis=0))
 
     def test_one_frame_or_a_gradient_input_never_splits(self, monkeypatch):
         def fail(*args):
             raise AssertionError("split path taken")
 
-        monkeypatch.setattr(ad, "_split_linear", fail)
+        monkeypatch.setattr(ad, "_constant_columns", fail)
         rng = np.random.default_rng(37)
         w, b = rng.standard_normal((100, 7)), rng.standard_normal(7)
         ad.linear(rng.standard_normal((3, 1, 100)), w, b)

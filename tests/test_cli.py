@@ -438,6 +438,30 @@ class TestFeaturesTrainSample:
         assert (len(encoded["encode_condition"]),
                 len(encoded["encode_motion"])) == (1, 1)
 
+    def test_metric_report_serialization(self, workspace, tmp_path, monkeypatch,
+                                         capsys):
+        """``eval`` writes the metrics as indented JSON in a fixed key order
+        and prints them as a table, then the report path."""
+        ws, cfg_path, data_dir = workspace
+        monkeypatch.chdir(ws)
+        report_path = tmp_path / "report.json"
+        rc = main(["--config", str(cfg_path), "eval", "--manifest",
+                   str(data_dir / "manifest.json"), "--out", str(report_path)])
+        assert rc == EXIT_OK
+        text = report_path.read_text()
+        doc = json.loads(text)
+        assert text == json.dumps(doc, indent=2)
+        assert list(doc) == ["top1", "top1_ci", "top2", "top2_ci", "top3", "top3_ci",
+                             "fid", "diversity", "diversity_ci", "apd"]
+        assert capsys.readouterr().out.splitlines()[-7:] == [
+            f"R-prec top1    {doc['top1']:.3f} +- {doc['top1_ci']:.3f}",
+            f"R-prec top2    {doc['top2']:.3f} +- {doc['top2_ci']:.3f}",
+            f"R-prec top3    {doc['top3']:.3f} +- {doc['top3_ci']:.3f}",
+            f"FID            {doc['fid']:.3f}",
+            f"Diversity      {doc['diversity']:.3f} +- {doc['diversity_ci']:.3f}",
+            f"APD            {doc['apd']:.3f}",
+            f"report: {report_path}"]
+
     def test_eval_with_checkpoint_generates(self, workspace, tmp_path,
                                             monkeypatch):
         ws, cfg_path, data_dir = workspace
@@ -700,6 +724,28 @@ class TestExitCodes:
         assert rc == EXIT_DATA
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and motion.name in err
+
+    def test_degenerate_rotation_names_clip_frame_and_joint(
+            self, workspace, tmp_path, monkeypatch, capsys):
+        """A zero 6D block in a training motion file exits 2 with one line
+        naming the clip, its motion file and the block's frame and joint."""
+        ws, cfg_path, data_dir = workspace
+        monkeypatch.chdir(tmp_path)         # cache_dir "cache" is under tmp_path
+        data = tmp_path / "data"
+        shutil.copytree(data_dir, data)
+        entry = dataset.DatasetManifest.load(data / "manifest.json").split_entries(
+            "train")[0]
+        m, ssl, genre, extras = load_motion(data / entry.motion)
+        m.r[3, 2 * 6:3 * 6] = 0.0                                # frame 3, joint 2
+        save_motion(data / entry.motion, m, ssl, genre, extras)
+        rc = main(["--config", str(cfg_path), "train", "--manifest",
+                   str(data / "manifest.json"), "--out", str(tmp_path / "ckpt")])
+        assert rc == EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        for part in (entry.sample_id, Path(entry.motion).name, "block (3, 2)",
+                     "(frame, joint)"):
+            assert part in err
 
     @pytest.mark.parametrize("damage", ["drop-frames", "frames-0", "cut-p",
                                         "fps-0", "fps-nan", "fps-neg", "fps-inf"])

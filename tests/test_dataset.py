@@ -43,7 +43,7 @@ class TestGeneratorMotion:
         for program in ds.PROGRAMS:
             spec = ds.SyntheticSceneSpec(azimuth_deg=30.0, program=program,
                                          duration=3.0, seed=1)
-            scene = ds.synthesize_pair(spec, SKEL)
+            scene = ds.synthesize_pair(spec)
             m = scene.motion
             rot = m.rotation_matrices()
             np.testing.assert_allclose(np.swapaxes(rot, -1, -2) @ rot,
@@ -57,7 +57,7 @@ class TestGeneratorMotion:
     def test_left_source_louder_left_ear(self):
         spec = ds.SyntheticSceneSpec(azimuth_deg=90.0, distance=2.0,
                                      program="idle", duration=3.0, seed=2)
-        scene = ds.synthesize_pair(spec, SKEL)
+        scene = ds.synthesize_pair(spec)
         rms_l = np.sqrt(np.mean(scene.clip.left ** 2))
         rms_r = np.sqrt(np.mean(scene.clip.right ** 2))
         assert rms_l > rms_r
@@ -65,7 +65,7 @@ class TestGeneratorMotion:
     def test_right_source_louder_right_ear(self):
         spec = ds.SyntheticSceneSpec(azimuth_deg=-90.0, distance=2.0,
                                      program="idle", duration=3.0, seed=2)
-        scene = ds.synthesize_pair(spec, SKEL)
+        scene = ds.synthesize_pair(spec)
         assert np.sqrt(np.mean(scene.clip.right ** 2)) > \
             np.sqrt(np.mean(scene.clip.left ** 2))
 
@@ -73,7 +73,7 @@ class TestGeneratorMotion:
     def test_energy_ordering_follows_azimuth_sign(self, azimuth):
         spec = ds.SyntheticSceneSpec(azimuth_deg=azimuth, distance=2.0,
                                      program="idle", duration=2.5, seed=4)
-        scene = ds.synthesize_pair(spec, SKEL)
+        scene = ds.synthesize_pair(spec)
         rms_l = np.sqrt(np.mean(scene.clip.left ** 2))
         rms_r = np.sqrt(np.mean(scene.clip.right ** 2))
         if azimuth > 0:
@@ -85,7 +85,7 @@ class TestGeneratorMotion:
         spec = ds.SyntheticSceneSpec(azimuth_deg=170.0, distance=2.0,
                                      program="flee", genre="sensitive",
                                      duration=4.0, seed=3)
-        scene = ds.synthesize_pair(spec, SKEL)
+        scene = ds.synthesize_pair(spec)
         roots = scene.motion.root_positions()
         src = scene.ssl.positions
         onset = int(scene.meta["onset_time"] * spec.fps)
@@ -97,7 +97,7 @@ class TestGeneratorMotion:
         spec = ds.SyntheticSceneSpec(azimuth_deg=10.0, distance=3.0,
                                      program="walk_toward", genre="neutral",
                                      duration=4.0, seed=4)
-        scene = ds.synthesize_pair(spec, SKEL)
+        scene = ds.synthesize_pair(spec)
         roots = scene.motion.root_positions()
         src = scene.ssl.positions
         d0 = np.linalg.norm(src[0, :2] - roots[0, :2])
@@ -108,9 +108,9 @@ class TestGeneratorMotion:
         kw = dict(azimuth_deg=15.0, distance=3.0, program="walk_toward",
                   duration=4.0, seed=5)
         dull = ds.synthesize_pair(
-            ds.SyntheticSceneSpec(genre="dull", **kw), SKEL)
+            ds.SyntheticSceneSpec(genre="dull", **kw))
         sens = ds.synthesize_pair(
-            ds.SyntheticSceneSpec(genre="sensitive", **kw), SKEL)
+            ds.SyntheticSceneSpec(genre="sensitive", **kw))
 
         def onset_time(scene):
             disp = np.linalg.norm(
@@ -129,7 +129,7 @@ class TestGeneratorMotion:
         spec = ds.SyntheticSceneSpec(azimuth_deg=0.0, distance=3.5,
                                      program="walk_toward", genre="neutral",
                                      duration=4.0, seed=6)
-        scene = ds.synthesize_pair(spec, SKEL)
+        scene = ds.synthesize_pair(spec)
         contacts = detect_foot_contacts(scene.motion.p, 30.0, SKEL)
         plants = np.array(scene.meta["plants"])
         assert (contacts == plants).all()
@@ -141,7 +141,7 @@ class TestGeneratorMotion:
     def test_cover_ears_crouches(self):
         spec = ds.SyntheticSceneSpec(azimuth_deg=0.0, program="cover_ears",
                                      genre="sensitive", duration=3.0, seed=7)
-        scene = ds.synthesize_pair(spec, SKEL)
+        scene = ds.synthesize_pair(spec)
         z = scene.motion.root_positions()[:, 2]
         assert z[-1] < z[0] - 0.1
 
@@ -149,8 +149,8 @@ class TestGeneratorMotion:
         for program in ds.PROGRAMS:
             spec = ds.SyntheticSceneSpec(azimuth_deg=40.0, program=program,
                                          duration=2.5, seed=11)
-            a = ds.synthesize_pair(spec, SKEL)
-            b = ds.synthesize_pair(spec, SKEL)
+            a = ds.synthesize_pair(spec)
+            b = ds.synthesize_pair(spec)
             assert (assemble_vector(a.motion).tobytes()
                     == assemble_vector(b.motion).tobytes()), program
             assert np.array_equal(a.clip.left, b.clip.left)
@@ -193,7 +193,7 @@ class TestGeneratorMotion:
     def test_active_frames_present(self):
         spec = ds.SyntheticSceneSpec(azimuth_deg=0.0, distance=2.0,
                                      program="idle", duration=3.0, seed=8)
-        scene = ds.synthesize_pair(spec, SKEL)
+        scene = ds.synthesize_pair(spec)
         rms = np.sqrt(np.mean(scene.clip.left ** 2))
         assert rms > 0.01
 
@@ -283,7 +283,7 @@ class TestManifest:
         manifest = ds.build_manifest(".", [ds.ManifestEntry(
             f"s{i}", f"a{i}", f"m{i}", "dull") for i in range(10)], seed=1)
         spec = ds.SyntheticSceneSpec(duration=2.0, seed=3)
-        motion = ds.synthesize_motion(spec, SKEL)[0]
+        motion = ds.synthesize_motion(spec)[0]
         writers = {"manifest.json": manifest.save,
                    "motion.json": lambda p: save_motion(p, motion)}
         for name, write in writers.items():

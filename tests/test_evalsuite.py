@@ -301,13 +301,3 @@ class TestExtractor:
         with pytest.raises(NumericError, match="loss term 'contrastive' is "
                                                "non-finite at epoch 0"):
             ev.train_extractor(samples, TINY_EXT, cfg)
-
-    def test_metric_report_serialization(self):
-        rep = ev.MetricReport(0.9, 0.01, 0.95, 0.01, 0.99, 0.005, 3.2,
-                              12.0, 0.2, 40.0)
-        doc = rep.to_json()
-        assert '"top1": 0.9' in doc
-        table = rep.to_table()
-        assert "FID" in table and "APD" in table
-        with pytest.raises(ContractError):
-            ev.MetricReport(1.2, 0, 1, 0, 1, 0, 1.0, 0, 0, 0)
