@@ -26,7 +26,6 @@ import numpy as np
 from scipy import sparse
 from scipy.fft import dct
 from scipy.io import wavfile
-from scipy.signal import resample_poly
 
 from .checkpoint import write_atomically
 from .errors import ConfigError, ContractError, DataError, DurationError, ShapeError
@@ -193,11 +192,10 @@ def _mel_filterbank_csr(sample_rate: int, fft_size: int, mel_bands: int):
     return sparse.csr_matrix(_mel_filterbank(sample_rate, fft_size, mel_bands))
 
 
-def log_mel_spectrogram(spec: np.ndarray, config: FeatureConfig) -> np.ndarray:
-    """(T, mel_bands) log mel power. The filterbank (1.5 % dense) is applied
-    as a sparse product, whose sums run in one order under any BLAS thread
-    count, as a dense product's do not."""
-    power = np.abs(spec) ** 2
+def log_mel_spectrogram(power: np.ndarray, config: FeatureConfig) -> np.ndarray:
+    """(T, mel_bands) log mel power of an STFT's (T, bins) power. The
+    filterbank (1.5 % dense) is applied as a sparse product, whose sums run in
+    one order under any BLAS thread count, as a dense product's do not."""
     bank = _mel_filterbank_csr(config.sample_rate, config.fft_size, config.mel_bands)
     mel = np.ascontiguousarray((bank @ power.T).T)
     return np.log(np.maximum(mel, 1e-10))
@@ -222,7 +220,7 @@ def mfcc_with_delta(spec: np.ndarray, config: FeatureConfig,
     """(T, 40): 20 cepstral coefficients and their 9-point regression deltas.
     ``logmel`` is the log-mel spectrogram of ``spec`` if the caller has it."""
     if logmel is None:
-        logmel = log_mel_spectrogram(spec, config)
+        logmel = log_mel_spectrogram(np.abs(spec) ** 2, config)
     cep = dct(logmel, type=2, norm="ortho", axis=1)[:, :config.mfcc_count]
     return np.concatenate([cep, _delta(cep)], axis=1)
 
@@ -253,15 +251,15 @@ def _bin_pitch_classes(sample_rate: int, fft_size: int, tuning_hz: float) -> np.
     return classes
 
 
-def stft_chroma(spec: np.ndarray, config: FeatureConfig) -> np.ndarray:
-    """Fold STFT bin power into 12 pitch classes; rows L2-normalized.
+def stft_chroma(power: np.ndarray, config: FeatureConfig) -> np.ndarray:
+    """Fold an STFT's (T, bins) power into 12 pitch classes; rows
+    L2-normalized.
 
     Bins inside a spectral peak's main lobe are folded at the peak's
     parabolically interpolated frequency, so window leakage stays in the
     class of the underlying partial.
     """
-    power = np.abs(spec) ** 2
-    if spec.shape[0] == 0:
+    if power.shape[0] == 0:
         return np.zeros((0, CHROMA_BINS))
     t, nbins = power.shape
 
@@ -309,12 +307,11 @@ def _cq_filters(sample_rate: int, fft_size: int, tuning_hz: float) -> np.ndarray
     return bank
 
 
-def cq_chroma(spec: np.ndarray, config: FeatureConfig) -> np.ndarray:
-    """Constant-Q-style chroma: Gaussian log-frequency filterbank over the
-    STFT (one filter per semitone, constant width in log frequency), folded
-    into 12 classes."""
-    power = np.abs(spec) ** 2
-    chroma = np.zeros((spec.shape[0], CHROMA_BINS))
+def cq_chroma(power: np.ndarray, config: FeatureConfig) -> np.ndarray:
+    """Constant-Q-style chroma: Gaussian log-frequency filterbank over an
+    STFT's (T, bins) power (one filter per semitone, constant width in log
+    frequency), folded into 12 classes."""
+    chroma = np.zeros((power.shape[0], CHROMA_BINS))
     for midi, weight in enumerate(
             _cq_filters(config.sample_rate, config.fft_size, config.tuning_hz), 36):
         chroma[:, midi % 12] += power @ weight
@@ -407,7 +404,7 @@ def rhythm_features(spec: np.ndarray, config: FeatureConfig,
     """(T, 1070) from an STFT: onset strength | tempogram lags | one-hot beats.
     ``logmel`` is the log-mel spectrogram of ``spec`` if the caller has it."""
     if logmel is None:
-        logmel = log_mel_spectrogram(spec, config)
+        logmel = log_mel_spectrogram(np.abs(spec) ** 2, config)
     onset = onset_strength(logmel)
     tg = tempogram(onset, config)
     beats = beat_track(onset, config)
@@ -436,14 +433,15 @@ def energy_features(x: np.ndarray, config: FeatureConfig) -> np.ndarray:
 
 
 def extract_ear(x: np.ndarray, config: FeatureConfig) -> np.ndarray:
-    """(T, 1136) feature block for one channel, all from one STFT and one
-    log-mel spectrogram."""
+    """(T, 1136) feature block for one channel, all from one STFT, its power
+    and one log-mel spectrogram."""
     spec = stft(x, config)
-    logmel = log_mel_spectrogram(spec, config)
+    power = np.abs(spec) ** 2
+    logmel = log_mel_spectrogram(power, config)
     parts = [
         mfcc_with_delta(spec, config, logmel),
-        cq_chroma(spec, config),
-        stft_chroma(spec, config),
+        cq_chroma(power, config),
+        stft_chroma(power, config),
         rhythm_features(spec, config, logmel),
         energy_features(x, config),
     ]
@@ -480,6 +478,8 @@ def extract_binaural(clip: AudioClip, config: FeatureConfig,
 def resample_channel(x: np.ndarray, sr_in: int, sr_out: int) -> np.ndarray:
     if sr_in == sr_out:
         return x
+    # imported here: scipy.signal adds ~45 MB of RSS that on-rate clips never use
+    from scipy.signal import resample_poly
     g = np.gcd(int(sr_in), int(sr_out))
     return resample_poly(x, sr_out // g, sr_in // g)
 

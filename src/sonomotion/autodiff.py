@@ -17,11 +17,10 @@ NumericError).
 from __future__ import annotations
 
 import numpy as np
-from scipy.special import erf, expit
+from scipy.special import expit, ndtr
 
 from .errors import ContractError, NumericError, ShapeError
 
-_INV_SQRT2 = 1.0 / np.sqrt(2.0)
 _INV_SQRT2PI = 1.0 / np.sqrt(2.0 * np.pi)
 
 
@@ -602,10 +601,10 @@ def relu(a) -> Tensor:
 
 
 def gelu(a) -> Tensor:
-    """Exact (erf-based) Gaussian error linear unit."""
+    """Exact Gaussian error linear unit, x times the standard normal CDF."""
     a = _as_tensor(a)
     x = a.data
-    cdf = 0.5 * (1.0 + erf(x * _INV_SQRT2))
+    cdf = ndtr(x)
     out = Tensor(x * cdf)
 
     def bwd(g):

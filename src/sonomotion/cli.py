@@ -14,8 +14,10 @@ import json
 import os
 import re
 import sys
+import time
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import (FIRST_EXCEPTION, ProcessPoolExecutor,
+                                ThreadPoolExecutor, wait)
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import get_type_hints
@@ -35,8 +37,8 @@ from .errors import (ConfigError, ContractError, DataError, NumericError,
 from .evalsuite import (ExtractorConfig, ExtractorTrainConfig, apd, diversity,
                         extract_features, fid, r_precision, train_extractor)
 from .gradcheck import format_rows, run_primitive_suite
-from .skeleton import (Genre, SkeletonSpec, SslTrack, assemble_vector,
-                       read_motion_header, save_motion)
+from .skeleton import (Genre, MotionSequence, SkeletonSpec, SslTrack,
+                       assemble_vector, read_motion_header, save_motion)
 
 ENV_PREFIX = "SONOMOTION"
 
@@ -286,6 +288,55 @@ def _restore_model(cfg: RunConfig, checkpoint_path) -> MotionDenoiser:
     return model
 
 
+def _chain_workers(count: int) -> int:
+    """Threads for ``count`` reverse chains: min(count, cores // BLAS threads),
+    at least 1. OpenBLAS runs the first positive integer in
+    OPENBLAS_NUM_THREADS, then OMP_NUM_THREADS, else one thread per core."""
+    cores = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+             else os.cpu_count() or 1)
+    blas = cores
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
+        value = os.environ.get(var, "").strip()
+        if value.isdecimal() and int(value) > 0:
+            blas = int(value)
+            break
+    return max(1, min(count, cores // blas))
+
+
+def _sample_chains(model: MotionDenoiser, schedule, conditions, seed: int,
+                   **kwargs) -> list[MotionSequence]:
+    """One ``sample_motion`` per (audio, ssl, genre) of ``conditions``, in
+    order, and one printed line of the chain count, the worker count and the
+    ms per sequence.
+
+    Chain i draws from generator i of ``SeedSequence(seed).spawn(K)``, so its
+    motion depends on the seed and i alone, not on K or the worker count. The
+    chains run on ``_chain_workers(K)`` threads: numpy releases the GIL in
+    every GEMM and ufunc loop. A chain must never open a tape, because
+    ``Tape._stack`` is shared by every thread of the process. When a chain
+    raises, the chains not yet started are cancelled and the first failure in
+    chain order is raised.
+    """
+    streams = np.random.SeedSequence(seed).spawn(len(conditions))
+    workers = _chain_workers(len(conditions))
+    start = time.perf_counter()
+    pool = ThreadPoolExecutor(workers)
+    try:
+        futures = [pool.submit(sample_motion, model, schedule, audio, ssl, genre,
+                               np.random.default_rng(stream), **kwargs)
+                   for (audio, ssl, genre), stream in zip(conditions, streams)]
+        wait(futures, return_when=FIRST_EXCEPTION)
+    finally:
+        pool.shutdown(cancel_futures=True)
+    # the pool starts chains in order, so every cancelled chain comes after
+    # the failed one: the first result that raises is that failure
+    motions = [f.result() for f in futures]
+    ms = 1e3 * (time.perf_counter() - start) / len(conditions)
+    print(f"sampled {len(conditions)} chains, {workers} at a time: "
+          f"{ms:.1f} ms per sequence")
+    return motions
+
+
 def cmd_sample(args, cfg: RunConfig) -> int:
     for flag in ("steps", "count"):
         value = getattr(args, flag)
@@ -312,13 +363,12 @@ def cmd_sample(args, cfg: RunConfig) -> int:
         feats = stats.apply(feats)
     genre = Genre.parse(args.genre)
     schedule = cosine_schedule(cfg.diffusion_steps)
+    seed = cfg.training.seed
+    motions = _sample_chains(model, schedule, [(feats, ssl, int(genre))] * args.count,
+                             seed, steps=args.steps, fps=fps)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    seed = cfg.training.seed
-    rng = np.random.default_rng(seed)
-    for i in range(args.count):
-        motion = sample_motion(model, schedule, feats, ssl, int(genre),
-                               rng, steps=args.steps, fps=fps)
+    for i, motion in enumerate(motions):
         path = out_dir / f"generated_{i:03d}.json"
         save_motion(path, motion, SslTrack(ssl, frame="local"), genre,
                     extras={"steps": args.steps or cfg.diffusion_steps,
@@ -349,11 +399,11 @@ def cmd_eval(args, cfg: RunConfig) -> int:
     if args.checkpoint:
         model = _restore_model(cfg, args.checkpoint)
         schedule = cosine_schedule(cfg.diffusion_steps)
-        rng = np.random.default_rng(cfg.training.seed)
-        gen_x0 = np.stack([assemble_vector(sample_motion(
-            model, schedule, s.audio, s.ssl, s.genre, rng,
-            fps=cfg.features.motion_fps, recompute_velocity=False))
-            for s in test_samples])
+        motions = _sample_chains(
+            model, schedule, [(s.audio, s.ssl, s.genre) for s in test_samples],
+            cfg.training.seed, fps=cfg.features.motion_fps,
+            recompute_velocity=False)
+        gen_x0 = np.stack([assemble_vector(m) for m in motions])
         mot_gen = extractor.encode_motion(gen_x0).data
     else:    # ground truth against itself
         gen_x0, mot_gen = np.stack([s.x0 for s in test_samples]), mot_real

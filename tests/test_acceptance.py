@@ -147,10 +147,11 @@ def test_criterion_3_dsp_oracles():
     mfcc_fast = au.mfcc_with_delta(fast_spec, cfg)[:, :20]
     mfcc_err = np.abs(mfcc_fast - naive_mfcc(naive_spec)).max()
 
-    chroma_fast = au.stft_chroma(fast_spec, cfg)
-    chroma_err = np.abs(chroma_fast - au.stft_chroma(naive_spec, cfg)).max()
-    cq_err = np.abs(au.cq_chroma(fast_spec, cfg)
-                    - au.cq_chroma(naive_spec, cfg)).max()
+    fast_power, naive_power = np.abs(fast_spec) ** 2, np.abs(naive_spec) ** 2
+    chroma_fast = au.stft_chroma(fast_power, cfg)
+    chroma_err = np.abs(chroma_fast - au.stft_chroma(naive_power, cfg)).max()
+    cq_err = np.abs(au.cq_chroma(fast_power, cfg)
+                    - au.cq_chroma(naive_power, cfg)).max()
 
     amp = 0.7
     t = np.arange(sr) / sr

@@ -58,6 +58,16 @@ class TestForwardPrimitives:
         np.testing.assert_array_equal(cat.data[:, :3], a)
         np.testing.assert_array_equal(cat[:, 3:].data, b)
 
+    def test_gelu_matches_erf_form(self):
+        """GELU's normal CDF, ``ndtr(x)``, is the erf form
+        0.5 (1 + erf(x / sqrt 2)) within 1e-15 over |x| <= 40."""
+        from scipy.special import erf
+        x = np.linspace(-40.0, 40.0, 200_001)
+        reference = x * 0.5 * (1.0 + erf(x / np.sqrt(2.0)))
+        scale = np.maximum(np.abs(x), 1.0)      # beyond |x| = 1, compare the CDF
+        np.testing.assert_allclose(ad.gelu(Tensor(x)).data / scale,
+                                   reference / scale, rtol=0, atol=1e-15)
+
     def test_embedding_lookup(self):
         table = Tensor(np.arange(12.0).reshape(4, 3))
         out = ad.embedding(table, np.array([2, 0, 2]))

@@ -4,6 +4,8 @@ import json
 import os
 import shlex
 import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -513,6 +515,125 @@ def _record_extractor_encodings(monkeypatch) -> dict:
 
     monkeypatch.setattr(cli, "train_extractor", recording_train)
     return encoded
+
+
+class TestSampleChains:
+    """``sample`` and ``eval`` draw chain i from generator i of
+    ``SeedSequence(seed).spawn(K)`` and run the chains on
+    min(K, cores // BLAS threads) threads, at least 1."""
+
+    @staticmethod
+    def _host(monkeypatch, cores, blas=None, omp=None):
+        """A host of ``cores`` cores with the given BLAS thread variables."""
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cores)),
+                            raising=False)
+        for var, value in (("OPENBLAS_NUM_THREADS", blas), ("OMP_NUM_THREADS", omp)):
+            if value is None:
+                monkeypatch.delenv(var, raising=False)
+            else:
+                monkeypatch.setenv(var, value)
+
+    @pytest.mark.parametrize("cores, blas, omp, count, want", [
+        (2, "1", None, 3, 2),        # pinned below the core count
+        (2, "2", None, 3, 1),
+        (2, None, "1", 3, 2),        # OMP_NUM_THREADS when OpenBLAS's is unset
+        (2, "0", "1", 3, 2),         # the first positive integer
+        (2, "abc", None, 3, 1),      # unparsable: unset, so one per core
+        (2, None, None, 3, 1),       # OpenBLAS's default: one per core
+        (8, "2", None, 3, 3),        # never more than the chains
+        (2, "1", None, 1, 1),
+        (2, "4", None, 3, 1),        # at least 1
+    ])
+    def test_worker_rule(self, monkeypatch, cores, blas, omp, count, want):
+        self._host(monkeypatch, cores, blas, omp)
+        assert cli._chain_workers(count) == want
+
+    def test_worker_rule_without_affinity(self, monkeypatch):
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 4)
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")
+        assert cli._chain_workers(3) == 2
+
+    @pytest.fixture
+    def model(self, workspace, tmp_path):
+        ws, cfg_path, data_dir = workspace
+        ckpt = tmp_path / "model.snm"
+        save_checkpoint(ckpt, MotionDenoiser(RunConfig.load(cfg_path).model,
+                                             np.random.default_rng(0))
+                        .named_parameters())
+        return ckpt
+
+    def _sample(self, workspace, ckpt, out, count, capsys):
+        ws, cfg_path, data_dir = workspace
+        rc = main(["--config", str(cfg_path), "sample", "--checkpoint", str(ckpt),
+                   "--audio", str(data_dir / "audio" / "sample_0000.wav"),
+                   "--ssl", "0.5,2,1.2", "--steps", "3", "--frames", "30",
+                   "--count", str(count), "--out", str(out)])
+        captured = capsys.readouterr()
+        return rc, captured.out.splitlines(), captured.err
+
+    def test_bytes_independent_of_workers_and_count(self, workspace, model,
+                                                    tmp_path, monkeypatch, capsys):
+        """``--count 3`` writes the same files on one worker and on two, and
+        ``--count 1`` writes the first of them."""
+        outputs = {}
+        for name, blas, count in (("one", "2", 3), ("two", "1", 3),
+                                  ("single", "1", 1)):
+            self._host(monkeypatch, 2, blas)
+            rc, lines, err = self._sample(workspace, model, tmp_path / name,
+                                          count, capsys)
+            assert rc == EXIT_OK and err == ""
+            workers = 1 if name != "two" else 2
+            assert lines[0].startswith(f"sampled {count} chains, {workers} at a time: ")
+            assert lines[0].endswith(" ms per sequence")
+            assert lines[1:] == [f"wrote {tmp_path / name / f'generated_{i:03d}.json'}"
+                                 for i in range(count)]
+            outputs[name] = [p.read_bytes()
+                             for p in sorted((tmp_path / name).glob("*.json"))]
+        assert outputs["one"] == outputs["two"]
+        assert len(set(outputs["two"])) == 3
+        assert outputs["single"] == outputs["two"][:1]
+
+    def test_unparsable_blas_threads_runs_one_worker(self, workspace, model,
+                                                     tmp_path, monkeypatch, capsys):
+        self._host(monkeypatch, 2, "abc")
+        rc, lines, err = self._sample(workspace, model, tmp_path / "o", 2, capsys)
+        assert rc == EXIT_OK and err == ""
+        assert lines[0].startswith("sampled 2 chains, 1 at a time: ")
+
+    def test_failed_chain_exits_3_and_writes_nothing(self, workspace, tmp_path,
+                                                     monkeypatch, capsys):
+        ws, cfg_path, data_dir = workspace
+        model = MotionDenoiser(RunConfig.load(cfg_path).model,
+                               np.random.default_rng(0))
+        model.blocks[0].attn.wq.w.data[:] = np.nan
+        ckpt = tmp_path / "model.snm"
+        save_checkpoint(ckpt, model.named_parameters())
+        self._host(monkeypatch, 2, "1")
+        rc, lines, err = self._sample(workspace, ckpt, tmp_path / "o", 3, capsys)
+        assert rc == EXIT_NUMERIC
+        assert err.count("\n") == 1 and "transformer layer 0" in err
+        assert "Traceback" not in err
+        assert lines == []
+        assert not list(tmp_path.rglob("generated_*.json"))
+
+    def test_eval_report_independent_of_workers(self, workspace, model, tmp_path,
+                                                monkeypatch, capsys):
+        ws, cfg_path, data_dir = workspace
+        monkeypatch.chdir(ws)
+        reports = []
+        for blas in ("2", "1"):
+            self._host(monkeypatch, 2, blas)
+            out = tmp_path / f"report{blas}.json"
+            rc = main(["--config", str(cfg_path), "eval", "--manifest",
+                       str(data_dir / "manifest.json"), "--checkpoint", str(model),
+                       "--out", str(out)])
+            assert rc == EXIT_OK
+            lines = capsys.readouterr().out.splitlines()
+            workers = 3 - int(blas)
+            assert lines[-8].startswith(f"sampled 2 chains, {workers} at a time: ")
+            reports.append(out.read_bytes())
+        assert reports[0] == reports[1]
 
 
 class TestDeterminism:
@@ -1029,3 +1150,18 @@ class TestExitCodes:
         assert rc == want
         err = capsys.readouterr().err
         assert ("transformer layer 0" if damage == "nan" else "truncated") in err
+
+
+def test_import_leaves_out_resampling_modules():
+    """``scipy.signal`` and ``scipy.spatial`` load only when a clip or a
+    motion is off the native rate: importing the CLI leaves both out."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    script = ("import sys, sonomotion.cli\n"
+              "print(sorted(m for m in sys.modules\n"
+              "             if m.startswith(('scipy.signal', 'scipy.spatial'))))\n")
+    run = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, timeout=120,
+        env=dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src, os.environ.get("PYTHONPATH", "")])))
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.strip() == "[]"
