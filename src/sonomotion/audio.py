@@ -121,10 +121,6 @@ class AudioFeatureMatrix:
             raise ShapeError(
                 f"feature matrix must be (T, {FEATURE_WIDTH}), got {self.values.shape}")
 
-    @property
-    def frames(self) -> int:
-        return self.values.shape[0]
-
 
 # ---------------------------------------------------------------------------
 # framing and spectra
@@ -462,17 +458,20 @@ def extract_binaural(clip: AudioClip, config: FeatureConfig,
     if clip.sample_rate != config.sample_rate:
         left = resample_channel(left, clip.sample_rate, config.sample_rate)
         right = resample_channel(right, clip.sample_rate, config.sample_rate)
-    n = frame_count(left.size, config.hop_length)
-    if n < t_target - 1:
-        raise DurationError(
-            f"clip provides {n} feature frames but {t_target} motion frames "
-            f"are required")
     feats = np.concatenate([extract_ear(left, config), extract_ear(right, config)],
                            axis=1)
-    if feats.shape[0] < t_target:   # at most one frame short: replicate the edge
-        pad = np.repeat(feats[-1:], t_target - feats.shape[0], axis=0)
-        feats = np.concatenate([feats, pad], axis=0)
-    return AudioFeatureMatrix(feats[:t_target])
+    return AudioFeatureMatrix(first_rows(feats, t_target, "clip"))
+
+
+def first_rows(values: np.ndarray, frames: int, source) -> np.ndarray:
+    """The first ``frames`` rows of a clip's feature matrix: a view, or the
+    last row repeated once when the matrix is one row short. Shorter still,
+    a DurationError (an AlignmentError) naming ``source``."""
+    if len(values) < frames - 1:
+        raise DurationError(f"{source} provides {len(values)} feature frames "
+                            f"but {frames} motion frames are required")
+    return (values[:frames] if len(values) >= frames
+            else np.vstack([values, values[-1:]]))
 
 
 def resample_channel(x: np.ndarray, sr_in: int, sr_out: int) -> np.ndarray:
@@ -587,6 +586,8 @@ def read_wav(path, blob: bytes | None = None) -> AudioClip:
         scaled = (data.astype(np.float64) - 128.0) / 128.0
     else:
         raise DataError(f"{path}: unsupported WAV dtype {data.dtype}")
+    if not np.isfinite(scaled).all():
+        raise DataError(f"{path}: WAV holds non-finite samples")
     return AudioClip(int(rate), scaled[:, 0], scaled[:, 1])
 
 
@@ -600,9 +601,10 @@ def write_wav(path, clip: AudioClip) -> None:
 # feature cache
 
 CACHE_MAGIC = b"SNMFEAT1"
-# Bumped whenever the features, and so the `.feat` bytes, of the same WAV and
-# config change: a cache file written by an older version is then never found.
-FEATURE_VERSION = 2
+# Bumped whenever the rows a `.feat` file holds for the same WAV and config
+# change: a cache file written by an older version is then never found.
+# Version 3 holds the whole WAV's rows; version 2 held only its motion's.
+FEATURE_VERSION = 3
 
 
 def feature_cache_key(audio_bytes: bytes, config: FeatureConfig) -> str:

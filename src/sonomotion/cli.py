@@ -24,11 +24,11 @@ from typing import get_type_hints
 
 import numpy as np
 
-from .audio import FeatureConfig, NormalizationStats, extract_binaural, read_wav
+from .audio import FeatureConfig, NormalizationStats, first_rows
 from .checkpoint import load_checkpoint, write_atomically
 from .dataset import (MIN_SPLIT_ITEMS, DatasetManifest, TrainSample,
                       clip_features, fit_feature_stats, generate_dataset,
-                      load_split)
+                      load_split, resampled_frames)
 from .denoiser import (DenoiserConfig, MotionDenoiser, TrainConfig,
                        sample_motion, train_denoiser)
 from .diffusion import cosine_schedule
@@ -119,8 +119,11 @@ class RunConfig:
         raw: dict[tuple[str, str], str] = {}
         if path is not None:
             parser = configparser.ConfigParser()
-            if not parser.read(path):
-                raise DataError(f"cannot read config file {path}")
+            try:
+                if not parser.read(path):
+                    raise DataError(f"cannot read config file {path}")
+            except (configparser.Error, UnicodeDecodeError) as e:
+                raise ConfigError(f"{path}: {' '.join(str(e).split())}") from None
             for section in parser.sections():
                 if section not in {s for s, _ in KEYS}:
                     raise ConfigError(f"unknown config section [{section}]")
@@ -160,7 +163,7 @@ def _parse_ssl(raw: str, frames: int) -> np.ndarray:
         return np.tile(parts, (frames, 1))
     try:
         track = np.asarray(json.loads(Path(raw).read_text()), dtype=np.float64)
-    except (OSError, json.JSONDecodeError, ValueError) as e:
+    except (OSError, ValueError, TypeError) as e:   # JSON, UTF-8: ValueError
         raise DataError(f"cannot read SSL track {raw}: {e}") from e
     if track.ndim != 2 or track.shape[1] != 3:
         raise DataError(f"SSL track must be (T, 3), got {track.shape}")
@@ -196,11 +199,13 @@ def cmd_synth_data(args, cfg: RunConfig) -> int:
 
 
 def _featurize(job) -> tuple[Path, int]:
-    """The cache file of one clip, filled on a miss, and its frame count."""
+    """The cache file of one clip, filled on a miss, and the rows its motion
+    takes from the file, checked to be there."""
     audio_path, motion_path, feat_cfg, cache_dir = job
-    values, path = clip_features(audio_path, *read_motion_header(motion_path),
-                                 feat_cfg, cache_dir)
-    return path, values.shape[0]
+    frames = resampled_frames(*read_motion_header(motion_path), feat_cfg.motion_fps)
+    values, path = clip_features(audio_path, feat_cfg, cache_dir)
+    first_rows(values, frames, audio_path)
+    return path, frames
 
 
 def cmd_features(args, cfg: RunConfig) -> int:
@@ -216,18 +221,18 @@ def cmd_features(args, cfg: RunConfig) -> int:
             cached = list(pool.map(_featurize, jobs))
     else:
         cached = list(map(_featurize, jobs))
-    first: dict[Path, tuple[str, int]] = {}     # a cache file holds one count
-    for e, (path, frames) in zip(manifest.entries, cached):
-        other, n = first.setdefault(path, (e.sample_id, frames))
-        if n != frames:
-            raise DataError(f"{other} ({n} frames) and {e.sample_id} ({frames} "
-                            f"frames) share one WAV and so one feature cache file")
-    stats = fit_feature_stats([path for e, (path, _) in zip(manifest.entries, cached)
+    stats = fit_feature_stats([item for e, item in zip(manifest.entries, cached)
                                if e.split == "train"])
     stats.save(cache_dir / "norm_stats.npz")
     print(f"cached {len(jobs)} feature files in {cache_dir}")
     print(f"normalization statistics: {cache_dir / 'norm_stats.npz'}")
     return EXIT_OK
+
+
+def _cache_dir(cfg: RunConfig) -> Path | None:
+    """``[paths] cache_dir``, which every command reads features through, or
+    None when that dir does not exist."""
+    return Path(cfg.cache_dir) if Path(cfg.cache_dir).exists() else None
 
 
 def _norm_stats(cfg: RunConfig) -> NormalizationStats | None:
@@ -251,10 +256,8 @@ def _frame_count(counts, max_frames: int) -> int:
 def _load_splits(cfg: RunConfig, manifest_path, *splits) -> list[list[TrainSample]]:
     """The samples of each split, all cut to the one ``_frame_count`` of every
     sample loaded."""
-    cache_dir = Path(cfg.cache_dir)
     manifest, stats = DatasetManifest.load(manifest_path), _norm_stats(cfg)
-    loaded = [load_split(manifest, split, cfg.features,
-                         cache_dir=cache_dir if cache_dir.exists() else None,
+    loaded = [load_split(manifest, split, cfg.features, cache_dir=_cache_dir(cfg),
                          stats=stats) for split in splits]
     w = _frame_count([s.x0.shape[0] for samples in loaded for s in samples],
                      cfg.model.max_frames)
@@ -349,15 +352,14 @@ def cmd_sample(args, cfg: RunConfig) -> int:
         raise ConfigError(f"--frames must lie in 2..{cfg.model.max_frames} "
                           f"(velocities need two frames), got {args.frames}")
     fps = cfg.features.motion_fps
-    clip = read_wav(args.audio)
-    clip_frames = clip.samples * fps // clip.sample_rate
-    if clip_frames < 2:     # velocities need two frames
-        raise DataError(f"{args.audio} spans {clip_frames} motion frames at "
+    values, _ = clip_features(args.audio, cfg.features, _cache_dir(cfg))
+    if len(values) < 2:     # velocities need two frames
+        raise DataError(f"{args.audio} spans {len(values)} motion frames at "
                         f"{fps} fps; sampling needs at least 2")
-    frames = args.frames or _frame_count([clip_frames], cfg.model.max_frames)
+    frames = args.frames or _frame_count([len(values)], cfg.model.max_frames)
+    feats = first_rows(values, frames, args.audio)
     ssl = _parse_ssl(args.ssl, frames)
     model = _restore_model(cfg, args.checkpoint)
-    feats = extract_binaural(clip, cfg.features, frames).values
     stats = _norm_stats(cfg)
     if stats is not None:
         feats = stats.apply(feats)

@@ -20,11 +20,10 @@ from typing import NamedTuple
 import numpy as np
 
 from .audio import (AudioClip, FeatureConfig, NormalizationStats,
-                    extract_binaural, feature_cache_key, load_feature_cache,
-                    read_wav, save_feature_cache, write_wav)
+                    extract_binaural, feature_cache_key, first_rows,
+                    load_feature_cache, read_wav, save_feature_cache, write_wav)
 from .checkpoint import write_atomically
-from .errors import (AlignmentError, ContractError, DataError,
-                     DegenerateRotationError, DurationError)
+from .errors import ContractError, DataError, DegenerateRotationError
 from .skeleton import (Genre, MotionSequence, SkeletonSpec, SslTrack,
                        assemble_vector, axis_angle_to_matrix,
                        compute_velocities, forward_kinematics, load_motion,
@@ -455,7 +454,7 @@ def synthesize_pair(spec: SyntheticSceneSpec) -> SynthesizedScene:
 # resampling
 
 
-def _resampled_frames(frames: int, fps_in: float, fps_out: float) -> int:
+def resampled_frames(frames: int, fps_in: float, fps_out: float) -> int:
     """Frames of the grid k/fps_out inside a span of ``frames`` at fps_in."""
     if abs(fps_in - fps_out) < 1e-9:
         return frames
@@ -475,7 +474,7 @@ def resample_motion(m: MotionSequence, target_fps: float,
     # imported here: scipy.spatial adds ~8 MB of RSS that on-rate motion never uses
     from scipy.spatial.transform import Rotation
     t_src = m.frames
-    n_out = _resampled_frames(t_src, m.fps, target_fps)
+    n_out = resampled_frames(t_src, m.fps, target_fps)
     if n_out < 2:
         raise ContractError("resampled sequence would be shorter than 2 frames")
     src_idx = np.arange(n_out) * m.fps / target_fps
@@ -551,7 +550,7 @@ class DatasetManifest:
         path = Path(path)
         try:
             doc = json.loads(path.read_text())
-        except (OSError, json.JSONDecodeError) as e:
+        except (OSError, UnicodeDecodeError, json.JSONDecodeError) as e:
             raise DataError(f"cannot read manifest {path}: {e}") from e
         if not isinstance(doc, dict) or doc.get("format") != "sonomotion-manifest":
             raise DataError(f"{path} is not a dataset manifest")
@@ -713,19 +712,17 @@ def generate_dataset(out_dir, count: int, seed: int, duration: float = 10.0,
 # loading
 
 
-def clip_features(audio_path, frames: int, fps: float, feat_config: FeatureConfig,
-                  cache_dir=None) -> tuple[np.ndarray, Path | None]:
-    """Raw (T, 2272) features of the audio file paired with a motion of
-    ``frames`` frames at ``fps``, T being that motion's frame count at
-    ``feat_config.motion_fps``, and the cache file they came from (None
-    without ``cache_dir``).
+def clip_features(audio_path, feat_config: FeatureConfig, cache_dir=None
+                  ) -> tuple[np.ndarray, Path | None]:
+    """A clip's one feature matrix, and the cache file it came from (None
+    without ``cache_dir``): the raw (T, 2272) features of the whole WAV, T
+    being the ``feat_config.motion_fps`` frames its samples span. Commands
+    take their rows from it through ``audio.first_rows``.
 
     The WAV is read once. With ``cache_dir`` its bytes name the cache file,
-    ``<feature_cache_key>.feat`` there. A cache file serves only the frame
-    count it holds: any other count, like a missing file, is a miss, which
-    parses the same bytes, extracts and (re)writes the file. The rows of a
-    cached clip are the file's float32 values on a hit and on a miss alike."""
-    frames = _resampled_frames(frames, fps, feat_config.motion_fps)
+    ``<feature_cache_key>.feat`` there, which serves every frame count; a
+    missing file is a miss, which parses the same bytes, extracts and writes
+    it. A cached clip's rows are the file's float32 values, hit or miss."""
     try:
         audio_bytes = Path(audio_path).read_bytes()
     except OSError as e:
@@ -735,17 +732,13 @@ def clip_features(audio_path, frames: int, fps: float, feat_config: FeatureConfi
         key = feature_cache_key(audio_bytes, feat_config)
         cache_path = Path(cache_dir) / f"{key}.feat"
         if cache_path.exists():
-            values = load_feature_cache(cache_path).values
-            if values.shape[0] == frames:
-                return values, cache_path
+            return load_feature_cache(cache_path).values, cache_path
     clip = read_wav(audio_path, audio_bytes)
     # freed first: held through the extraction, the bytes made a cold
     # `features` run ~10 % slower (2-core x86-64, one OpenBLAS thread)
     del audio_bytes
-    try:
-        feats = extract_binaural(clip, feat_config, frames)
-    except DurationError as e:
-        raise AlignmentError(f"{audio_path}: {e}") from e
+    feats = extract_binaural(
+        clip, feat_config, clip.samples * feat_config.motion_fps // clip.sample_rate)
     if cache_path is None:
         return feats.values, None
     save_feature_cache(cache_path, feats)
@@ -779,9 +772,6 @@ def load_sample(manifest: DatasetManifest, entry: ManifestEntry,
         raise DataError(f"{entry.sample_id}: motion file lacks an SSL track")
     if ssl.frame != "world":
         raise DataError(f"{entry.sample_id}: expected world-frame SSL on disk")
-    if len(ssl) != motion.frames:
-        raise AlignmentError(
-            f"{entry.sample_id}: SSL length {len(ssl)} != frames {motion.frames}")
     try:
         motion, ssl_pos = resample_motion(motion, feat_config.motion_fps, ssl.positions)
         normalized, ssl_local = normalize_sequence(motion, ssl_pos)
@@ -789,8 +779,8 @@ def load_sample(manifest: DatasetManifest, entry: ManifestEntry,
         raise DataError(f"{entry.sample_id} ({motion_path}): {e}, "
                         "as (frame, joint)") from e
     x0 = assemble_vector(normalized)
-    values, _ = clip_features(audio_path, motion.frames, motion.fps,
-                              feat_config, cache_dir)
+    values = first_rows(clip_features(audio_path, feat_config, cache_dir)[0],
+                        motion.frames, audio_path)
     if stats is not None:
         values = stats.apply(values)
     return TrainSample(x0, values, ssl_local.positions,
@@ -804,10 +794,12 @@ def load_split(manifest: DatasetManifest, split: str, feat_config: FeatureConfig
             for e in manifest.split_entries(split)]
 
 
-def fit_feature_stats(cache_paths) -> NormalizationStats:
-    """Per-column mean/std over the raw rows of the training clips' cache
-    files, exactly the rows that ``load_split`` reads from them. The fit
-    reads the files in two passes that each hold one clip."""
-    if not cache_paths:
+def fit_feature_stats(cached) -> NormalizationStats:
+    """Per-column mean/std over the first ``frames`` raw rows of the cache
+    file of each (path, frames) of the training clips in ``cached``, exactly
+    the rows that ``load_split`` reads from them. The fit reads the files in
+    two passes that each hold one clip."""
+    if not cached:
         raise DataError("training split is empty; cannot fit feature statistics")
-    return NormalizationStats.fit(cache_paths, read=load_feature_cache)
+    return NormalizationStats.fit(cached, read=lambda item: first_rows(
+        load_feature_cache(item[0]).values, item[1], item[0]))

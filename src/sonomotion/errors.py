@@ -25,12 +25,12 @@ class LayoutError(ContractError):
     """A packed vector does not match the expected block layout."""
 
 
-class DurationError(ContractError):
-    """An audio clip is too short for the requested frame count."""
-
-
 class AlignmentError(ContractError):
     """Paired audio/motion files disagree on duration or frame count."""
+
+
+class DurationError(AlignmentError):
+    """An audio clip is too short for the requested frame count."""
 
 
 class SamplingError(ContractError):

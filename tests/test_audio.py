@@ -10,7 +10,7 @@ import pytest
 from scipy.io import wavfile
 
 from sonomotion import audio as au
-from sonomotion.errors import ConfigError, DataError, DurationError
+from sonomotion.errors import AlignmentError, ConfigError, DataError, DurationError
 
 CFG = au.FeatureConfig()
 SR = CFG.sample_rate
@@ -347,6 +347,17 @@ class TestExtraction:
         with pytest.raises(DurationError):
             au.extract_binaural(clip, CFG, 30)
 
+    def test_first_rows_view_pad_or_alignment_error(self):
+        """The first k rows are a view of the matrix; one row short repeats
+        its last row; shorter still is an AlignmentError naming the source."""
+        values = np.arange(15.0).reshape(5, 3)
+        assert np.shares_memory(au.first_rows(values, 4, "a.wav"), values)
+        np.testing.assert_array_equal(au.first_rows(values, 5, "a.wav"), values)
+        np.testing.assert_array_equal(au.first_rows(values, 6, "a.wav"),
+                                      np.vstack([values, values[-1:]]))
+        with pytest.raises(AlignmentError, match="a.wav"):
+            au.first_rows(values, 7, "a.wav")
+
     def test_resampled_input_supported(self):
         x48 = sine(440.0, 1.1, 0.5, sr=48000)
         clip = au.AudioClip(48000, x48, x48)
@@ -488,6 +499,15 @@ class TestWavIO:
         with pytest.raises(DataError):
             au.read_wav(path)
 
+    @pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
+    def test_non_finite_sample_rejected(self, tmp_path, value):
+        data = np.zeros((100, 2), dtype=np.float32)
+        data[40, 1] = value
+        path = tmp_path / "bad.wav"
+        wavfile.write(path, SR, data)
+        with pytest.raises(DataError, match="bad.wav.*non-finite"):
+            au.read_wav(path)
+
 
 class TestFeatureCache:
     def test_roundtrip(self, tmp_path):
@@ -516,7 +536,8 @@ class TestFeatureCache:
 
     def test_bytes_fixed_for_fixed_wav_and_config(self, tmp_path):
         """One WAV and config give one `.feat` file under one BLAS thread and
-        under two. The pinned digest changes only with FEATURE_VERSION."""
+        under two. The pinned digest changes only with FEATURE_VERSION; version
+        3 changed which rows a file holds, not a whole clip's bytes."""
         rng = np.random.default_rng(11)
         wav = tmp_path / "noise.wav"
         wavfile.write(wav, SR, rng.integers(-8000, 8000, (36000, 2),
@@ -538,7 +559,7 @@ class TestFeatureCache:
                 env=env, capture_output=True, text=True, timeout=120)
             assert run.returncode == 0, run.stderr
             digests.add(run.stdout.strip())
-        assert au.FEATURE_VERSION == 2
+        assert au.FEATURE_VERSION == 3
         assert digests == {"9efbbc67df77391d9974f290264efa96"
                            "be727457cb8d499d16768610b2345e67"}
 

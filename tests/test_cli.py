@@ -16,7 +16,8 @@ from sonomotion.checkpoint import load_checkpoint, save_checkpoint
 from sonomotion.cli import (EXIT_DATA, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, RunConfig,
                             main)
 from sonomotion.audio import (AudioClip, FeatureConfig, NormalizationStats,
-                              extract_binaural, read_wav, write_wav)
+                              extract_binaural, feature_cache_key,
+                              load_feature_cache, read_wav, write_wav)
 from sonomotion.denoiser import DenoiserConfig, MotionDenoiser, TrainConfig
 from sonomotion.errors import ConfigError
 from sonomotion.skeleton import load_motion, save_motion
@@ -57,6 +58,27 @@ def workspace(tmp_path_factory):
                "--duration", "2.0", "--out", str(data_dir)])
     assert rc == EXIT_OK
     return ws, cfg_path, data_dir
+
+
+def _fresh_checkpoint(cfg_path, path) -> Path:
+    """An untrained model of the config at ``cfg_path``, saved at ``path``."""
+    save_checkpoint(path, MotionDenoiser(RunConfig.load(cfg_path).model,
+                                         np.random.default_rng(0))
+                    .named_parameters())
+    return path
+
+
+def _record_sample_rows(monkeypatch) -> list:
+    """The condition rows of every chain that ``sample`` runs."""
+    seen = []
+    real = cli.sample_motion
+
+    def record(model, schedule, audio, *rest, **kw):
+        seen.append(audio)
+        return real(model, schedule, audio, *rest, **kw)
+
+    monkeypatch.setattr(cli, "sample_motion", record)
+    return seen
 
 
 # (section, key) -> (the parent CLI's default, another valid value) for every
@@ -313,31 +335,74 @@ class TestFeaturesTrainSample:
         assert by_global == by_own == own_wins
         assert load_motion(tmp_path / "g" / "generated_000.json")[3]["seed"] == 5
 
-    def test_sample_reads_only_the_audio_its_motion_covers(self, workspace,
-                                                           tmp_path):
-        """A 30 s WAV gives the same file as that WAV cut to the 60 frames
-        (2 s) that max_frames lets the motion cover."""
-        ws, cfg_path, data_dir = workspace
-        cfg = RunConfig.load(cfg_path)
-        ckpt = tmp_path / "model.snm"
-        save_checkpoint(ckpt, MotionDenoiser(cfg.model, np.random.default_rng(0))
-                        .named_parameters())
-        clip = read_wav(next((data_dir / "audio").glob("*.wav")))
-        write_wav(tmp_path / "long.wav", AudioClip(
-            clip.sample_rate, np.tile(clip.left, 15), np.tile(clip.right, 15)))
-        covered = cfg.model.max_frames * clip.sample_rate // cfg.features.motion_fps
-        write_wav(tmp_path / "cut.wav", AudioClip(
-            clip.sample_rate, clip.left[:covered], clip.right[:covered]))
-        outputs = []
-        for name in ("long", "cut"):
-            rc = main(["--config", str(cfg_path), "sample", "--checkpoint",
-                       str(ckpt), "--audio", str(tmp_path / f"{name}.wav"),
-                       "--ssl", "0,1,0", "--steps", "2",
-                       "--out", str(tmp_path / name)])
-            assert rc == EXIT_OK
-            outputs.append((tmp_path / name / "generated_000.json").read_bytes())
-        assert outputs[0] == outputs[1]
-        assert json.loads(outputs[0])["frames"] == cfg.model.max_frames
+    @pytest.mark.parametrize("cached", [False, True])
+    def test_sample_conditions_on_the_first_rows_of_the_whole_wav(
+            self, workspace, tmp_path, monkeypatch, cached):
+        """A 30 s WAV paired with a 2 s (60-frame) motion: ``sample`` under a
+        max_frames of 60 conditions on the first 60 rows of the whole WAV's
+        features, bit for bit the rows ``load_sample`` returns for the WAV,
+        with a cache dir and without one."""
+        ws, _, data_dir = workspace
+        data = tmp_path / "data"
+        shutil.copytree(data_dir, data)
+        manifest = dataset.DatasetManifest.load(data / "manifest.json")
+        entry = manifest.entries[0]
+        wav = data / entry.audio
+        clip = read_wav(wav)
+        write_wav(wav, AudioClip(clip.sample_rate, np.tile(clip.left, 15),
+                                 np.tile(clip.right, 15)))
+        cache = tmp_path / "cache"
+        if cached:
+            cache.mkdir()
+        cfg_path = tmp_path / "run.ini"
+        cfg_path.write_text(TINY_CFG + f"\n[paths]\ncache_dir = {cache}\n")
+        seen = _record_sample_rows(monkeypatch)
+        rc = main(["--config", str(cfg_path), "sample", "--checkpoint",
+                   str(_fresh_checkpoint(cfg_path, tmp_path / "model.snm")),
+                   "--audio", str(wav), "--ssl", "0,1,0", "--steps", "1",
+                   "--out", str(tmp_path / "o")])
+        assert rc == EXIT_OK
+        whole = extract_binaural(read_wav(wav), FeatureConfig(), 900).values
+        if cached:
+            whole = whole.astype(np.float32).astype(np.float64)
+        loaded = dataset.load_sample(manifest, entry, FeatureConfig(),
+                                     cache_dir=cache if cached else None).audio
+        assert loaded.shape == (60, 2272)
+        np.testing.assert_array_equal(seen[0], loaded)
+        np.testing.assert_array_equal(seen[0], whole[:60])
+
+    @pytest.mark.parametrize("cached", [False, True])
+    def test_sample_rows_equal_the_rows_train_gets(self, workspace, tmp_path,
+                                                   monkeypatch, cached):
+        """A 10 s (300-frame) clip in a split of 2 s clips, under a max_frames
+        of 60: ``sample`` of its WAV conditions on the 60 rows that ``train``
+        gets for it after ``_load_splits``' cut, bit for bit, without a cache
+        dir and with one filled by ``features`` (whose statistics both
+        apply)."""
+        ws, _, data_dir = workspace
+        data = tmp_path / "data"
+        shutil.copytree(data_dir, data)
+        manifest_path = data / "manifest.json"
+        entry = dataset.DatasetManifest.load(manifest_path).split_entries("train")[0]
+        scene = dataset.synthesize_pair(dataset.SyntheticSceneSpec(
+            duration=10.0, seed=1, signal="clicks"))
+        write_wav(data / entry.audio, scene.clip)
+        save_motion(data / entry.motion, scene.motion, scene.ssl, scene.genre,
+                    extras=scene.meta)
+        cfg_path = tmp_path / "run.ini"
+        cfg_path.write_text(TINY_CFG + f"\n[paths]\ncache_dir = {tmp_path / 'cache'}\n")
+        if cached:
+            assert main(["--config", str(cfg_path), "features", "--manifest",
+                         str(manifest_path)]) == EXIT_OK
+        train, = cli._load_splits(RunConfig.load(cfg_path), manifest_path, "train")
+        seen = _record_sample_rows(monkeypatch)
+        rc = main(["--config", str(cfg_path), "sample", "--checkpoint",
+                   str(_fresh_checkpoint(cfg_path, tmp_path / "model.snm")),
+                   "--audio", str(data / entry.audio), "--ssl", "0,1,0",
+                   "--steps", "1", "--out", str(tmp_path / "o")])
+        assert rc == EXIT_OK
+        assert train[0].audio.shape == (60, 2272)
+        np.testing.assert_array_equal(seen[0], train[0].audio)
 
     @pytest.mark.parametrize("samples, frames", [
         (98_400, 123), (196_000, 245), (392_000, 490)])
@@ -377,26 +442,46 @@ class TestFeaturesTrainSample:
         cfg_path = tmp_path / "run.ini"
         cfg_path.write_text(TINY_CFG + f"\n[paths]\ncache_dir = {cache}\n"
                             f"\n[features]\nnormalize = {str(normalize).lower()}\n")
-        ckpt = tmp_path / "model.snm"
-        save_checkpoint(ckpt, MotionDenoiser(RunConfig.load(cfg_path).model,
-                                             np.random.default_rng(0))
-                        .named_parameters())
-        seen = []
-        real = cli.sample_motion
-
-        def record(model, schedule, audio, *rest, **kw):
-            seen.append(audio)
-            return real(model, schedule, audio, *rest, **kw)
-
-        monkeypatch.setattr(cli, "sample_motion", record)
+        ckpt = _fresh_checkpoint(cfg_path, tmp_path / "model.snm")
+        seen = _record_sample_rows(monkeypatch)
         wav = next((data_dir / "audio").glob("*.wav"))
         rc = main(["--config", str(cfg_path), "sample", "--checkpoint", str(ckpt),
                    "--audio", str(wav), "--ssl", "0,1,0", "--steps", "1",
                    "--frames", "30", "--out", str(tmp_path / "o")])
         assert rc == EXIT_OK
-        raw = extract_binaural(read_wav(wav), FeatureConfig(), 30).values
+        raw = dataset.clip_features(wav, FeatureConfig(), cache)[0][:30]
         np.testing.assert_array_equal(seen[0], (raw - 1.0) / 2.0 if normalize
                                       else raw)
+
+    def test_entries_sharing_a_wav_share_one_cache_file(self, workspace,
+                                                        tmp_path):
+        """A 3 s WAV shared by a 60-frame and a 90-frame entry: ``features``
+        exits 0 with the WAV's 90 rows in one cache file, and each entry loads
+        its own first rows of that file."""
+        ws, cfg_path, data_dir = workspace
+        data = tmp_path / "data"
+        shutil.copytree(data_dir, data)
+        manifest = dataset.DatasetManifest.load(data / "manifest.json")
+        short, long = manifest.split_entries("train")[:2]
+        scene = dataset.synthesize_pair(dataset.SyntheticSceneSpec(duration=3.0,
+                                                                   seed=1))
+        for e in (short, long):
+            write_wav(data / e.audio, scene.clip)
+        save_motion(data / long.motion, scene.motion, scene.ssl, scene.genre,
+                    extras=scene.meta)
+        cache = tmp_path / "cache"
+        rc = main(["features", "--manifest", str(data / "manifest.json"),
+                   "--cache", str(cache)])
+        assert rc == EXIT_OK
+        assert len(list(cache.glob("*.feat"))) == len(manifest.entries) - 1
+        key = feature_cache_key((data / short.audio).read_bytes(), FeatureConfig())
+        rows = load_feature_cache(cache / f"{key}.feat").values
+        assert rows.shape[0] == 90
+        for e, frames in ((short, 60), (long, 90)):
+            np.testing.assert_array_equal(
+                dataset.load_sample(manifest, e, FeatureConfig(), cache).audio,
+                rows[:frames])
+        assert (cache / "norm_stats.npz").exists()
 
     def test_sample_with_ssl_track_file(self, workspace, tmp_path):
         ws, cfg_path, data_dir = workspace
@@ -984,31 +1069,59 @@ class TestExitCodes:
         assert err.count("\n") == 1 and flag in err
         assert not out.exists()
 
-    def test_entries_sharing_a_wav_are_data_error(self, workspace, tmp_path,
-                                                  capsys):
-        """A 3 s WAV shared by a 60-frame and a 90-frame entry: its one cache
-        file cannot hold both counts, so ``features`` exits 2 with one line
-        naming both entries and counts, and fits no statistics."""
+    @pytest.mark.parametrize("command", ["sample", "features"])
+    def test_non_finite_wav_is_data_error(self, workspace, tmp_path, monkeypatch,
+                                          capsys, command):
+        """A float WAV with one infinite sample exits 2 with one line naming
+        it, before any feature is computed, and writes no output file."""
         ws, cfg_path, data_dir = workspace
+        monkeypatch.chdir(tmp_path)         # no feature cache under the cwd
         data = tmp_path / "data"
         shutil.copytree(data_dir, data)
         manifest = dataset.DatasetManifest.load(data / "manifest.json")
-        short, long = manifest.split_entries("train")[:2]
-        scene = dataset.synthesize_pair(dataset.SyntheticSceneSpec(duration=3.0,
-                                                                   seed=1))
-        for e in (short, long):
-            write_wav(data / e.audio, scene.clip)
-        save_motion(data / long.motion, scene.motion, scene.ssl, scene.genre,
-                    extras=scene.meta)
-        cache = tmp_path / "cache"
-        rc = main(["features", "--manifest", str(data / "manifest.json"),
-                   "--cache", str(cache)])
+        wav = data / manifest.entries[0].audio
+        clip = read_wav(wav)
+        clip.left[100] = np.inf
+        write_wav(wav, clip)
+        out = tmp_path / "o"
+        if command == "sample":
+            argv = ["sample", "--checkpoint",
+                    str(_fresh_checkpoint(cfg_path, tmp_path / "model.snm")),
+                    "--audio", str(wav), "--ssl", "0,1,0", "--steps", "1",
+                    "--out", str(out)]
+        else:
+            argv = ["features", "--manifest", str(data / "manifest.json"),
+                    "--cache", str(out)]
+        assert main(["--config", str(cfg_path), *argv]) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and wav.name in err and "non-finite" in err
+        assert not out.exists() or not any(out.iterdir())
+
+    def test_ssl_track_of_another_json_type_is_data_error(self, workspace,
+                                                          tmp_path, capsys):
+        """An SSL track file whose JSON is an object exits 2 with one line."""
+        ws, cfg_path, data_dir = workspace
+        track = tmp_path / "track.json"
+        track.write_text(json.dumps({"a": 1}))
+        rc = main(["--config", str(cfg_path), "sample", "--checkpoint",
+                   str(_fresh_checkpoint(cfg_path, tmp_path / "model.snm")),
+                   "--audio", str(next((data_dir / "audio").glob("*.wav"))),
+                   "--ssl", str(track), "--steps", "1", "--frames", "30",
+                   "--out", str(tmp_path / "o")])
         assert rc == EXIT_DATA
         err = capsys.readouterr().err
-        assert err.count("\n") == 1
-        for part in (short.sample_id, "(60 frames)", long.sample_id, "(90 frames)"):
-            assert part in err
-        assert not (cache / "norm_stats.npz").exists()
+        assert err.count("\n") == 1 and "track.json" in err
+        assert not (tmp_path / "o").exists()
+
+    def test_non_utf8_manifest_is_data_error(self, tmp_path, capsys):
+        manifest = tmp_path / "manifest.json"
+        manifest.write_bytes(b'{"format": "sonomotion-manifest\xff"}')
+        cache = tmp_path / "cache"
+        rc = main(["features", "--manifest", str(manifest), "--cache", str(cache)])
+        assert rc == EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and str(manifest) in err
+        assert not cache.exists()
 
     @pytest.mark.parametrize("field, value", [
         ("root", 5), ("sample_id", 3), ("audio", 3), ("motion", None),
@@ -1097,6 +1210,18 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("config error: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("text", [
+        b"epochs = 3\n[training]\n", b"[training]\nepochs = 3\nepochs = 4\n",
+        b"[training]\nepochs = 3\xff\n"],
+        ids=["key-before-section", "key-set-twice", "non-utf8"])
+    def test_unparsable_config_is_one_line(self, tmp_path, capsys, text):
+        bad = tmp_path / "bad.ini"
+        bad.write_bytes(text)
+        assert main(["--config", str(bad), "gradcheck"]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and err.count("\n") == 1
+        assert str(bad) in err and "Traceback" not in err
+
     def test_missing_checkpoint_is_data_error(self, tmp_path):
         wav = tmp_path / "x.wav"
         from sonomotion.audio import AudioClip, write_wav
@@ -1150,6 +1275,13 @@ class TestExitCodes:
         assert rc == want
         err = capsys.readouterr().err
         assert ("transformer layer 0" if damage == "nan" else "truncated") in err
+
+
+def test_cli_has_no_featurization_of_its_own():
+    """Every command reads its feature rows through ``dataset.clip_features``:
+    ``cli`` binds neither the extractor nor the WAV reader."""
+    assert not hasattr(cli, "extract_binaural")
+    assert not hasattr(cli, "read_wav")
 
 
 def test_import_leaves_out_resampling_modules():

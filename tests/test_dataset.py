@@ -15,13 +15,13 @@ from sonomotion.audio import (AudioClip, AudioFeatureMatrix, FeatureConfig,
                               NormalizationStats, extract_binaural,
                               load_feature_cache, read_wav, save_feature_cache,
                               write_wav)
-from sonomotion.cli import EXIT_DATA, EXIT_OK, main
+from sonomotion.cli import EXIT_DATA, EXIT_OK, _featurize, main
 from sonomotion.errors import AlignmentError, ContractError, DataError
 from sonomotion.skeleton import (SkeletonSpec, assemble_vector,
                                  axis_angle_to_matrix, compute_velocities,
                                  detect_foot_contacts, forward_kinematics,
-                                 matrix_to_sixd, read_motion_header, rotation_z,
-                                 save_motion, sixd_to_matrix)
+                                 matrix_to_sixd, rotation_z, save_motion,
+                                 sixd_to_matrix)
 
 SKEL = SkeletonSpec.default()
 
@@ -368,10 +368,9 @@ def small_dataset(tmp_path_factory):
 
 
 def train_cache_files(manifest, cache_dir):
-    """The train clips' cache files in manifest order, filled on a miss, as
-    ``features`` gets them for the fit."""
-    return [ds.clip_features(audio, *read_motion_header(motion), FeatureConfig(),
-                             cache_dir)[1]
+    """The (cache file, frame count) of each train clip in manifest order,
+    the file filled on a miss, as ``features`` passes them to the fit."""
+    return [_featurize((audio, motion, FeatureConfig(), cache_dir))
             for audio, motion in map(manifest.resolve,
                                      manifest.split_entries("train"))]
 
@@ -425,21 +424,21 @@ class TestLoadSample:
                                 cache_dir=tmp_path)
         np.testing.assert_array_equal(first[1], second[1])
 
-    def test_audio_past_the_motion_changes_no_feature(self, small_dataset,
-                                                      tmp_path):
-        """A WAV tiled to 30 s gives the features of the 2 s its motion spans."""
+    def test_audio_past_the_motion_feeds_the_first_rows(self, small_dataset,
+                                                        tmp_path):
+        """A WAV tiled to 30 s under a 2 s motion: the sample's 60 rows are
+        the first rows of the whole 30 s WAV's features."""
         root, _ = small_dataset
         shutil.copytree(root, tmp_path / "ds")
         manifest = ds.DatasetManifest.load(tmp_path / "ds" / "manifest.json")
         e = manifest.entries[0]
-        before = ds.load_sample(manifest, e, FeatureConfig())[1]
         wav = manifest.resolve(e)[0]
         clip = read_wav(wav)
         write_wav(wav, AudioClip(clip.sample_rate, np.tile(clip.left, 15),
                                  np.tile(clip.right, 15)))
-        assert read_wav(wav).duration > 29.0
-        after = ds.load_sample(manifest, e, FeatureConfig())[1]
-        np.testing.assert_array_equal(before, after)
+        whole = extract_binaural(read_wav(wav), FeatureConfig(), 900).values
+        rows = ds.load_sample(manifest, e, FeatureConfig())[1]
+        np.testing.assert_array_equal(rows, whole[:60])
 
     def test_stats_applied(self, small_dataset):
         _, manifest = small_dataset
@@ -470,7 +469,7 @@ class TestLoadSample:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        clips = [load_feature_cache(p).values for p in six]
+        clips = [load_feature_cache(p).values for p, _ in six]
         assert len(set(six)) == 6
         assert peak < 3 * max(c.nbytes for c in clips)
 
@@ -544,7 +543,7 @@ class TestFeaturePipeline:
         # 60 frames at 30 FPS resample to 50 at 25 FPS; those span 49/25 s,
         # which holds 59 frames at the 30 FPS feature rate
         assert ds.load_motion(manifest.resolve(manifest.entries[0])[1])[0].frames == 50
-        want = 59
+        whole, want = 60, 59
         asked = []
         extract = ds.extract_binaural
         monkeypatch.setattr(ds, "extract_binaural", lambda clip, cfg, t:
@@ -552,10 +551,11 @@ class TestFeaturePipeline:
         cache = tmp_path / "cache"
         assert main(["features", "--manifest", str(root / "manifest.json"),
                      "--cache", str(cache)]) == EXIT_OK
-        assert {load_feature_cache(p).frames for p in cache.glob("*.feat")} == {want}
+        assert {len(load_feature_cache(p).values)
+                for p in cache.glob("*.feat")} == {whole}
         x0, a, _, _ = ds.load_sample(manifest, manifest.entries[0], FeatureConfig())
         assert x0.shape[0] == a.shape[0] == want
-        assert set(asked) == {want}
+        assert set(asked) == {whole}
         assert len(asked) == len(manifest.entries) + 1
 
     def test_features_hashes_each_clip_once(self, small_dataset, tmp_path,
@@ -598,20 +598,26 @@ class TestFeaturePipeline:
         assert main(argv) == EXIT_OK
         assert calls == {"wav": 2 * n, "parse": n, "key": 2 * n, "header": 2 * n}
 
-    @pytest.mark.parametrize("first, then", [(60, 90), (90, 60)])
-    def test_cache_file_serves_only_its_frame_count(self, tmp_path, first, then):
-        """A cache file filled for one frame count is a miss for any other:
-        the clip is extracted again and its file rewritten."""
+    def test_cache_file_serves_every_frame_count(self, tmp_path, monkeypatch):
+        """One cache file holds a 3 s WAV's 90 rows and serves a 60- and a
+        90-frame motion alike: the second read extracts nothing."""
         wav = tmp_path / "clip.wav"
         write_wav(wav, ds.synthesize_pair(
             ds.SyntheticSceneSpec(duration=3.0, seed=5)).clip)
         cfg = FeatureConfig()
-        _, path = ds.clip_features(wav, first, 30.0, cfg, tmp_path)
-        values, again = ds.clip_features(wav, then, 30.0, cfg, tmp_path)
-        fresh = extract_binaural(read_wav(wav), cfg, then).values
+        values, path = ds.clip_features(wav, cfg, tmp_path)
+        fresh = extract_binaural(read_wav(wav), cfg, 90).values
         np.testing.assert_array_equal(values, fresh.astype(np.float32))
-        assert again == path
-        np.testing.assert_array_equal(load_feature_cache(path).values, values)
+
+        def fail(*args):
+            raise AssertionError("extract_binaural called on a cached clip")
+
+        monkeypatch.setattr(ds, "extract_binaural", fail)
+        again, same = ds.clip_features(wav, cfg, tmp_path)
+        assert same == path
+        for frames in (60, 90):
+            np.testing.assert_array_equal(au.first_rows(again, frames, wav),
+                                          values[:frames])
 
     def test_cache_of_older_feature_version_is_never_read(self, tmp_path,
                                                           monkeypatch):
@@ -625,32 +631,35 @@ class TestFeaturePipeline:
             m.setattr(au, "FEATURE_VERSION", au.FEATURE_VERSION - 1)
             stale = tmp_path / f"{au.feature_cache_key(wav.read_bytes(), cfg)}.feat"
         save_feature_cache(stale, AudioFeatureMatrix(np.zeros((90, 2272))))
-        values, path = ds.clip_features(wav, 90, 30.0, cfg, tmp_path)
+        values, path = ds.clip_features(wav, cfg, tmp_path)
         fresh = extract_binaural(read_wav(wav), cfg, 90).values
         np.testing.assert_array_equal(values, fresh.astype(np.float32))
         assert path != stale
         assert not load_feature_cache(stale).values.any()
 
-    def test_warm_cache_extracts_nothing(self, small_dataset, tmp_path,
-                                         monkeypatch):
-        root, manifest = small_dataset
-        argv = ["features", "--manifest", str(root / "manifest.json"),
-                "--cache", str(tmp_path)]
-        assert main(argv) == EXIT_OK
+    def test_warm_cache_extracts_nothing(self, small_dataset, dataset_25fps,
+                                         tmp_path, monkeypatch):
+        """On 30 fps motion and on 25 fps motion, whose 59 rows fall one short
+        of its WAV's 60, the statistics are the exact moments of the rows
+        train loads."""
+        for (root, manifest), cache in ((small_dataset, tmp_path / "30"),
+                                        (dataset_25fps, tmp_path / "25")):
+            argv = ["features", "--manifest", str(root / "manifest.json"),
+                    "--cache", str(cache)]
+            assert main(argv) == EXIT_OK
+            with monkeypatch.context() as m:
+                def fail(*args):
+                    raise AssertionError("extract_binaural called on a warm cache")
 
-        def fail(*args):
-            raise AssertionError("extract_binaural called on a warm cache")
-
-        monkeypatch.setattr(ds, "extract_binaural", fail)
-        stats = ds.fit_feature_stats(train_cache_files(manifest, tmp_path))
-        assert main(argv) == EXIT_OK
-        # the statistics are the exact moments of the rows train loads
-        rows = np.concatenate([
-            ds.load_sample(manifest, e, FeatureConfig(), cache_dir=tmp_path)[1]
-            for e in manifest.split_entries("train")])
-        std = rows.std(axis=0)
-        np.testing.assert_array_equal(stats.mean, rows.mean(axis=0))
-        np.testing.assert_array_equal(stats.std, np.where(std < 1e-8, 1.0, std))
-        saved = NormalizationStats.load(tmp_path / "norm_stats.npz")
-        np.testing.assert_array_equal(saved.mean, stats.mean)
-        np.testing.assert_array_equal(saved.std, stats.std)
+                m.setattr(ds, "extract_binaural", fail)
+                stats = ds.fit_feature_stats(train_cache_files(manifest, cache))
+                assert main(argv) == EXIT_OK
+                rows = np.concatenate([
+                    ds.load_sample(manifest, e, FeatureConfig(), cache_dir=cache)[1]
+                    for e in manifest.split_entries("train")])
+            std = rows.std(axis=0)
+            np.testing.assert_array_equal(stats.mean, rows.mean(axis=0))
+            np.testing.assert_array_equal(stats.std, np.where(std < 1e-8, 1.0, std))
+            saved = NormalizationStats.load(cache / "norm_stats.npz")
+            np.testing.assert_array_equal(saved.mean, stats.mean)
+            np.testing.assert_array_equal(saved.std, stats.std)
