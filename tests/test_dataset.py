@@ -598,9 +598,12 @@ class TestFeaturePipeline:
         assert main(argv) == EXIT_OK
         assert calls == {"wav": 2 * n, "parse": n, "key": 2 * n, "header": 2 * n}
 
-    def test_cache_file_serves_every_frame_count(self, tmp_path, monkeypatch):
+    @pytest.mark.parametrize("first, then", [(60, 90), (90, 60)])
+    def test_cache_file_serves_every_frame_count(self, tmp_path, monkeypatch,
+                                                 first, then):
         """One cache file holds a 3 s WAV's 90 rows and serves a 60- and a
-        90-frame motion alike: the second read extracts nothing."""
+        90-frame motion alike, in either order: no read after the first
+        extracts, and serving one count leaves the file whole for the other."""
         wav = tmp_path / "clip.wav"
         write_wav(wav, ds.synthesize_pair(
             ds.SyntheticSceneSpec(duration=3.0, seed=5)).clip)
@@ -613,11 +616,12 @@ class TestFeaturePipeline:
             raise AssertionError("extract_binaural called on a cached clip")
 
         monkeypatch.setattr(ds, "extract_binaural", fail)
-        again, same = ds.clip_features(wav, cfg, tmp_path)
-        assert same == path
-        for frames in (60, 90):
+        for frames in (first, then):
+            again, same = ds.clip_features(wav, cfg, tmp_path)
+            assert same == path
             np.testing.assert_array_equal(au.first_rows(again, frames, wav),
                                           values[:frames])
+        np.testing.assert_array_equal(load_feature_cache(path).values, values)
 
     def test_cache_of_older_feature_version_is_never_read(self, tmp_path,
                                                           monkeypatch):
