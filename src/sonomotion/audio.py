@@ -570,7 +570,7 @@ def read_wav(path, blob: bytes | None = None) -> AudioClip:
     already read, it parses those and ``path`` only names the file."""
     try:
         rate, data = wavfile.read(path if blob is None else io.BytesIO(blob))
-    except (OSError, ValueError) as e:
+    except (OSError, ValueError, struct.error) as e:    # struct: a cut header
         raise DataError(f"cannot read WAV {path}: {e}") from e
     if data.ndim == 1:
         raise DataError(f"{path}: expected 2 channels, found mono")

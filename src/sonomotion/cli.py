@@ -14,10 +14,10 @@ import json
 import os
 import re
 import sys
+import threading
 import time
 from collections import Counter
-from concurrent.futures import (FIRST_EXCEPTION, ProcessPoolExecutor,
-                                ThreadPoolExecutor, wait)
+from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import get_type_hints
@@ -174,6 +174,21 @@ def _parse_ssl(raw: str, frames: int) -> np.ndarray:
     return track[:frames]
 
 
+def _output_path(flag: str, path, is_dir: bool = True) -> Path:
+    """The output dir (a file when ``is_dir`` is false) that ``flag`` names,
+    checked before a command does any work: a config error when a file must
+    go where a directory is, or when the nearest existing dir it would be
+    made in is a file."""
+    path = Path(path)
+    if not is_dir and path.is_dir():
+        raise ConfigError(f"{flag} {path} is a directory, not a file")
+    folder = path if is_dir else path.parent
+    nearest = next(p for p in (folder, *folder.parents) if p.exists())
+    if not nearest.is_dir():
+        raise ConfigError(f"{flag} {path}: {nearest} is not a directory")
+    return path
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -184,6 +199,7 @@ def cmd_synth_data(args, cfg: RunConfig) -> int:
                           f"split, got {args.count}")
     if not args.duration >= 2.0:    # also rejects nan
         raise ConfigError(f"--duration must be >= 2 s, got {args.duration:g}")
+    _output_path("--out", args.out)
     manifest = generate_dataset(args.out, count=args.count,
                                 seed=cfg.training.seed, duration=args.duration,
                                 fps=cfg.features.motion_fps,
@@ -211,8 +227,9 @@ def _featurize(job) -> tuple[Path, int]:
 def cmd_features(args, cfg: RunConfig) -> int:
     if args.workers < 1:
         raise ConfigError(f"--workers must be >= 1, got {args.workers}")
+    cache_dir = _output_path("--cache" if args.cache else "[paths] cache_dir",
+                             args.cache or cfg.cache_dir)
     manifest = DatasetManifest.load(args.manifest)
-    cache_dir = Path(args.cache or cfg.cache_dir)
     cache_dir.mkdir(parents=True, exist_ok=True)
     jobs = [(*manifest.resolve(e), cfg.features, cache_dir)
             for e in manifest.entries]
@@ -266,10 +283,12 @@ def _load_splits(cfg: RunConfig, manifest_path, *splits) -> list[list[TrainSampl
 
 
 def cmd_train(args, cfg: RunConfig) -> int:
+    out_dir = args.out or cfg.checkpoint_dir
+    _output_path("--out" if args.out else "[paths] checkpoint_dir", out_dir)
     samples, = _load_splits(cfg, args.manifest, "train")
     if not samples:
         raise DataError("training split is empty")
-    train_cfg = replace(cfg.training, out_dir=args.out or cfg.checkpoint_dir)
+    train_cfg = replace(cfg.training, out_dir=out_dir)
     model = MotionDenoiser(cfg.model, np.random.default_rng(train_cfg.seed))
     schedule = cosine_schedule(cfg.diffusion_steps)
     skel = SkeletonSpec.default()
@@ -314,26 +333,61 @@ def _sample_chains(model: MotionDenoiser, schedule, conditions, seed: int,
 
     Chain i draws from generator i of ``SeedSequence(seed).spawn(K)``, so its
     motion depends on the seed and i alone, not on K or the worker count. The
-    chains run on ``_chain_workers(K)`` threads: numpy releases the GIL in
-    every GEMM and ufunc loop. A chain must never open a tape, because
-    ``Tape._stack`` is shared by every thread of the process. When a chain
-    raises, the chains not yet started are cancelled and the first failure in
-    chain order is raised.
+    ``_chain_workers(K)`` threads share the chains step by step: after each
+    step a chain goes back to the end of the pool's one FIFO queue, so K
+    chains of S steps on W threads take about ceil(K * S / W) step-times.
+    numpy releases the GIL in every GEMM and ufunc loop. A chain must never
+    open a tape, because ``Tape._stack`` is shared by every thread of the
+    process. When a step raises, no further step starts, the steps already
+    running finish, and the failure of the first failed chain in chain order
+    is raised.
     """
+    if not conditions:      # nothing would ever set ``finished``
+        return []
     streams = np.random.SeedSequence(seed).spawn(len(conditions))
-    workers = _chain_workers(len(conditions))
-    start = time.perf_counter()
+    chains = [sample_motion(model, schedule, audio, ssl, genre,
+                            np.random.default_rng(stream), **kwargs)
+              for (audio, ssl, genre), stream in zip(conditions, streams)]
+    motions: list = [None] * len(chains)
+    failures: dict[int, BaseException] = {}
+    left = len(chains)
+    lock, finished = threading.Lock(), threading.Event()
+    workers = _chain_workers(len(chains))
     pool = ThreadPoolExecutor(workers)
+
+    def step(i: int) -> None:
+        """Chain i's next step, then chain i back on the queue."""
+        nonlocal left
+        if finished.is_set():       # a chain failed: start no more steps
+            return
+        try:
+            next(chains[i])
+            # the pool shuts down only after ``finished`` is set under the lock
+            with lock:
+                if not finished.is_set():
+                    pool.submit(step, i)
+        except StopIteration as end:
+            motions[i] = end.value
+            with lock:
+                left -= 1
+                if not left:
+                    finished.set()
+        except BaseException as e:      # raised again below, in the caller
+            failures[i] = e
+            finished.set()
+
+    start = time.perf_counter()
     try:
-        futures = [pool.submit(sample_motion, model, schedule, audio, ssl, genre,
-                               np.random.default_rng(stream), **kwargs)
-                   for (audio, ssl, genre), stream in zip(conditions, streams)]
-        wait(futures, return_when=FIRST_EXCEPTION)
+        with lock:          # every chain is queued before one comes back
+            for i in range(len(chains)):
+                pool.submit(step, i)
+        finished.wait()
     finally:
+        with lock:
+            finished.set()
         pool.shutdown(cancel_futures=True)
-    # the pool starts chains in order, so every cancelled chain comes after
-    # the failed one: the first result that raises is that failure
-    motions = [f.result() for f in futures]
+    if failures:
+        raise failures[min(failures)]
     ms = 1e3 * (time.perf_counter() - start) / len(conditions)
     print(f"sampled {len(conditions)} chains, {workers} at a time: "
           f"{ms:.1f} ms per sequence")
@@ -351,6 +405,7 @@ def cmd_sample(args, cfg: RunConfig) -> int:
     if args.frames is not None and not 2 <= args.frames <= cfg.model.max_frames:
         raise ConfigError(f"--frames must lie in 2..{cfg.model.max_frames} "
                           f"(velocities need two frames), got {args.frames}")
+    out_dir = _output_path("--out", args.out)
     fps = cfg.features.motion_fps
     values, _ = clip_features(args.audio, cfg.features, _cache_dir(cfg))
     if len(values) < 2:     # velocities need two frames
@@ -368,7 +423,6 @@ def cmd_sample(args, cfg: RunConfig) -> int:
     seed = cfg.training.seed
     motions = _sample_chains(model, schedule, [(feats, ssl, int(genre))] * args.count,
                              seed, steps=args.steps, fps=fps)
-    out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     for i, motion in enumerate(motions):
         path = out_dir / f"generated_{i:03d}.json"
@@ -390,6 +444,7 @@ def _metric_table(report: dict) -> str:
 
 
 def cmd_eval(args, cfg: RunConfig) -> int:
+    _output_path("--out", args.out, is_dir=False)
     train_samples, test_samples = _load_splits(cfg, args.manifest, "train", "test")
     if len(test_samples) < 2:
         raise DataError("test split too small for evaluation")

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import hashlib
 import time
+from collections.abc import Generator
 from contextlib import nullcontext
 from dataclasses import asdict, dataclass
 from pathlib import Path
@@ -288,17 +289,21 @@ def train_denoiser(model: MotionDenoiser, schedule: NoiseSchedule, samples,
 def sample_motion(model: MotionDenoiser, schedule: NoiseSchedule,
                   audio: np.ndarray, ssl: np.ndarray, genre: int,
                   rng: np.random.Generator, steps=None, fps: float = 30.0,
-                  recompute_velocity: bool = True) -> MotionSequence:
+                  recompute_velocity: bool = True
+                  ) -> Generator[np.ndarray, None, MotionSequence]:
     """Draw one motion conditioned on one clip's (T, .) audio and SSL and its
-    genre, as a batch of one, in ``steps`` reverse steps (``sample_array``)."""
+    genre, as a batch of one, in ``steps`` reverse steps: a generator that
+    yields after each step of ``sample_array`` and returns the
+    ``MotionSequence`` (``diffusion.run_chain`` runs it to the end)."""
     audio, ssl, genre = audio[None], ssl[None], np.array([genre])
     cond = model.encode_conditions(audio, ssl, genre)
 
     def model_fn(x, t):
         return model.predict_x0(x, [t], audio, ssl, genre, cond=cond).data
 
-    x = sample_array(model_fn, (1, audio.shape[1], model.config.motion_width),
-                     schedule, rng, steps)
+    x = yield from sample_array(
+        model_fn, (1, audio.shape[1], model.config.motion_width), schedule,
+        rng, steps)
     m = disassemble_vector(x[0], fps)
     if recompute_velocity:
         m.v = compute_velocities(m.p, fps)

@@ -3,11 +3,14 @@
 The denoiser predicts the clean sample directly, so each reverse step forms
 the diffusion posterior mean from (x_t, predicted x_0) and adds the
 posterior noise, both from the schedule's one table, alpha_bars (index
-0..steps, alpha_bar[0] = 1). ``sample_array`` is the one reverse chain.
+0..steps, alpha_bar[0] = 1). ``sample_array`` is the one reverse chain; it
+takes one step per ``next``, so a caller can interleave the steps of many
+chains, and ``run_chain`` runs one to its end.
 """
 
 from __future__ import annotations
 
+from collections.abc import Generator
 from dataclasses import dataclass
 
 import numpy as np
@@ -102,10 +105,13 @@ def p_sample_step(x_t: np.ndarray, t: int, t_prev: int, x0_hat: np.ndarray,
 
 
 def sample_array(model_fn, shape: tuple[int, ...], schedule: NoiseSchedule,
-                 rng: np.random.Generator, steps: int | None = None) -> np.ndarray:
-    """Run the reverse chain from standard-normal x_T in ``steps`` steps
-    (default: every step); returns the final x0. It visits the rounded points
-    of ``linspace(schedule.steps, 1, steps)``, then 0.
+                 rng: np.random.Generator, steps: int | None = None
+                 ) -> Generator[np.ndarray, None, np.ndarray]:
+    """The reverse chain from standard-normal x_T in ``steps`` steps (default:
+    every step), as a generator: each ``next`` takes one step and yields the
+    new x, and the chain returns the final x0 (``run_chain`` runs it to the
+    end). It visits the rounded points of ``linspace(schedule.steps, 1,
+    steps)``, then 0.
 
     ``model_fn(x_t, t) -> x0_hat`` supplies the denoiser (conditions are
     closed over by the caller)."""
@@ -118,4 +124,15 @@ def sample_array(model_fn, shape: tuple[int, ...], schedule: NoiseSchedule,
         x0_hat = model_fn(x, t)     # p_sample_step checks its shape
         noise = rng.standard_normal(shape) if t_prev > 0 else None
         x = p_sample_step(x, t, t_prev, x0_hat, schedule, noise)
+        del x0_hat, noise           # a waiting chain holds only x
+        yield x
     return x
+
+
+def run_chain(chain):
+    """Step the generator ``chain`` to its end; returns what it returns."""
+    try:
+        while True:
+            next(chain)
+    except StopIteration as done:
+        return done.value

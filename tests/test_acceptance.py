@@ -190,8 +190,8 @@ def test_criterion_4_schedule_and_diffusion():
     std_rel = abs(xt.std() - want_std) / want_std
 
     x_true = np.random.default_rng(4).standard_normal((8, 40))
-    recon = df.sample_array(lambda x, tt: x_true, x_true.shape, sched,
-                            np.random.default_rng(5))
+    recon = df.run_chain(df.sample_array(lambda x, tt: x_true, x_true.shape,
+                                         sched, np.random.default_rng(5)))
     rmse = float(np.sqrt(np.mean((recon - x_true) ** 2)))
 
     ok = monotone and ends_ok and mean_rel < 0.01 and std_rel < 0.01 \
@@ -367,8 +367,8 @@ def overfit_run(tmp_path_factory):
     rng = np.random.default_rng(1)
     results = []
     for x0, a, s, g, meta in items:
-        m = sample_motion(model, sched, a, s, g, rng, fps=30.0,
-                          recompute_velocity=False)
+        m = df.run_chain(sample_motion(model, sched, a, s, g, rng, fps=30.0,
+                                       recompute_velocity=False))
         results.append((m, x0, s, g, meta))
     return dict(curves=curves, results=results, out_dir=out_dir,
                 train_minutes=train_minutes)

@@ -1,11 +1,14 @@
 """End-to-end CLI: every subcommand through main() with a desk-scale config."""
 
+import itertools
 import json
 import os
 import shlex
 import shutil
 import subprocess
 import sys
+import threading
+import time
 from pathlib import Path
 
 import numpy as np
@@ -19,7 +22,7 @@ from sonomotion.audio import (AudioClip, FeatureConfig, NormalizationStats,
                               extract_binaural, feature_cache_key,
                               load_feature_cache, read_wav, write_wav)
 from sonomotion.denoiser import DenoiserConfig, MotionDenoiser, TrainConfig
-from sonomotion.errors import ConfigError
+from sonomotion.errors import ConfigError, NumericError
 from sonomotion.skeleton import load_motion, save_motion
 
 TINY_CFG = """
@@ -702,6 +705,90 @@ class TestSampleChains:
         assert lines == []
         assert not list(tmp_path.rglob("generated_*.json"))
 
+    def test_threads_share_chains_step_by_step(self, monkeypatch, capsys):
+        """Three chains on two threads: chain 2 starts its first step before
+        chain 0 starts its last, however fast chain 0's steps are."""
+        self._host(monkeypatch, 2, "1")
+        starts = []
+
+        def chain(model, schedule, i, ssl, genre, rng, **kwargs):
+            for k in range(4):
+                starts.append((i, k))
+                if i == 1:
+                    time.sleep(0.02)
+                yield
+            return i
+
+        monkeypatch.setattr(cli, "sample_motion", chain)
+        motions = cli._sample_chains(None, None, [(i, None, 0) for i in range(3)],
+                                     seed=0)
+        assert motions == [0, 1, 2]
+        assert capsys.readouterr().out.startswith("sampled 3 chains, 2 at a time: ")
+        assert starts.index((2, 0)) < starts.index((0, 3))
+
+    def test_many_chains_on_more_threads_than_cores(self, monkeypatch, capsys):
+        """32 chains of 20 steps on 8 threads, switching threads as often as
+        the interpreter can: each chain takes its steps in order and returns
+        its own result, and the call ends within its time limit."""
+        self._host(monkeypatch, 8, "1")
+        steps = [[] for _ in range(32)]
+
+        def chain(model, schedule, i, ssl, genre, rng, **kwargs):
+            for k in range(20):
+                steps[i].append(k)
+                yield
+            return i
+
+        monkeypatch.setattr(cli, "sample_motion", chain)
+        results = []
+        runner = threading.Thread(daemon=True, target=lambda: results.append(
+            cli._sample_chains(None, None, [(i, None, 0) for i in range(32)], 0)))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            runner.start()
+            runner.join(60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not runner.is_alive()
+        assert results == [list(range(32))]
+        assert steps == [list(range(20))] * 32
+        assert capsys.readouterr().out.startswith("sampled 32 chains, 8 at a time: ")
+
+    def test_failed_step_stops_handing_out_steps(self, workspace, model, tmp_path,
+                                                 monkeypatch, capsys):
+        """Chain 1 raises at step 2 of 5 while another chain's step runs: exit
+        3 with one line and no files, no step starts after the failure, and
+        no thread outlives ``main``."""
+        self._host(monkeypatch, 2, "1")
+        events, ids = [], itertools.count()
+        started = threading.Condition()
+
+        def chain(*args, **kwargs):
+            i = next(ids)
+            for k in range(1, 6):
+                with started:
+                    events.append(("start", i, k))
+                    started.notify_all()
+                if (i, k) == (1, 2):
+                    with started:       # fail once another chain's step runs
+                        assert started.wait_for(lambda: events[-1][1] != 1, 5)
+                        events.append(("fail", i, k))
+                    raise NumericError("chain 1 diverged at step 2")
+                time.sleep(0.05)
+                yield
+
+        monkeypatch.setattr(cli, "sample_motion", chain)
+        threads = threading.active_count()
+        rc, lines, err = self._sample(workspace, model, tmp_path / "o", 3, capsys)
+        assert threading.active_count() == threads
+        assert rc == EXIT_NUMERIC
+        assert err == "numeric failure: chain 1 diverged at step 2\n"
+        assert lines == []
+        assert not list(tmp_path.rglob("generated_*.json"))
+        failed = events.index(("fail", 1, 2))
+        assert [e for e in events[failed:] if e[0] == "start"] == []
+
     def test_eval_report_independent_of_workers(self, workspace, model, tmp_path,
                                                 monkeypatch, capsys):
         ws, cfg_path, data_dir = workspace
@@ -1097,6 +1184,35 @@ class TestExitCodes:
         assert err.count("\n") == 1 and wav.name in err and "non-finite" in err
         assert not out.exists() or not any(out.iterdir())
 
+    @pytest.mark.parametrize("cut", [30, 44])
+    @pytest.mark.parametrize("command", ["sample", "features"])
+    def test_wav_cut_inside_its_header_is_data_error(self, workspace, tmp_path,
+                                                     monkeypatch, capsys,
+                                                     command, cut):
+        """A WAV cut inside its header exits 2 with one line naming it and
+        writes no output file."""
+        ws, cfg_path, data_dir = workspace
+        monkeypatch.chdir(tmp_path)         # no feature cache under the cwd
+        data = tmp_path / "data"
+        shutil.copytree(data_dir, data)
+        manifest = dataset.DatasetManifest.load(data / "manifest.json")
+        wav = data / manifest.entries[0].audio
+        wav.write_bytes(wav.read_bytes()[:cut])
+        out = tmp_path / "o"
+        if command == "sample":
+            argv = ["sample", "--checkpoint",
+                    str(_fresh_checkpoint(cfg_path, tmp_path / "model.snm")),
+                    "--audio", str(wav), "--ssl", "0,1,0", "--steps", "1",
+                    "--out", str(out)]
+        else:
+            argv = ["features", "--manifest", str(data / "manifest.json"),
+                    "--cache", str(out)]
+        assert main(["--config", str(cfg_path), *argv]) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and wav.name in err
+        assert "Traceback" not in err
+        assert not out.exists() or not any(out.iterdir())
+
     def test_ssl_track_of_another_json_type_is_data_error(self, workspace,
                                                           tmp_path, capsys):
         """An SSL track file whose JSON is an object exits 2 with one line."""
@@ -1189,6 +1305,42 @@ class TestExitCodes:
                   str(out / "report.json")])
         assert (out / "report.json").read_text() == "old"
         assert [p.name for p in out.iterdir()] == ["report.json"]
+
+    @pytest.mark.parametrize("command, target", [
+        ("sample", "file"), ("train", "file"), ("features", "file"),
+        ("synth-data", "file"), ("eval", "dir"), ("sample", "file/sub")])
+    def test_unusable_output_path_is_one_line(self, workspace, tmp_path,
+                                              monkeypatch, capsys, command,
+                                              target):
+        """An output dir that names a file (or lies under one), or an eval
+        report that names a directory, is a config error before any work:
+        no chain runs, no model or extractor trains and no scene is made."""
+        ws, cfg_path, data_dir = workspace
+        monkeypatch.chdir(tmp_path)         # no feature cache under the cwd
+        (tmp_path / "file").write_text("x")
+        (tmp_path / "dir").mkdir()
+        out = str(tmp_path / target)
+        work = []
+        for name in ("sample_motion", "train_denoiser", "train_extractor",
+                     "generate_dataset", "clip_features"):
+            monkeypatch.setattr(cli, name, lambda *a, _n=name, **k: work.append(_n))
+        manifest = str(data_dir / "manifest.json")
+        ckpt = str(_fresh_checkpoint(cfg_path, tmp_path / "model.snm"))
+        argv = {"sample": ["sample", "--checkpoint", ckpt, "--audio",
+                           str(data_dir / "audio" / "sample_0000.wav"),
+                           "--ssl", "0,1,0", "--out", out],
+                "train": ["train", "--manifest", manifest, "--out", out],
+                "features": ["features", "--manifest", manifest, "--cache", out],
+                "synth-data": ["synth-data", "--out", out],
+                "eval": ["eval", "--manifest", manifest, "--checkpoint", ckpt,
+                         "--out", out]}[command]
+        assert main(["--config", str(cfg_path), *argv]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and err.count("\n") == 1
+        assert out in err
+        assert work == []
+        assert (tmp_path / "file").read_text() == "x"
+        assert not any((tmp_path / "dir").iterdir())
 
     def test_missing_manifest_is_data_error(self, tmp_path):
         rc = main(["train", "--manifest", str(tmp_path / "none.json")])

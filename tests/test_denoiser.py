@@ -11,7 +11,7 @@ from sonomotion.autodiff import Tape, Tensor
 from sonomotion.denoiser import (DenoiserConfig, MotionDenoiser, TrainConfig,
                                  TrainSample, sample_motion, train_denoiser,
                                  write_model_card)
-from sonomotion.diffusion import cosine_schedule, sample_array
+from sonomotion.diffusion import cosine_schedule, run_chain, sample_array
 from sonomotion.errors import (ConfigError, ContractError,
                                DegenerateRotationError, NumericError)
 from sonomotion.losses import LossWeights
@@ -400,12 +400,13 @@ class TestSampling:
         def model_fn(x, t):
             return model.predict_x0(x, [t], a[None], s[None], [2]).data
 
-        want = sample_array(model_fn, (1, 5, 300), schedule,
-                            np.random.default_rng(32), steps=5)[0]
+        want = run_chain(sample_array(model_fn, (1, 5, 300), schedule,
+                                      np.random.default_rng(32), steps=5))[0]
         calls = []
         cond_proj = model.cond_proj
         model.cond_proj = lambda x: calls.append(1) or cond_proj(x)
-        got = sample_motion(model, schedule, a, s, 2, np.random.default_rng(32),
-                            steps=5, recompute_velocity=False)
+        got = run_chain(sample_motion(model, schedule, a, s, 2,
+                                      np.random.default_rng(32), steps=5,
+                                      recompute_velocity=False))
         assert len(calls) == 1
         np.testing.assert_array_equal(got.p.reshape(5, -1), want[:, :75])

@@ -169,22 +169,24 @@ class TestPSampleStep:
 class TestSampling:
     def test_stub_model_collapses_to_zero(self):
         sched = df.cosine_schedule(100)
-        out = df.sample_array(lambda x, t: np.zeros_like(x), (8, 20), sched,
-                              np.random.default_rng(7))
+        out = df.run_chain(df.sample_array(lambda x, t: np.zeros_like(x), (8, 20),
+                                           sched, np.random.default_rng(7)))
         assert np.abs(out.mean()) < 0.05
 
     def test_fixed_seed_bit_identical(self):
         sched = df.cosine_schedule(50)
         model = lambda x, t: x * 0.5
-        a = df.sample_array(model, (4, 10), sched, np.random.default_rng(8))
-        b = df.sample_array(model, (4, 10), sched, np.random.default_rng(8))
+        a = df.run_chain(df.sample_array(model, (4, 10), sched,
+                                         np.random.default_rng(8)))
+        b = df.run_chain(df.sample_array(model, (4, 10), sched,
+                                         np.random.default_rng(8)))
         assert np.array_equal(a, b)
 
     def test_oracle_denoiser_reconstructs(self):
         rng = np.random.default_rng(9)
         x_true = rng.standard_normal((6, 30))
-        out = df.sample_array(lambda x, t: x_true, x_true.shape, SCHED_1000,
-                              np.random.default_rng(10))
+        out = df.run_chain(df.sample_array(lambda x, t: x_true, x_true.shape,
+                                           SCHED_1000, np.random.default_rng(10)))
         rmse = np.sqrt(np.mean((out - x_true) ** 2))
         assert rmse < 0.05
 
@@ -200,26 +202,47 @@ class TestSampling:
             seen.append(t)
             return x_true
 
-        out = df.sample_array(model_fn, x_true.shape, SCHED_1000,
-                              np.random.default_rng(12), steps=count)
+        out = df.run_chain(df.sample_array(model_fn, x_true.shape, SCHED_1000,
+                                           np.random.default_rng(12), steps=count))
         assert len(seen) == count
         assert seen[0] == 1000 and seen[-1] == 1
         assert all(a > b for a, b in zip(seen, seen[1:]))
         assert np.isfinite(out).all()
         assert np.sqrt(np.mean((out - x_true) ** 2)) < 0.05
 
+    def test_one_step_per_next(self):
+        """Each ``next`` calls the model once and yields the new x; the chain
+        returns the last x it yielded."""
+        seen = []
+
+        def model_fn(x, t):
+            seen.append(t)
+            return np.zeros_like(x)
+
+        chain = df.sample_array(model_fn, (2, 3), SCHED_1000,
+                                np.random.default_rng(14), steps=4)
+        assert seen == []
+        yielded = []
+        for k in range(1, 5):
+            yielded.append(next(chain))
+            assert len(seen) == k
+        with pytest.raises(StopIteration) as end:
+            next(chain)
+        assert end.value.value is yielded[-1]
+        assert len(seen) == 4
+
     def test_invalid_subset_rejected(self):
         """A step count outside 1..schedule.steps."""
         for count in (0, 1001):
             with pytest.raises(ContractError):
-                df.sample_array(lambda x, t: x, (2, 2), SCHED_1000,
-                                np.random.default_rng(0), steps=count)
+                df.run_chain(df.sample_array(lambda x, t: x, (2, 2), SCHED_1000,
+                                             np.random.default_rng(0), steps=count))
 
     def test_model_shape_mismatch_rejected(self):
         sched = df.cosine_schedule(10)
         with pytest.raises(ShapeError):
-            df.sample_array(lambda x, t: x[:, :1], (2, 4), sched,
-                            np.random.default_rng(0))
+            df.run_chain(df.sample_array(lambda x, t: x[:, :1], (2, 4), sched,
+                                         np.random.default_rng(0)))
 
     def test_sample_returns_motion_sequence(self):
         from sonomotion.denoiser import DenoiserConfig, MotionDenoiser, sample_motion
@@ -228,7 +251,8 @@ class TestSampling:
         cfg = DenoiserConfig(latent=16, heads=2, layers=1, audio_width=12,
                              max_frames=6)
         model = MotionDenoiser(cfg, rng)
-        m = sample_motion(model, df.cosine_schedule(20), rng.standard_normal((6, 12)),
-                          rng.standard_normal((6, 3)), 1, rng, fps=30.0)
+        m = df.run_chain(sample_motion(model, df.cosine_schedule(20),
+                                       rng.standard_normal((6, 12)),
+                                       rng.standard_normal((6, 3)), 1, rng, fps=30.0))
         assert isinstance(m, MotionSequence)
         assert m.frames == 6 and m.fps == 30.0
