@@ -18,6 +18,7 @@ import hashlib
 import io
 import json
 import struct
+import warnings
 import zipfile
 from dataclasses import asdict, dataclass
 from pathlib import Path
@@ -568,9 +569,12 @@ class NormalizationStats:
 def read_wav(path, blob: bytes | None = None) -> AudioClip:
     """The clip in the WAV file ``path``. Given ``blob``, the file's bytes
     already read, it parses those and ``path`` only names the file."""
-    try:
-        rate, data = wavfile.read(path if blob is None else io.BytesIO(blob))
-    except (OSError, ValueError, struct.error) as e:    # struct: a cut header
+    try:    # a cut header raises struct.error, but a cut data chunk only warns
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", wavfile.WavFileWarning)    # unknown chunks
+            warnings.filterwarnings("error", "Reached EOF", wavfile.WavFileWarning)
+            rate, data = wavfile.read(path if blob is None else io.BytesIO(blob))
+    except (OSError, ValueError, struct.error, wavfile.WavFileWarning) as e:
         raise DataError(f"cannot read WAV {path}: {e}") from e
     if data.ndim == 1:
         raise DataError(f"{path}: expected 2 channels, found mono")

@@ -2,9 +2,9 @@
 
 Everything is 64-bit and CPU-only by design: the models in this package are
 desk-scale and the tight finite-difference tolerances in the test suite rely
-on double precision. Operations record themselves on the innermost active
-:class:`Tape`; replaying the tape backward visits each recorded node exactly
-once in reverse execution (= reverse topological) order.
+on double precision. Operations record themselves on the innermost
+:class:`Tape` open on their thread; replaying the tape backward visits each
+recorded node exactly once in reverse execution (= reverse topological) order.
 
 The six fused ops :func:`linear`, :func:`attention`, :func:`fk`,
 :func:`gru`, :func:`rot6d` and :func:`mse_with_diff` are one node each with
@@ -15,6 +15,8 @@ NumericError).
 """
 
 from __future__ import annotations
+
+import threading
 
 import numpy as np
 from scipy.special import expit, ndtr
@@ -72,6 +74,11 @@ def check_finite(arr: np.ndarray, where: str) -> None:
         raise NumericError(f"non-finite values produced by {where}")
 
 
+class _OpenTapes(threading.local):
+    def __init__(self):
+        self.stack: list[Tape] = []     # this thread's open tapes, innermost last
+
+
 class Tape:
     """Ordered record of primitive ops for one reverse-mode pass.
 
@@ -83,22 +90,23 @@ class Tape:
     gradients are freed as the sweep passes them.
     """
 
-    _stack: list["Tape"] = []
+    _open = _OpenTapes()    # a tape records only the ops of the thread it is open on
 
     def __init__(self):
         # node = (output, inputs tuple, backward fn: grad_out -> per-input grads)
         self._nodes: list[tuple[Tensor, tuple[Tensor, ...], object]] = []
 
     def __enter__(self) -> "Tape":
-        Tape._stack.append(self)
+        Tape._open.stack.append(self)
         return self
 
     def __exit__(self, exc_type, exc, tb) -> None:
-        Tape._stack.pop()
+        Tape._open.stack.pop()
 
     @classmethod
     def current(cls) -> "Tape | None":
-        return cls._stack[-1] if cls._stack else None
+        stack = cls._open.stack
+        return stack[-1] if stack else None
 
     def __len__(self) -> int:
         return len(self._nodes)

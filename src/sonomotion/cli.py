@@ -16,8 +16,8 @@ import re
 import sys
 import threading
 import time
-from collections import Counter
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from collections import Counter, deque
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import get_type_hints
@@ -204,13 +204,11 @@ def cmd_synth_data(args, cfg: RunConfig) -> int:
                                 seed=cfg.training.seed, duration=args.duration,
                                 fps=cfg.features.motion_fps,
                                 sample_rate=cfg.features.sample_rate)
-    counts = Counter(e.tag for e in manifest.entries)
-    genre_counts = Counter(e.genre for e in manifest.entries)
     print(f"wrote {len(manifest.entries)} samples to {args.out}")
-    for tag in sorted(counts):
-        print(f"  scenario {tag}: {counts[tag]}")
-    for g in sorted(genre_counts):
-        print(f"  genre {g}: {genre_counts[g]}")
+    for label, attr in (("scenario", "tag"), ("genre", "genre")):
+        counts = Counter(getattr(e, attr) for e in manifest.entries)
+        for value in sorted(counts):
+            print(f"  {label} {value}: {counts[value]}")
     return EXIT_OK
 
 
@@ -332,60 +330,49 @@ def _sample_chains(model: MotionDenoiser, schedule, conditions, seed: int,
     ms per sequence.
 
     Chain i draws from generator i of ``SeedSequence(seed).spawn(K)``, so its
-    motion depends on the seed and i alone, not on K or the worker count. The
-    ``_chain_workers(K)`` threads share the chains step by step: after each
-    step a chain goes back to the end of the pool's one FIFO queue, so K
-    chains of S steps on W threads take about ceil(K * S / W) step-times.
-    numpy releases the GIL in every GEMM and ufunc loop. A chain must never
-    open a tape, because ``Tape._stack`` is shared by every thread of the
-    process. When a step raises, no further step starts, the steps already
-    running finish, and the failure of the first failed chain in chain order
-    is raised.
+    motion depends on the seed and i alone. Each of the ``_chain_workers(K)``
+    threads takes the chain at the front of one deque, runs its next step and
+    puts it back at the end, so K chains of S steps on W threads take about
+    ceil(K * S / W) step-times (numpy releases the GIL in every GEMM and ufunc
+    loop). A thread returns when the deque is empty: every unfinished chain is
+    then held by a thread that puts it back itself. After a failed step or an
+    interrupt, each thread stops once its current step ends, and the failure
+    of the first failed chain in chain order is raised.
     """
-    if not conditions:      # nothing would ever set ``finished``
-        return []
     streams = np.random.SeedSequence(seed).spawn(len(conditions))
     chains = [sample_motion(model, schedule, audio, ssl, genre,
                             np.random.default_rng(stream), **kwargs)
               for (audio, ssl, genre), stream in zip(conditions, streams)]
     motions: list = [None] * len(chains)
     failures: dict[int, BaseException] = {}
-    left = len(chains)
-    lock, finished = threading.Lock(), threading.Event()
+    queue, stop = deque(range(len(chains))), threading.Event()
+
+    def drain() -> None:
+        while not stop.is_set():
+            try:
+                i = queue.popleft()
+            except IndexError:
+                return
+            try:
+                next(chains[i])
+            except StopIteration as end:
+                motions[i] = end.value
+            except BaseException as e:      # raised again below, in the caller
+                failures[i] = e
+                stop.set()
+            else:
+                queue.append(i)
+
     workers = _chain_workers(len(chains))
-    pool = ThreadPoolExecutor(workers)
-
-    def step(i: int) -> None:
-        """Chain i's next step, then chain i back on the queue."""
-        nonlocal left
-        if finished.is_set():       # a chain failed: start no more steps
-            return
-        try:
-            next(chains[i])
-            # the pool shuts down only after ``finished`` is set under the lock
-            with lock:
-                if not finished.is_set():
-                    pool.submit(step, i)
-        except StopIteration as end:
-            motions[i] = end.value
-            with lock:
-                left -= 1
-                if not left:
-                    finished.set()
-        except BaseException as e:      # raised again below, in the caller
-            failures[i] = e
-            finished.set()
-
+    threads = [threading.Thread(target=drain) for _ in range(workers)]
     start = time.perf_counter()
     try:
-        with lock:          # every chain is queued before one comes back
-            for i in range(len(chains)):
-                pool.submit(step, i)
-        finished.wait()
-    finally:
-        with lock:
-            finished.set()
-        pool.shutdown(cancel_futures=True)
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+    finally:        # on an interrupt, too, no thread starts another step
+        stop.set()
     if failures:
         raise failures[min(failures)]
     ms = 1e3 * (time.perf_counter() - start) / len(conditions)

@@ -1,6 +1,7 @@
 """DSP front-end against naive direct-DFT references and closed forms."""
 
 import os
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -473,9 +474,43 @@ class TestWavIO:
         assert path.read_bytes() == before
         assert [p.name for p in tmp_path.iterdir()] == ["x.wav"]
 
+    def test_unknown_chunk_reads_the_same_samples(self, tmp_path, recwarn):
+        """A chunk scipy does not know, before the data chunk, is skipped
+        without a warning: the path and the bytes read the same clip as the
+        file without it."""
+        rng = np.random.default_rng(8)
+        path = tmp_path / "x.wav"
+        au.write_wav(path, au.AudioClip(SR, rng.uniform(-0.9, 0.9, 400),
+                                        rng.uniform(-0.9, 0.9, 400)))
+        plain = path.read_bytes()
+        chunk = b"abcd" + struct.pack("<I", 6) + b"\0" * 6
+        blob = (b"RIFF" + struct.pack("<I", len(plain) - 8 + len(chunk))
+                + plain[8:12] + chunk + plain[12:])
+        extra = tmp_path / "extra.wav"
+        extra.write_bytes(blob)
+        want = au.read_wav(path)
+        for clip in (au.read_wav(extra), au.read_wav(extra, blob)):
+            assert clip.sample_rate == SR
+            np.testing.assert_array_equal(clip.left, want.left)
+            np.testing.assert_array_equal(clip.right, want.right)
+        assert not recwarn.list
+
+    @pytest.mark.parametrize("from_bytes", [False, True])
+    def test_data_chunk_cut_on_a_frame_boundary_rejected(self, tmp_path, recwarn,
+                                                         from_bytes):
+        """A WAV cut after half its frames is a DataError naming the file,
+        with no warning, read from its path or from its bytes."""
+        path = tmp_path / "cut.wav"
+        au.write_wav(path, au.AudioClip(SR, np.zeros(400), np.zeros(400)))
+        whole = path.read_bytes()
+        cut = whole[:whole.index(b"data") + 8 + 200 * 8]    # 8 bytes a frame
+        path.write_bytes(cut)
+        with pytest.raises(DataError, match="cut.wav.*Reached EOF"):
+            au.read_wav(path, cut if from_bytes else None)
+        assert not recwarn.list
+
     def test_24bit_pcm_readable(self, tmp_path):
         # hand-built 24-bit RIFF: value 0.5 in both channels
-        import struct
         n, sr = 100, 24000
         frames = b""
         val = int(0.5 * (2 ** 23 - 1))

@@ -1,6 +1,7 @@
 """Tensor engine: forward semantics, taped backward, optimizer, checkpoints."""
 
 import struct
+import threading
 import tracemalloc
 
 import numpy as np
@@ -82,6 +83,26 @@ class TestBackward:
             loss = ad.sum_(w)
             tape.backward(loss)
         np.testing.assert_array_equal(w.grad, np.ones((2, 3)))
+
+    def test_tape_records_only_ops_of_its_own_thread(self):
+        """An op run on a second thread while this thread holds a tape adds
+        no node to that tape; the second thread's own tape records it."""
+        w = Tensor(np.ones(3), requires_grad=True)
+        inner = []
+
+        def other_thread():
+            ad.mul(w, w)
+            with Tape() as own:
+                ad.mul(w, w)
+            inner.append(len(own))
+
+        with Tape() as tape:
+            worker = threading.Thread(target=other_thread)
+            worker.start()
+            worker.join()
+            assert len(tape) == 0
+            ad.mul(w, w)
+        assert len(tape) == 1 and inner == [1]
 
     def test_mse_scalar_analytic(self):
         c = 1.7

@@ -789,6 +789,36 @@ class TestSampleChains:
         failed = events.index(("fail", 1, 2))
         assert [e for e in events[failed:] if e[0] == "start"] == []
 
+    def test_first_failure_in_chain_order_is_raised(self, monkeypatch, capsys):
+        """Chains 2 and 0 each raise their own error at their second step,
+        chain 2 first: the call raises chain 0's, prints nothing and leaves no
+        thread running."""
+        self._host(monkeypatch, 8, "1")
+        started_0, failed_2 = threading.Event(), threading.Event()
+
+        def chain(model, schedule, i, ssl, genre, rng, **kwargs):
+            yield
+            if i == 0:
+                started_0.set()
+                assert failed_2.wait(5)
+                raise NumericError("chain 0 diverged")
+            if i == 2:
+                assert started_0.wait(5)
+                try:
+                    raise NumericError("chain 2 diverged")
+                finally:
+                    failed_2.set()
+            yield
+            return i
+
+        monkeypatch.setattr(cli, "sample_motion", chain)
+        threads = threading.active_count()
+        with pytest.raises(NumericError, match="chain 0 diverged"):
+            cli._sample_chains(None, None, [(i, None, 0) for i in range(3)], 0)
+        assert failed_2.is_set()
+        assert threading.active_count() == threads
+        assert capsys.readouterr().out == ""
+
     def test_eval_report_independent_of_workers(self, workspace, model, tmp_path,
                                                 monkeypatch, capsys):
         ws, cfg_path, data_dir = workspace
@@ -1184,20 +1214,17 @@ class TestExitCodes:
         assert err.count("\n") == 1 and wav.name in err and "non-finite" in err
         assert not out.exists() or not any(out.iterdir())
 
-    @pytest.mark.parametrize("cut", [30, 44])
-    @pytest.mark.parametrize("command", ["sample", "features"])
-    def test_wav_cut_inside_its_header_is_data_error(self, workspace, tmp_path,
-                                                     monkeypatch, capsys,
-                                                     command, cut):
-        """A WAV cut inside its header exits 2 with one line naming it and
-        writes no output file."""
+    @staticmethod
+    def _run_on_cut_wav(workspace, tmp_path, monkeypatch, command, cut):
+        """``command`` on a copy of the tiny dataset whose first WAV keeps
+        only ``cut(its bytes)``: the exit code, that WAV and the output path."""
         ws, cfg_path, data_dir = workspace
         monkeypatch.chdir(tmp_path)         # no feature cache under the cwd
         data = tmp_path / "data"
         shutil.copytree(data_dir, data)
         manifest = dataset.DatasetManifest.load(data / "manifest.json")
         wav = data / manifest.entries[0].audio
-        wav.write_bytes(wav.read_bytes()[:cut])
+        wav.write_bytes(cut(wav.read_bytes()))
         out = tmp_path / "o"
         if command == "sample":
             argv = ["sample", "--checkpoint",
@@ -1207,10 +1234,40 @@ class TestExitCodes:
         else:
             argv = ["features", "--manifest", str(data / "manifest.json"),
                     "--cache", str(out)]
-        assert main(["--config", str(cfg_path), *argv]) == EXIT_DATA
+        return main(["--config", str(cfg_path), *argv]), wav, out
+
+    @pytest.mark.parametrize("cut", [30, 44])
+    @pytest.mark.parametrize("command", ["sample", "features"])
+    def test_wav_cut_inside_its_header_is_data_error(self, workspace, tmp_path,
+                                                     monkeypatch, capsys,
+                                                     command, cut):
+        """A WAV cut inside its header exits 2 with one line naming it and
+        writes no output file."""
+        rc, wav, out = self._run_on_cut_wav(workspace, tmp_path, monkeypatch,
+                                            command, lambda wav: wav[:cut])
+        assert rc == EXIT_DATA
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and wav.name in err
         assert "Traceback" not in err
+        assert not out.exists() or not any(out.iterdir())
+
+    @pytest.mark.parametrize("command", ["sample", "features"])
+    def test_wav_cut_inside_its_data_chunk_is_data_error(self, workspace, tmp_path,
+                                                         monkeypatch, capsys,
+                                                         recwarn, command):
+        """A WAV cut on a frame boundary halfway through its data chunk exits
+        2 with one line naming it, warns nothing and writes no output file."""
+        def half_the_frames(wav):
+            start = wav.index(b"data") + 8
+            frames = (len(wav) - start) // 8    # two float32 channels a frame
+            return wav[:start + frames // 2 * 8]
+
+        rc, wav, out = self._run_on_cut_wav(workspace, tmp_path, monkeypatch,
+                                            command, half_the_frames)
+        assert rc == EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and wav.name in err and "Reached EOF" in err
+        assert not recwarn.list
         assert not out.exists() or not any(out.iterdir())
 
     def test_ssl_track_of_another_json_type_is_data_error(self, workspace,
