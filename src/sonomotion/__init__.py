@@ -1,7 +1,7 @@
 """Spatial-audio-driven human motion generation toolkit.
 
 Submodules:
-    autodiff     float64 tensors with taped reverse-mode differentiation
+    autodiff     tensors with taped (float64) reverse-mode differentiation
     optim        AdamW
     checkpoint   binary parameter files
     nn           layers (linear, attention, GRU)

@@ -1,8 +1,11 @@
-"""Dense float64 tensors with taped reverse-mode differentiation.
+"""Dense tensors with taped reverse-mode differentiation.
 
-Everything is 64-bit and CPU-only by design: the models in this package are
-desk-scale and the tight finite-difference tolerances in the test suite rely
-on double precision. Operations record themselves on the innermost
+Everything taped is 64-bit and CPU-only by design: the models in this package
+are desk-scale and the tight finite-difference tolerances in the test suite
+rely on double precision. A tensor keeps float32 data as float32, so an
+untaped forward pass over float32 weights (sampling a restored denoiser) runs
+in float32 throughout; an op on float32 input under an open tape raises
+ContractError. Operations record themselves on the innermost
 :class:`Tape` open on their thread; replaying the tape backward visits each
 recorded node exactly once in reverse execution (= reverse topological) order.
 
@@ -16,6 +19,7 @@ NumericError).
 
 from __future__ import annotations
 
+import math
 import threading
 
 import numpy as np
@@ -24,15 +28,18 @@ from scipy.special import expit, ndtr
 from .errors import ContractError, NumericError, ShapeError
 
 _INV_SQRT2PI = 1.0 / np.sqrt(2.0 * np.pi)
+_F32, _F64 = np.dtype(np.float32), np.dtype(np.float64)
 
 
 class Tensor:
-    """N-d float64 array plus gradient bookkeeping."""
+    """N-d array plus gradient bookkeeping: a float32 array stays float32
+    (for untaped inference), anything else becomes float64."""
 
     __slots__ = ("data", "requires_grad", "grad")
 
     def __init__(self, data, requires_grad: bool = False):
-        arr = np.asarray(data, dtype=np.float64)
+        keep32 = type(data) is np.ndarray and data.dtype is _F32
+        arr = np.asarray(data, dtype=_F32 if keep32 else _F64)
         if not arr.flags["C_CONTIGUOUS"]:
             arr = np.ascontiguousarray(arr)   # note: would promote 0-d to 1-d
         self.data = arr
@@ -145,7 +152,13 @@ class Tape:
 
 def _record(out: Tensor, inputs: tuple[Tensor, ...], backward_fn) -> Tensor:
     tape = Tape.current()
-    if tape is not None and any(t.requires_grad for t in inputs):
+    if tape is None:
+        return out
+    for t in inputs:
+        if t.data.dtype is _F32:
+            raise ContractError("float32 input to an op under an open tape: "
+                                "gradients are taken in float64 only")
+    if any(t.requires_grad for t in inputs):
         out.requires_grad = True
         tape.record(out, inputs, backward_fn)
     return out
@@ -486,7 +499,7 @@ def attention(q, k, v, heads: int) -> Tensor:
     if k.shape != (b, tm, d) or v.shape != k.shape or d % heads:
         raise ShapeError(f"attention shapes {q.shape}, {k.shape}, {v.shape} "
                          f"do not fit {heads} heads")
-    scale = 1.0 / np.sqrt(d // heads)
+    scale = 1.0 / math.sqrt(d // heads)    # an np.float64 would make float32 q float64
 
     def split(z, t):
         return z.reshape(b, t, heads, -1).transpose(0, 2, 1, 3)   # (B, H, t, dh)

@@ -303,8 +303,15 @@ def cmd_train(args, cfg: RunConfig) -> int:
 
 
 def _restore_model(cfg: RunConfig, checkpoint_path) -> MotionDenoiser:
+    """The checkpoint's denoiser with float32 weights: ``sample`` and ``eval``
+    only sample from it, and its untaped forward runs in the weights' dtype.
+    The parameters are cast one at a time, so the process never holds a
+    whole second copy of the weights."""
     model = MotionDenoiser(cfg.model, None)     # every weight comes from the file
-    load_checkpoint(checkpoint_path, model.named_parameters())
+    params = model.named_parameters()
+    load_checkpoint(checkpoint_path, params)
+    for _, t in params:
+        t.data = t.data.astype(np.float32)
     return model
 
 
@@ -560,7 +567,14 @@ def main(argv=None) -> int:
         env[f"{ENV_PREFIX}_TRAINING_SEED"] = str(args.seed)
     try:
         cfg = RunConfig.load(args.config, env)
-        return COMMANDS[args.command](args, cfg)
+        code = COMMANDS[args.command](args, cfg)
+        sys.stdout.flush()      # a reader that has gone raises here, not at exit
+        return code
+    except BrokenPipeError:
+        # stdout's reader closed early (``| head``): the flush at interpreter
+        # exit would raise again, so point stdout at the null device
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_USAGE
     except (ConfigError,) as e:
         print(f"config error: {e}", file=sys.stderr)
         return EXIT_USAGE

@@ -119,15 +119,22 @@ class MotionDenoiser(Module):
         return ad.concat([self._time_token(t_arr), self.encode_conditions(a, s, g_arr)],
                          axis=1)
 
+    @property
+    def dtype(self) -> np.dtype:
+        """The weights' dtype, which every forward input is cast to: float64
+        as built and trained, float32 as ``cli`` restores it for sampling."""
+        return self.head.w.data.dtype
+
     def _time_token(self, t_arr) -> Tensor:
-        return self.time_proj(
-            Tensor(sinusoidal_embedding(t_arr, self.config.latent)[:, None, :]))
+        emb = sinusoidal_embedding(t_arr, self.config.latent)[:, None, :]
+        return self.time_proj(Tensor(emb.astype(self.dtype, copy=False)))
 
     def encode_conditions(self, a, s, g) -> Tensor:
         """Genre and per-frame tokens of batched (B, T, .) audio and SSL: they do
         not depend on the timestep, so a sampler encodes them once per sequence."""
         g_tok = self.genre_emb(np.asarray(g)[:, None])
-        frame_tok = self.cond_proj(Tensor(np.concatenate([a, s], axis=2)))
+        frame_tok = self.cond_proj(
+            Tensor(np.concatenate([a, s], axis=2, dtype=self.dtype)))
         return ad.concat([g_tok, frame_tok], axis=1)
 
     # -- forward -------------------------------------------------------------
@@ -138,7 +145,7 @@ class MotionDenoiser(Module):
         frames = x_t.shape[1]
         if cond is None:
             cond = self.encode_conditions(a, s, g_arr)
-        motion_tok = self.motion_proj(Tensor(x_t))
+        motion_tok = self.motion_proj(Tensor(np.asarray(x_t, dtype=self.dtype)))
         tokens = ad.concat([self._time_token(t_arr), cond, motion_tok], axis=1)
         tokens = ad.add(tokens, self.pos_emb[:tokens.shape[1], :])
         last = len(self.blocks) - 1

@@ -104,6 +104,25 @@ class TestBackward:
             ad.mul(w, w)
         assert len(tape) == 1 and inner == [1]
 
+    def test_taped_float32_input_rejected(self):
+        """Gradients are taken in float64 only: a float32 input to an op under
+        an open tape raises, whether or not it needs a gradient."""
+        rng = np.random.default_rng(12)
+        x = rng.standard_normal((3, 4)).astype(np.float32)
+        w = Tensor(rng.standard_normal((4, 2)), requires_grad=True)
+        with Tape() as tape:
+            with pytest.raises(ContractError, match="float32"):
+                ad.linear(x, w, np.zeros(2))
+        assert len(tape) == 0
+
+    def test_untaped_float32_stays_float32(self):
+        rng = np.random.default_rng(12)
+        x, w = (rng.standard_normal(s).astype(np.float32) for s in ((3, 4), (4, 2)))
+        out = ad.linear(x, w, np.zeros(2, np.float32))
+        assert out.data.dtype == np.float32
+        np.testing.assert_array_equal(out.data, x @ w)
+        assert Tensor([1, 2]).data.dtype == np.float64     # others become float64
+
     def test_mse_scalar_analytic(self):
         c = 1.7
         w = Tensor(np.array(c), requires_grad=True)

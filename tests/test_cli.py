@@ -1330,8 +1330,9 @@ class TestExitCodes:
         assert not (tmp_path / "cache" / "norm_stats.npz").exists()
 
     def test_restore_model_matches_load_state(self, workspace, tmp_path):
-        """The restore target is allocated, not drawn: every parameter is
-        bit-identical to loading the checkpoint into a seeded model."""
+        """The restore target is allocated, not drawn, and sampled in float32:
+        every parameter is bit-identical to loading the checkpoint into a
+        seeded model and casting the value to float32."""
         ws, cfg_path, data_dir = workspace
         cfg = RunConfig.load(cfg_path)
         ckpt = tmp_path / "model.snm"
@@ -1341,8 +1342,9 @@ class TestExitCodes:
         want.load_state(load_checkpoint(ckpt))
         got = cli._restore_model(cfg, ckpt)
         for (name, p), (_, q) in zip(got.named_parameters(), want.named_parameters()):
-            assert p.data.dtype == q.data.dtype and p.data.shape == q.data.shape, name
-            assert p.data.tobytes() == q.data.tobytes(), name
+            want32 = q.data.astype(np.float32)
+            assert p.data.dtype == np.float32 and p.data.shape == q.data.shape, name
+            assert p.data.tobytes() == want32.tobytes(), name
 
     def test_report_written_atomically(self, workspace, tmp_path, monkeypatch):
         """A failed rename leaves the old report.json and no temporary file."""
@@ -1491,6 +1493,25 @@ def test_cli_has_no_featurization_of_its_own():
     ``cli`` binds neither the extractor nor the WAV reader."""
     assert not hasattr(cli, "extract_binaural")
     assert not hasattr(cli, "read_wav")
+
+
+def test_closed_stdout_exits_1_without_traceback(tmp_path):
+    """A reader that closes stdout before the command prints (``| true``)
+    ends the command with exit code 1 and nothing on stderr."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        run = subprocess.run(
+            [sys.executable, "-m", "sonomotion.cli", "synth-data", "--count", "10",
+             "--duration", "2", "--out", str(tmp_path / "data")],
+            stdout=write_end, stderr=subprocess.PIPE, text=True, timeout=120,
+            env=dict(os.environ, PYTHONPATH=os.pathsep.join(
+                [src, os.environ.get("PYTHONPATH", "")])))
+    finally:
+        os.close(write_end)
+    assert (run.returncode, run.stderr) == (EXIT_USAGE, "")
+    assert (tmp_path / "data" / "manifest.json").exists()
 
 
 def test_import_leaves_out_resampling_modules():

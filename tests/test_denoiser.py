@@ -1,5 +1,7 @@
-"""Condition embedding, clean-sample prediction, and the training loop."""
+"""Condition embedding, clean-sample prediction, the training loop, and
+float32 sampling."""
 
+import hashlib
 import os
 
 import numpy as np
@@ -20,6 +22,7 @@ from sonomotion.skeleton import SkeletonSpec
 
 TINY = DenoiserConfig(latent=16, heads=2, layers=1, ff_mult=2,
                       audio_width=12, ssl_width=3, max_frames=6)
+DESK = DenoiserConfig(latent=64, heads=4, layers=2, max_frames=60)
 
 
 def tiny_inputs(rng, b=2, t=4):
@@ -410,3 +413,64 @@ class TestSampling:
                                       recompute_velocity=False))
         assert len(calls) == 1
         np.testing.assert_array_equal(got.p.reshape(5, -1), want[:, :75])
+
+
+def _float32(model: MotionDenoiser) -> MotionDenoiser:
+    """``model`` with its weights cast to float32, as ``cli`` restores it."""
+    for p in model.parameters():
+        p.data = p.data.astype(np.float32)
+    return model
+
+
+# |x0_hat32 - x0_hat64| / max |x0_hat64| measured at most 4.9e-7 at desk and
+# 7.6e-7 at full scale, over random weights and batches
+X0_PARITY = 5e-6
+# a 10-step desk chain's positions (m) and 6D entries moved at most 2.2e-6
+MOTION_PARITY = 1e-5
+
+
+class TestFloat32Sampling:
+    @pytest.mark.parametrize("cfg", [DESK, DenoiserConfig()], ids=["desk", "full"])
+    def test_predict_x0_parity_and_dtype(self, cfg):
+        """A float32 model's x0_hat stays float32, so no numpy float64 scalar
+        has promoted the forward, and lies within X0_PARITY of float64's."""
+        m64 = MotionDenoiser(cfg, np.random.default_rng(40))
+        m32 = _float32(MotionDenoiser(cfg, np.random.default_rng(40)))
+        rng = np.random.default_rng(41)
+        shape = (2, cfg.max_frames)
+        x, a, s = (rng.standard_normal(shape + (w,)) for w in
+                   (cfg.motion_width, cfg.audio_width, cfg.ssl_width))
+        t, g = [3, 900], [0, 2]
+        want = m64.predict_x0(x, t, a, s, g).data
+        got = m32.predict_x0(x, t, a, s, g).data
+        assert want.dtype == np.float64 and got.dtype == np.float32
+        assert np.abs(got - want).max() <= X0_PARITY * np.abs(want).max()
+
+    def test_chain_parity(self):
+        """One 10-step desk chain from the same seed in each precision: the
+        chain state stays float64 and draws the same noise."""
+        schedule = cosine_schedule(50)
+        rng = np.random.default_rng(42)
+        a = rng.standard_normal((DESK.max_frames, DESK.audio_width))
+        s = rng.standard_normal((DESK.max_frames, DESK.ssl_width))
+        want, got = (run_chain(sample_motion(model, schedule, a, s, 1,
+                                             np.random.default_rng(43), steps=10))
+                     for model in (MotionDenoiser(DESK, np.random.default_rng(40)),
+                                   _float32(MotionDenoiser(DESK,
+                                                           np.random.default_rng(40)))))
+        for field in ("p", "r"):
+            assert getattr(got, field).dtype == np.float64
+            np.testing.assert_allclose(getattr(got, field), getattr(want, field),
+                                       rtol=0, atol=MOTION_PARITY)
+
+    def test_float64_chain_bytes_unchanged(self):
+        """A float64 model's chain has the bytes it had before float32
+        sampling existed (small enough that BLAS splits no GEMM over threads)."""
+        model = MotionDenoiser(TINY, np.random.default_rng(40))
+        rng = np.random.default_rng(42)
+        a, s = rng.standard_normal((6, 12)), rng.standard_normal((6, 3))
+        m = run_chain(sample_motion(model, cosine_schedule(20), a, s, 1,
+                                    np.random.default_rng(43), steps=5))
+        digest = hashlib.sha256(b"".join(v.tobytes() for v in (m.p, m.r, m.v)))
+        assert digest.hexdigest() == ("938808024bfb1b3a11cbbcecd0d1a17d"
+                                      "2f37bd5c7471a3be8e94ee204289eddd")
