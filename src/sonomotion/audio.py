@@ -87,7 +87,6 @@ class FeatureConfig:
     tempogram_bins: int = TEMPOGRAM_BINS
     rms_threshold: float = 0.01
     tuning_hz: float = 440.0
-    normalize: bool = True
 
     def __post_init__(self):
         if min(self.sample_rate, self.motion_fps, self.mel_bands) < 1:
@@ -140,9 +139,7 @@ def frame_signal(x: np.ndarray, fft_size: int, hop: int) -> np.ndarray:
     a read-only strided view of one padded copy of ``x``."""
     x = np.asarray(x, dtype=np.float64).reshape(-1)
     n = frame_count(x.size, hop)
-    if n == 0:
-        return np.zeros((0, fft_size))
-    padded = np.zeros(max((n - 1) * hop + fft_size, x.size))
+    padded = np.zeros(n * hop + fft_size)
     padded[:x.size] = x
     return np.lib.stride_tricks.sliding_window_view(padded, fft_size)[::hop][:n]
 
@@ -150,8 +147,6 @@ def frame_signal(x: np.ndarray, fft_size: int, hop: int) -> np.ndarray:
 def stft(x: np.ndarray, config: FeatureConfig) -> np.ndarray:
     """Complex (n_frames, fft/2 + 1) spectrogram with a Hann window."""
     frames = frame_signal(x, config.fft_size, config.hop_length)
-    if frames.shape[0] == 0:
-        return np.zeros((0, config.fft_size // 2 + 1), dtype=np.complex128)
     return np.fft.rfft(frames * hann_window(config.fft_size), axis=1)
 
 
@@ -256,8 +251,6 @@ def stft_chroma(power: np.ndarray, config: FeatureConfig) -> np.ndarray:
     parabolically interpolated frequency, so window leakage stays in the
     class of the underlying partial.
     """
-    if power.shape[0] == 0:
-        return np.zeros((0, CHROMA_BINS))
     t, nbins = power.shape
 
     left, inner, right = power[:, :-2], power[:, 1:-1], power[:, 2:]
@@ -322,9 +315,7 @@ def cq_chroma(power: np.ndarray, config: FeatureConfig) -> np.ndarray:
 def onset_strength(logmel: np.ndarray) -> np.ndarray:
     """Half-wave-rectified mel spectral flux, one value per frame."""
     flux = np.zeros(logmel.shape[0])
-    if logmel.shape[0] > 1:
-        d = logmel[1:] - logmel[:-1]
-        flux[1:] = np.maximum(d, 0.0).mean(axis=1)
+    flux[1:] = np.maximum(logmel[1:] - logmel[:-1], 0.0).mean(axis=1)
     return flux
 
 
@@ -414,12 +405,7 @@ def rhythm_features(spec: np.ndarray, config: FeatureConfig,
 
 def energy_features(x: np.ndarray, config: FeatureConfig) -> np.ndarray:
     """(T, 2): RMS over each hop window and the active flag (RMS > threshold)."""
-    x = np.asarray(x, dtype=np.float64).reshape(-1)
-    hop = config.hop_length
-    n = frame_count(x.size, hop)
-    padded = np.zeros(n * hop)
-    padded[:x.size] = x
-    frames = padded.reshape(n, hop)
+    frames = frame_signal(x, config.hop_length, config.hop_length)
     rms = np.sqrt(np.mean(frames * frames, axis=1))
     active = (rms > config.rms_threshold).astype(np.float64)
     return np.stack([rms, active], axis=1)

@@ -648,8 +648,7 @@ def tanh_(a) -> Tensor:
 
 def sigmoid(a) -> Tensor:
     a = _as_tensor(a)
-    y = np.where(a.data >= 0, 1.0 / (1.0 + np.exp(-a.data)),
-                 np.exp(a.data) / (1.0 + np.exp(a.data)))
+    y = expit(a.data)
     out = Tensor(y)
 
     def bwd(g):

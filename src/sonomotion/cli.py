@@ -71,7 +71,7 @@ KEYS = {
     ("features", "motion_fps"): ("features.motion_fps",),
     ("features", "fft_size"): ("features.fft_size",),
     ("features", "mel_bands"): ("features.mel_bands",),
-    ("features", "normalize"): ("features.normalize",),
+    ("features", "normalize"): ("normalize",),
     ("extractor", "ext_hidden"): ("extractor.hidden",),
     ("extractor", "ext_gru_layers"): ("extractor.gru_layers",),
     ("extractor", "ext_ae_latent"): ("extractor.ae_latent",),
@@ -107,6 +107,7 @@ class RunConfig:
     cache_dir: str = "cache"
     checkpoint_dir: str = "checkpoints"
     diffusion_steps: int = 1000
+    normalize: bool = True      # [features] normalize; no part of the cache key
 
     def __post_init__(self):
         if self.diffusion_steps < 1:
@@ -254,7 +255,7 @@ def _norm_stats(cfg: RunConfig) -> NormalizationStats | None:
     """The statistics every command z-scores its features with: those of the
     cache dir, unless ``[features] normalize`` is off or there are none."""
     path = Path(cfg.cache_dir) / "norm_stats.npz"
-    if not cfg.features.normalize or not path.exists():
+    if not cfg.normalize or not path.exists():
         return None
     return NormalizationStats.load(path)
 

@@ -143,9 +143,7 @@ class _FootPlanner:
     def __init__(self, root0, yaw0, dt):
         self.dt = dt
         self.pos = [self._nominal(root0, yaw0, 0), self._nominal(root0, yaw0, 1)]
-        self.mode = ["stance", "stance"]
-        self.swing = [None, None]   # (elapsed, dur, from, to)
-        self.skating = [False, False]
+        self.swing = [None, None]   # (elapsed, dur, from, to); None in stance
 
     def _nominal(self, root_xy, yaw, side):
         lat = self.STANCE_HALF_WIDTH if side == 0 else -self.STANCE_HALF_WIDTH
@@ -155,56 +153,40 @@ class _FootPlanner:
     def step(self, root_xy, yaw, yaw_rate, speed, facing):
         moving = speed > 0.05
         turning = abs(yaw_rate) > 0.4 and not moving
-        self.skating = [False, False]
+        skating = [False, False]
         if turning:
             # feet pivot with the body; not plants
             for side in (0, 1):
-                if self.mode[side] == "stance":
+                if self.swing[side] is None:
                     self.pos[side] = self._nominal(root_xy, yaw, side)
-                    self.skating[side] = True
-        if moving:
+                    skating[side] = True
+        if moving and self.swing == [None, None]:
             step_len = 0.25 + 0.2 * min(speed, 1.5)
             swing_dur = min(0.25, max(0.12, 0.6 * step_len / max(speed, 0.3)))
-            both_stance = self.mode == ["stance", "stance"]
-            if both_stance:
-                # track the ankle (0.13 m behind the toe): it bounds leg reach
-                prog = [float(np.dot((self.pos[s][:2] - root_xy), facing)) - 0.13
-                        for s in (0, 1)]
-                side = int(np.argmin(prog))     # the foot farthest behind
-                if prog[side] < 0.02:
-                    target = self._nominal(root_xy, yaw, side)
-                    target[:2] += facing * (0.5 * step_len + speed * swing_dur)
-                    self.swing[side] = [0.0, swing_dur, self.pos[side].copy(),
-                                        target]
-                    self.mode[side] = "swing"
-        for side in (0, 1):
-            if self.mode[side] == "swing":
-                st = self.swing[side]
-                st[0] += self.dt
-                u = st[0] / st[1]
-                if u >= 1.0:
-                    self.pos[side] = st[3].copy()
-                    self.pos[side][2] = 0.0
-                    self.mode[side] = "stance"
-                    self.swing[side] = None
-                else:
-                    # constant horizontal speed keeps every swing frame above
-                    # the contact detector's speed threshold
-                    p = st[2] + (st[3] - st[2]) * u
-                    p[2] = self.SWING_LIFT * np.sin(np.pi * min(u, 1.0))
-                    self.pos[side] = p
-        planted = [self.mode[s] == "stance" and not self.skating[s]
-                   for s in (0, 1)]
+            # track the ankle (0.13 m behind the toe): it bounds leg reach
+            prog = [float(np.dot((self.pos[s][:2] - root_xy), facing)) - 0.13
+                    for s in (0, 1)]
+            side = int(np.argmin(prog))     # the foot farthest behind
+            if prog[side] < 0.02:
+                target = self._nominal(root_xy, yaw, side)
+                target[:2] += facing * (0.5 * step_len + speed * swing_dur)
+                self.swing[side] = [0.0, swing_dur, self.pos[side].copy(), target]
+        for side, st in enumerate(self.swing):
+            if st is None:
+                continue
+            st[0] += self.dt
+            u = st[0] / st[1]
+            if u >= 1.0:
+                self.pos[side] = st[3]      # a plant target lies at z = 0
+                self.swing[side] = None
+            else:
+                # constant horizontal speed keeps every swing frame above
+                # the contact detector's speed threshold
+                p = st[2] + (st[3] - st[2]) * u
+                p[2] = self.SWING_LIFT * np.sin(np.pi * u)
+                self.pos[side] = p
+        planted = [self.swing[s] is None and not skating[s] for s in (0, 1)]
         return [self.pos[0].copy(), self.pos[1].copy()], planted
-
-
-def _source_track(spec: SyntheticSceneSpec) -> np.ndarray:
-    t = spec.frames
-    az = np.full(t, np.deg2rad(spec.azimuth_deg))
-    dist = np.full(t, spec.distance)
-    x = dist * np.sin(az)
-    y = -dist * np.cos(az)
-    return np.stack([x, y, np.full(t, SOURCE_HEIGHT)], axis=1)
 
 
 def synthesize_motion(spec: SyntheticSceneSpec):
@@ -216,7 +198,8 @@ def synthesize_motion(spec: SyntheticSceneSpec):
     latency = GENRE_LATENCY[spec.genre]
     amp = GENRE_AMPLITUDE[spec.genre]
     onset_frame = int(round(latency * spec.fps))
-    source = _source_track(spec)
+    az = np.deg2rad(spec.azimuth_deg)      # the source stands still
+    src_xy = np.array([spec.distance * np.sin(az), -spec.distance * np.cos(az)])
 
     ik = _LegIK(skel)
     root_xy = np.zeros(2)
@@ -245,7 +228,7 @@ def synthesize_motion(spec: SyntheticSceneSpec):
 
     for i in range(t_total):
         reacting = i >= onset_frame
-        to_src = source[i, :2] - root_xy
+        to_src = src_xy - root_xy
         dist = float(np.linalg.norm(to_src))
         yaw_to_src = float(np.arctan2(to_src[0], -to_src[1]))
 
@@ -253,6 +236,7 @@ def synthesize_motion(spec: SyntheticSceneSpec):
         speed_target = 0.0
         crouch_target = 0.0
         raise_target = 0.0
+        neck_target = 0.0
         if reacting:
             if spec.program in ("turn_toward", "walk_toward"):
                 yaw_target = yaw_to_src
@@ -272,10 +256,6 @@ def synthesize_motion(spec: SyntheticSceneSpec):
             if spec.program != "idle":
                 neck_target = float(np.clip(_wrap_angle(yaw_to_src - yaw),
                                             -1.1, 1.1)) * 0.7
-            else:
-                neck_target = 0.0
-        else:
-            neck_target = 0.0
 
         err = _wrap_angle(yaw_target - yaw)
         yaw_step = float(np.clip(err, -turn_rate * dt, turn_rate * dt))
@@ -345,10 +325,9 @@ def synthesize_motion(spec: SyntheticSceneSpec):
     # align the plant schedule with the forward-difference velocity
     # convention: frame t counts as planted only if the foot also holds
     # through t+1 (the takeoff frame carries the swing velocity)
-    held = plants.copy()
-    held[:-1] &= plants[1:]
-    plants = held
+    plants[:-1] &= plants[1:]
 
+    source = np.tile([*src_xy, SOURCE_HEIGHT], (t_total, 1))
     disp = roots[-1, :2] - roots[onset_frame, :2] if onset_frame < t_total \
         else np.zeros(2)
     meta = {
@@ -722,7 +701,8 @@ def clip_features(audio_path, feat_config: FeatureConfig, cache_dir=None
     The WAV is read once. With ``cache_dir`` its bytes name the cache file,
     ``<feature_cache_key>.feat`` there, which serves every frame count; a
     missing file is a miss, which parses the same bytes, extracts and writes
-    it. A cached clip's rows are the file's float32 values, hit or miss."""
+    it. The rows are float32 values, as the file holds them, with a cache
+    dir or without one."""
     try:
         audio_bytes = Path(audio_path).read_bytes()
     except OSError as e:
@@ -739,9 +719,8 @@ def clip_features(audio_path, feat_config: FeatureConfig, cache_dir=None
     del audio_bytes
     feats = extract_binaural(
         clip, feat_config, clip.samples * feat_config.motion_fps // clip.sample_rate)
-    if cache_path is None:
-        return feats.values, None
-    save_feature_cache(cache_path, feats)
+    if cache_path is not None:
+        save_feature_cache(cache_path, feats)
     return feats.values.astype(np.float32).astype(np.float64), cache_path
 
 

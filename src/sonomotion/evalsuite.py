@@ -16,7 +16,6 @@ all of them in one batched pass.
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,8 +29,6 @@ from .nn import (BiGRUEncoder, DecoderBlock, EncoderBlock, LayerNorm, Linear,
                  Module)
 from .optim import AdamW, fit
 from .skeleton import FRAME_WIDTH, SSL_WIDTH
-
-log = logging.getLogger(__name__)
 
 
 # ---------------------------------------------------------------------------
@@ -209,11 +206,8 @@ def train_extractor(samples, cfg: ExtractorConfig,
                 {"contrastive": ctr_loss, "reconstruction": rec_loss})
 
     def end_epoch(epoch, means):
-        if epoch == train_cfg.freeze_epoch:
-            msg = f"epoch={epoch} autoencoder_frozen=1"
-            log.info(msg)
-            if log_fn:
-                log_fn(epoch, msg)
+        if log_fn and epoch == train_cfg.freeze_epoch:
+            log_fn(epoch, f"epoch={epoch} autoencoder_frozen=1")
         if log_fn:
             log_fn(epoch, f"epoch={epoch} contrastive={means['contrastive']:.6f} "
                           f"reconstruction={means['reconstruction']:.6f}")
@@ -282,7 +276,9 @@ def r_precision(cond_feats: np.ndarray, motion_feats: np.ndarray,
 
 
 def fid(real_feats: np.ndarray, gen_feats: np.ndarray) -> float:
-    """Frechet distance between Gaussian fits of two feature sets."""
+    """Frechet distance between Gaussian fits of two feature sets. A set with
+    no more items than feature dims has a singular covariance, so both get a
+    ridge of 1e-6 on the diagonal."""
     x = np.asarray(real_feats, dtype=np.float64)
     y = np.asarray(gen_feats, dtype=np.float64)
     if x.ndim != 2 or y.ndim != 2 or x.shape[1] != y.shape[1]:
@@ -294,7 +290,6 @@ def fid(real_feats: np.ndarray, gen_feats: np.ndarray) -> float:
     cov_x = np.cov(x, rowvar=False).reshape(k, k)
     cov_y = np.cov(y, rowvar=False).reshape(k, k)
     if x.shape[0] <= k or y.shape[0] <= k:
-        log.warning("fid: fewer samples than feature dims; applying ridge 1e-6")
         cov_x = cov_x + 1e-6 * np.eye(k)
         cov_y = cov_y + 1e-6 * np.eye(k)
 

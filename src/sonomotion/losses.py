@@ -9,7 +9,6 @@ root track, so rotation errors are charged in meters.
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,8 +18,6 @@ from .autodiff import Tensor
 from .errors import ConfigError, ShapeError
 from .skeleton import (JOINT_COUNT, ROT_SLICE, VEL_SLICE, SkeletonSpec,
                        forward_kinematics, sixd_to_matrix)
-
-log = logging.getLogger(__name__)
 
 _degenerate_rotation_count = 0
 
@@ -96,7 +93,6 @@ def l_geo(pred: Tensor, target: Tensor, skel: SkeletonSpec,
     rot, bad = ad.rot6d(ad.reshape(pred[..., ROT_SLICE], batch + (JOINT_COUNT, 6)))
     if bad:
         _degenerate_rotation_count += bad
-        log.debug("orthogonalized %d degenerate 6D rotation blocks", bad)
     fk_pred = ad.fk(skel.parents, skel.offsets, root, rot)
     return ad.mse_with_diff(ad.reshape(fk_pred, batch + (JOINT_COUNT * 3,)),
                             Tensor(target_pos))

@@ -3,6 +3,7 @@
 import struct
 import threading
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -68,6 +69,19 @@ class TestForwardPrimitives:
         scale = np.maximum(np.abs(x), 1.0)      # beyond |x| = 1, compare the CDF
         np.testing.assert_allclose(ad.gelu(Tensor(x)).data / scale,
                                    reference / scale, rtol=0, atol=1e-15)
+
+    def test_sigmoid_saturates_without_overflow(self):
+        """The logistic function of +-800 is 1 and 0, with no overflow
+        warning, and matches its two closed forms inside their ranges."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = ad.sigmoid(Tensor([800.0, -800.0, 0.0]))
+        np.testing.assert_array_equal(out.data, [1.0, 0.0, 0.5])
+        x = np.linspace(-30.0, 30.0, 601)
+        want = np.where(x >= 0, 1.0 / (1.0 + np.exp(-x)),
+                        np.exp(x) / (1.0 + np.exp(x)))
+        np.testing.assert_allclose(ad.sigmoid(Tensor(x)).data, want,
+                                   rtol=1e-15, atol=0)
 
     def test_embedding_lookup(self):
         table = Tensor(np.arange(12.0).reshape(4, 3))

@@ -343,8 +343,8 @@ class TestFeaturesTrainSample:
             self, workspace, tmp_path, monkeypatch, cached):
         """A 30 s WAV paired with a 2 s (60-frame) motion: ``sample`` under a
         max_frames of 60 conditions on the first 60 rows of the whole WAV's
-        features, bit for bit the rows ``load_sample`` returns for the WAV,
-        with a cache dir and without one."""
+        features, bit for bit the rows ``load_sample`` returns for the WAV:
+        float32 values, with a cache dir and without one."""
         ws, _, data_dir = workspace
         data = tmp_path / "data"
         shutil.copytree(data_dir, data)
@@ -365,9 +365,8 @@ class TestFeaturesTrainSample:
                    "--audio", str(wav), "--ssl", "0,1,0", "--steps", "1",
                    "--out", str(tmp_path / "o")])
         assert rc == EXIT_OK
-        whole = extract_binaural(read_wav(wav), FeatureConfig(), 900).values
-        if cached:
-            whole = whole.astype(np.float32).astype(np.float64)
+        whole = extract_binaural(read_wav(wav), FeatureConfig(),
+                                 900).values.astype(np.float32)
         loaded = dataset.load_sample(manifest, entry, FeatureConfig(),
                                      cache_dir=cache if cached else None).audio
         assert loaded.shape == (60, 2272)
@@ -455,6 +454,24 @@ class TestFeaturesTrainSample:
         raw = dataset.clip_features(wav, FeatureConfig(), cache)[0][:30]
         np.testing.assert_array_equal(seen[0], (raw - 1.0) / 2.0 if normalize
                                       else raw)
+
+    def test_normalize_toggle_keeps_one_cache_file_per_clip(self, workspace,
+                                                            tmp_path):
+        """``[features] normalize`` is a run setting outside the cache key:
+        after ``features`` fills the cache, loading the train split with
+        normalize off and on hits every clip's file and writes no other."""
+        _, _, data_dir = workspace
+        manifest, cache = data_dir / "manifest.json", tmp_path / "cache"
+        assert main(["features", "--manifest", str(manifest),
+                     "--cache", str(cache)]) == EXIT_OK
+        before = sorted(cache.iterdir())
+        assert len([p for p in before if p.suffix == ".feat"]) == 20
+        for normalize in ("false", "true"):
+            cfg_path = tmp_path / f"{normalize}.ini"
+            cfg_path.write_text(TINY_CFG + f"\n[paths]\ncache_dir = {cache}\n"
+                                f"\n[features]\nnormalize = {normalize}\n")
+            cli._load_splits(RunConfig.load(cfg_path, env={}), manifest, "train")
+        assert sorted(cache.iterdir()) == before
 
     def test_entries_sharing_a_wav_share_one_cache_file(self, workspace,
                                                         tmp_path):

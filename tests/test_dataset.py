@@ -3,7 +3,10 @@
 import json
 import os
 import shutil
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -154,6 +157,38 @@ class TestGeneratorMotion:
             assert (assemble_vector(a.motion).tobytes()
                     == assemble_vector(b.motion).tobytes()), program
             assert np.array_equal(a.clip.left, b.clip.left)
+
+    def test_synth_data_bytes_are_pinned(self, tmp_path):
+        """``synth-data --count 10 --duration 2 --seed 0`` writes the same
+        manifest, WAV and motion JSON bytes under one BLAS thread and under
+        two, and one pinned sha256 covers them (each file's relative path,
+        then its bytes, in path order): an edit that moves the oracle fails
+        here."""
+        script = ("import hashlib, sys\n"
+                  "from pathlib import Path\n"
+                  "from sonomotion.cli import main\n"
+                  "out = Path(sys.argv[1])\n"
+                  "assert main(['synth-data', '--count', '10', '--duration', '2',\n"
+                  "             '--seed', '0', '--out', str(out)]) == 0\n"
+                  "h = hashlib.sha256()\n"
+                  "for p in sorted(q for q in out.rglob('*') if q.is_file()):\n"
+                  "    h.update(p.relative_to(out).as_posix().encode() + b'\\0')\n"
+                  "    h.update(p.read_bytes())\n"
+                  "print(h.hexdigest())\n")
+        src = str(Path(ds.__file__).resolve().parents[1])
+        digests = set()
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                       OMP_NUM_THREADS=threads, PYTHONPATH=os.pathsep.join(
+                           [src, os.environ.get("PYTHONPATH", "")]))
+            run = subprocess.run([sys.executable, "-c", script,
+                                  str(tmp_path / threads)],
+                                 env=env, capture_output=True, text=True,
+                                 timeout=300)
+            assert run.returncode == 0, run.stderr
+            digests.add(run.stdout.split()[-1])
+        assert digests == {"705a379ce9ea25079c752ad2ec6aa860"
+                           "a881c5821a83f60d5e4eab032aadd664"}
 
     def test_leg_ik_pins_reachable_planted_toes(self):
         """FK of the batched two-bone solve puts each planted toe (z = 0) on
@@ -427,7 +462,7 @@ class TestLoadSample:
     def test_audio_past_the_motion_feeds_the_first_rows(self, small_dataset,
                                                         tmp_path):
         """A WAV tiled to 30 s under a 2 s motion: the sample's 60 rows are
-        the first rows of the whole 30 s WAV's features."""
+        the first rows of the whole 30 s WAV's features, as float32 values."""
         root, _ = small_dataset
         shutil.copytree(root, tmp_path / "ds")
         manifest = ds.DatasetManifest.load(tmp_path / "ds" / "manifest.json")
@@ -438,7 +473,7 @@ class TestLoadSample:
                                  np.tile(clip.right, 15)))
         whole = extract_binaural(read_wav(wav), FeatureConfig(), 900).values
         rows = ds.load_sample(manifest, e, FeatureConfig())[1]
-        np.testing.assert_array_equal(rows, whole[:60])
+        np.testing.assert_array_equal(rows, whole[:60].astype(np.float32))
 
     def test_stats_applied(self, small_dataset):
         _, manifest = small_dataset
@@ -622,6 +657,20 @@ class TestFeaturePipeline:
             np.testing.assert_array_equal(au.first_rows(again, frames, wav),
                                           values[:frames])
         np.testing.assert_array_equal(load_feature_cache(path).values, values)
+
+    def test_rows_without_a_cache_equal_the_cached_rows(self, tmp_path):
+        """Without a cache dir a clip's rows are the float64 copy of the same
+        float32 values that a cache miss and then a hit return, bit for bit."""
+        wav = tmp_path / "clip.wav"
+        write_wav(wav, ds.synthesize_pair(
+            ds.SyntheticSceneSpec(duration=2.0, seed=5)).clip)
+        cfg = FeatureConfig()
+        bare, path = ds.clip_features(wav, cfg)
+        assert path is None and bare.dtype == np.float64
+        for _ in ("miss", "hit"):
+            cached, path = ds.clip_features(wav, cfg, tmp_path)
+            assert path.exists() and cached.dtype == np.float64
+            np.testing.assert_array_equal(bare, cached)
 
     def test_cache_of_older_feature_version_is_never_read(self, tmp_path,
                                                           monkeypatch):
