@@ -4,8 +4,9 @@ Everything taped is 64-bit and CPU-only by design: the models in this package
 are desk-scale and the tight finite-difference tolerances in the test suite
 rely on double precision. A tensor keeps float32 data as float32, so an
 untaped forward pass over float32 weights (sampling a restored denoiser) runs
-in float32 throughout; an op on float32 input under an open tape raises
-ContractError. Operations record themselves on the innermost
+in float32 throughout (:func:`gelu` then takes a polynomial erfc, within
+3.3e-7 of float64's ``ndtr``); an op on float32 input under an open tape
+raises ContractError. Operations record themselves on the innermost
 :class:`Tape` open on their thread; replaying the tape backward visits each
 recorded node exactly once in reverse execution (= reverse topological) order.
 
@@ -621,10 +622,44 @@ def relu(a) -> Tensor:
     return _record(out, (a,), bwd)
 
 
+# Abramowitz & Stegun 7.1.26 (erf to 1.5e-7) at u = z / sqrt(2), the 1/2 folded
+# in: Phi(-z) = (A1 t + ... + A5 t^5) exp(-z^2 / 2) with t = 1 / (1 + P z)
+_GELU_P = np.float32(0.3275911 / math.sqrt(2.0))
+_GELU_A = tuple(np.float32(0.5 * c) for c in (
+    0.254829592, -0.284496736, 1.421413741, -1.453152027, 1.061405429))
+_GELU_BLOCK = 1 << 15    # elements per pass, so that the temporaries stay in L2
+
+
+def _gelu32(x: np.ndarray) -> np.ndarray:
+    """Float32 GELU as max(x, 0) - |x| Phi(-|x|), which is exact, over flat
+    blocks. Clamping |x| at 16 keeps z^2 finite and changes no output:
+    exp(-16^2 / 2) is 0 in float32, and so is the product past |x| = 14.4."""
+    flat = x.reshape(-1)
+    out = np.empty_like(flat)
+    for i in range(0, flat.size, _GELU_BLOCK):
+        xb, ob = flat[i:i + _GELU_BLOCK], out[i:i + _GELU_BLOCK]
+        z = np.minimum(np.abs(xb), np.float32(16))
+        t = z * _GELU_P
+        np.divide(1, np.add(t, 1, out=t), out=t)
+        q = t * _GELU_A[4]
+        for coef in _GELU_A[3::-1]:
+            q += coef
+            q *= t
+        e = z * z
+        e *= np.float32(-0.5)
+        q *= np.exp(e, out=e)
+        q *= z
+        np.subtract(np.maximum(xb, 0, out=ob), q, out=ob)
+    return out.reshape(x.shape)
+
+
 def gelu(a) -> Tensor:
-    """Exact Gaussian error linear unit, x times the standard normal CDF."""
+    """Exact Gaussian error linear unit, x times the standard normal CDF:
+    ``ndtr`` in float64, :func:`_gelu32` (within 3.3e-7 of it) in float32."""
     a = _as_tensor(a)
     x = a.data
+    if x.dtype is _F32:
+        return _record(Tensor(_gelu32(x)), (a,), None)    # raises under a tape
     cdf = ndtr(x)
     out = Tensor(x * cdf)
 

@@ -111,12 +111,12 @@ def _layout(f, path) -> dict[str, tuple[tuple[int, ...], int]]:
     return entries
 
 
-def _read_values(f, path, shape, offset) -> np.ndarray:
+def _read_values(f, path, shape, offset, dtype=np.float64) -> np.ndarray:
     arr = np.empty(shape, dtype="<f8")
     f.seek(offset)
     if f.readinto(arr) != arr.nbytes:   # the file shrank after its layout pass
         raise DataError(f"checkpoint {path} is truncated or damaged")
-    return arr.astype(np.float64, copy=False)
+    return arr.astype(dtype, copy=False)
 
 
 def load_checkpoint(path, params=None) -> dict[str, np.ndarray] | None:
@@ -127,8 +127,8 @@ def load_checkpoint(path, params=None) -> dict[str, np.ndarray] | None:
     Without ``params`` return {name: array} for every entry. ``params`` are
     (name, Tensor) pairs, such as ``Module.named_parameters()``: their names
     and shapes are checked against the layout, and only then is each
-    tensor's ``.data`` replaced as its entry is read, so at most one entry is
-    held beside the tensors. Entries no tensor names are skipped.
+    tensor's ``.data`` replaced, in its dtype, as its entry is read: at most
+    one float64 entry is held beside the tensors. Unnamed entries are skipped.
 
     A damaged file raises DataError and a missing name or wrong shape
     ShapeError; either way every tensor is left as it was.
@@ -144,7 +144,7 @@ def load_checkpoint(path, params=None) -> dict[str, np.ndarray] | None:
             check_shapes(params, {name: shape
                                   for name, (shape, _) in layout.items()})
             for name, t in params:
-                t.data = _read_values(f, path, *layout[name])
+                t.data = _read_values(f, path, *layout[name], t.data.dtype)
             return None
     except OSError as e:
         raise DataError(f"cannot read checkpoint {path}: {e}") from e

@@ -306,13 +306,13 @@ def cmd_train(args, cfg: RunConfig) -> int:
 def _restore_model(cfg: RunConfig, checkpoint_path) -> MotionDenoiser:
     """The checkpoint's denoiser with float32 weights: ``sample`` and ``eval``
     only sample from it, and its untaped forward runs in the weights' dtype.
-    The parameters are cast one at a time, so the process never holds a
-    whole second copy of the weights."""
+    Each entry is cast as it is read, so the process never holds more than
+    one float64 entry."""
     model = MotionDenoiser(cfg.model, None)     # every weight comes from the file
     params = model.named_parameters()
+    for _, t in params:     # the weights are float32 already; biases and norms
+        t.data = t.data.astype(np.float32, copy=False)
     load_checkpoint(checkpoint_path, params)
-    for _, t in params:
-        t.data = t.data.astype(np.float32)
     return model
 
 

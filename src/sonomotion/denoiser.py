@@ -65,8 +65,8 @@ class DenoiserConfig:
 class MotionDenoiser(Module):
     """G(x_t, t; a, s, g) -> x0_hat.
 
-    With ``rng=None`` the weights are allocated but not drawn, for a model a
-    checkpoint is about to fill."""
+    With ``rng=None`` the weights are allocated in float32 but not drawn, for
+    a model a checkpoint is about to fill for sampling."""
 
     def __init__(self, config: DenoiserConfig, rng: np.random.Generator | None):
         d = config.latent
@@ -76,7 +76,7 @@ class MotionDenoiser(Module):
         self.cond_proj = Linear(config.audio_width + config.ssl_width, d, rng)
         self.motion_proj = Linear(config.motion_width, d, rng)
         shape = (2 * config.max_frames + 2, d)    # time, genre, T conds, T frames
-        self.pos_emb = Tensor(np.empty(shape) if rng is None
+        self.pos_emb = Tensor(np.empty(shape, np.float32) if rng is None
                               else rng.uniform(-0.02, 0.02, shape), requires_grad=True)
         self.blocks = [EncoderBlock(d, config.heads, config.ff_mult, rng)
                        for _ in range(config.layers)]

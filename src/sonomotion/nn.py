@@ -48,9 +48,9 @@ class Module:
 
 def uniform_init(rng: np.random.Generator | None, shape, fan_in: int) -> Tensor:
     """Uniform in +-sqrt(1/fan_in); with no ``rng`` the values are left unset,
-    for a model whose parameters a checkpoint is about to replace."""
+    in float32, for a model a checkpoint is about to fill for sampling."""
     if rng is None:
-        return Tensor(np.empty(shape), requires_grad=True)
+        return Tensor(np.empty(shape, np.float32), requires_grad=True)
     bound = np.sqrt(1.0 / fan_in)
     return Tensor(rng.uniform(-bound, bound, shape), requires_grad=True)
 

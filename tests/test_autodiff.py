@@ -70,6 +70,36 @@ class TestForwardPrimitives:
         np.testing.assert_allclose(ad.gelu(Tensor(x)).data / scale,
                                    reference / scale, rtol=0, atol=1e-15)
 
+    def test_float32_gelu_matches_the_float64_form(self):
+        """Float32 in gives float32 out, within 5e-7 * max(1, |x|) of the
+        float64 x * ndtr(x) on a dense grid over |x| <= 40 and at signed
+        zeros, subnormals and huge values; every output is finite, and no
+        step of the kernel warns (z^2 would overflow past |x| = 1.8e19)."""
+        from scipy.special import ndtr
+        tiny, big = np.finfo(np.float32).smallest_subnormal, np.finfo(np.float32).max
+        edges = [0.0, -0.0, tiny, -tiny, 1e-40, -1e-40, 1e30, -1e30, big, -big]
+        x = np.concatenate([np.linspace(-40, 40, 1_600_001, dtype=np.float32),
+                            np.array(edges, np.float32)])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = ad.gelu(Tensor(x)).data
+        assert out.dtype == np.float32 and np.all(np.isfinite(out))
+        x64 = x.astype(np.float64)
+        err = np.abs(out - x64 * ndtr(x64))
+        assert np.all(err <= 5e-7 * np.maximum(1.0, np.abs(x64))), err.max()
+
+    def test_float32_gelu_bytes_ignore_block_boundaries(self):
+        """The kernel runs over flat blocks; any split of the input, on or off
+        a block boundary, gives the same bytes as the whole."""
+        x = np.random.default_rng(13).standard_normal(3 * ad._GELU_BLOCK + 77)
+        x = (x * 4).astype(np.float32)
+        whole = ad.gelu(Tensor(x)).data.tobytes()
+        for cut in (1, 7, 1000, ad._GELU_BLOCK - 1, ad._GELU_BLOCK,
+                    ad._GELU_BLOCK + 1, 2 * ad._GELU_BLOCK + 5):
+            parts = [ad.gelu(Tensor(x[:cut])).data, ad.gelu(Tensor(x[cut:])).data]
+            assert np.concatenate(parts).tobytes() == whole, cut
+        assert ad.gelu(Tensor(x.reshape(-1, 1))).data.tobytes() == whole
+
     def test_sigmoid_saturates_without_overflow(self):
         """The logistic function of +-800 is 1 and 0, with no overflow
         warning, and matches its two closed forms inside their ranges."""
@@ -127,6 +157,8 @@ class TestBackward:
         with Tape() as tape:
             with pytest.raises(ContractError, match="float32"):
                 ad.linear(x, w, np.zeros(2))
+            with pytest.raises(ContractError, match="float32"):
+                ad.gelu(Tensor(x, requires_grad=True))
         assert len(tape) == 0
 
     def test_untaped_float32_stays_float32(self):

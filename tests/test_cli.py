@@ -9,6 +9,7 @@ import subprocess
 import sys
 import threading
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -1362,6 +1363,26 @@ class TestExitCodes:
             want32 = q.data.astype(np.float32)
             assert p.data.dtype == np.float32 and p.data.shape == q.data.shape, name
             assert p.data.tobytes() == want32.tobytes(), name
+
+    def test_restore_model_holds_less_than_the_float64_weights(self, tmp_path):
+        """Each entry is cast to float32 as it is read, so restoring never
+        holds as many bytes as the float64 weights: the float32 model, plus
+        one float64 entry in flight, weighs less."""
+        cfg = RunConfig(model=DenoiserConfig(latent=128, heads=4, layers=4,
+                                             max_frames=60))
+        ckpt = tmp_path / "model.snm"
+        params = MotionDenoiser(cfg.model, np.random.default_rng(2)).named_parameters()
+        save_checkpoint(ckpt, params)
+        float64_bytes = sum(t.data.nbytes for _, t in params)
+        del params
+        tracemalloc.start()
+        try:
+            model = cli._restore_model(cfg, ckpt)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert {t.data.dtype for t in model.parameters()} == {np.dtype(np.float32)}
+        assert peak < float64_bytes, (peak, float64_bytes)
 
     def test_report_written_atomically(self, workspace, tmp_path, monkeypatch):
         """A failed rename leaves the old report.json and no temporary file."""
